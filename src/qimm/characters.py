@@ -18,6 +18,8 @@ from functools import cache, lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
+from .ratpoly import conv
+
 
 def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of positive integers."""
@@ -190,12 +192,7 @@ def poly_power_coeffs(base: Sequence[int], exponent: int) -> list[int]:
     """Integer coefficient list of base(x)^exponent."""
     out = [1]
     for _ in range(exponent):
-        new = [0] * (len(out) + len(base) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(base):
-                    new[i + j] += a * b
-        out = new
+        out = conv(out, base)
     return out
 
 

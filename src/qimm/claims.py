@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -23,6 +22,7 @@ from .characters import (
 )
 from .immanants import (
     InequalityVerdict,
+    a_coeff_arrays,
     check_alpha_ratios,
     check_general_sr,
     check_hook_chain,
@@ -30,8 +30,8 @@ from .immanants import (
     check_two_row_chain,
     default_q_grid,
     eq5_reconstruction_ok,
-    extract_a_coeffs,
     oracle_equivalence_report,
+    two_row_witness_arrays,
 )
 from .paths import (
     LatticePath,
@@ -49,6 +49,7 @@ from .paths import (
     sequence_identities,
     syt_to_path,
 )
+from .ratpoly import conv
 from .trees import (
     Tree,
     all_labeled_trees,
@@ -107,35 +108,6 @@ class SweepConfig:
         )
 
 
-# -- fast per-tree core for the big sweeps -----------------------------------
-
-
-def _two_row_witness_arrays(tree: Tree, chars: list[list[int]],
-                            dims: list[int]) -> list[list[int]] | None:
-    """Integer q-coefficient arrays of dim_k*dim_{k-1}*(imm_{k-1} - imm_k)
-    for k = 1..floor(n/2); positive scaling keeps signs and parity."""
-    n = tree.n
-    half = n // 2
-    weights = matching_weight_arrays(tree)  # in t = q^2
-    acc = []
-    for k in range(half + 1):
-        row = [0] * (2 * n + 1)
-        ch = chars[k]
-        for j, arr in enumerate(weights):
-            cj = ch[j]
-            if cj:
-                for p, coeff in enumerate(arr):
-                    row[2 * p] += cj * coeff
-        acc.append(row)
-    out = []
-    for k in range(1, half + 1):
-        da, db = dims[k], dims[k - 1]
-        out.append(
-            [da * a - db * b for a, b in zip(acc[k - 1], acc[k])]
-        )
-    return out
-
-
 def verify_two_row(config: SweepConfig, trees: Sequence[Tree] | None = None
                    ) -> list[InequalityVerdict]:
     """Theorem 2 sweep: exhaustive over labeled trees for small n, seeded
@@ -165,12 +137,10 @@ def verify_two_row(config: SweepConfig, trees: Sequence[Tree] | None = None
         failures = []
         for tree in source:
             checked += 1
-            for idx, wit in enumerate(
-                _two_row_witness_arrays(tree, chars, dims)
-            ):
-                even = all(c == 0 for c in wit[1::2])
-                nonneg = all(c >= 0 for c in wit)
-                if not (even and nonneg):
+            wits = two_row_witness_arrays(
+                matching_weight_arrays(tree), chars, dims)
+            for idx, wit in enumerate(wits):
+                if any(c < 0 for c in wit):
                     failures.append((tree.label(), idx + 1, wit))
         verdicts.append(
             InequalityVerdict(
@@ -189,7 +159,8 @@ def verify_two_row(config: SweepConfig, trees: Sequence[Tree] | None = None
 def verify_hook(config: SweepConfig, trees: Sequence[Tree] | None = None,
                 q_grid: Sequence[Fraction] | None = None
                 ) -> list[InequalityVerdict]:
-    """Theorem 1 weak and strong hook chains on the exact q grid."""
+    """Theorem 1 weak and strong hook chains on the exact q grid; the
+    smallest margin per claim comes from the per-tree verdicts."""
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     if trees is not None:
         verdicts = []
@@ -200,19 +171,18 @@ def verify_hook(config: SweepConfig, trees: Sequence[Tree] | None = None,
     verdicts = []
     for n in range(5, config.hook_n_max + 1):
         checked = 0
-        worst: dict[str, tuple[Fraction, str, int, Fraction]] = {}
+        worst: dict[str, tuple[Fraction, str, int]] = {}
         failures = []
         for tree in all_labeled_trees(n):
             checked += 1
             for v in check_hook_chain(tree, grid):
-                gap = _parse_min_gap(v.witness)
-                key = v.claim
-                if key not in worst or gap < worst[key][0]:
-                    worst[key] = (gap, v.params["tree"], v.params["k"], gap)
+                gap, _ = v.margin
+                if v.claim not in worst or gap < worst[v.claim][0]:
+                    worst[v.claim] = (gap, v.params["tree"], v.params["k"])
                 if not v.holds:
                     failures.append(v)
         for claim in ("thm1-weak", "thm1-strong"):
-            gap, lbl, k, _ = worst[claim]
+            gap, lbl, k = worst[claim]
             fails = [f for f in failures if f.claim == claim]
             verdicts.append(
                 InequalityVerdict(
@@ -229,11 +199,6 @@ def verify_hook(config: SweepConfig, trees: Sequence[Tree] | None = None,
                 )
             )
     return verdicts
-
-
-def _parse_min_gap(witness: str) -> Fraction:
-    # witness format: "min gap <frac> at q=<frac>"
-    return Fraction(witness.split()[2])
 
 
 def verify_alpha_ratios(config: SweepConfig) -> list[InequalityVerdict]:
@@ -426,8 +391,8 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
                 witness=f"C_{l}={lhs}, convolution={rhs}",
             )
         )
-    conv = sequence_identities(config.conv_l_max)["convolution"]
-    for (l, k, i), lhs, rhs, ok in conv:
+    convolution = sequence_identities(config.conv_l_max)["convolution"]
+    for (l, k, i), lhs, rhs, ok in convolution:
         verdicts.append(
             InequalityVerdict(
                 claim="lem17-conv",
@@ -442,10 +407,7 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
         for i in range(half + 1):
             coeffs = poly_power_coeffs((1, 1), n - 2 * i)
             tri = poly_power_coeffs((1, 1, 1), i)
-            prod = [0] * (len(coeffs) + len(tri) - 1)
-            for x, cx in enumerate(coeffs):
-                for y, cy in enumerate(tri):
-                    prod[x + y] += cx * cy
+            prod = conv(coeffs, tri)
             for k in range(half + 1):
                 diff = prod[k] - (prod[k - 1] if k >= 1 else 0)
                 verdicts.append(
@@ -488,23 +450,20 @@ def verify_oracle(config: SweepConfig) -> list[InequalityVerdict]:
 
 def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
     """a0-identity: a_0 = 1 - q^2; a_i even with nonnegative coefficients
-    for i >= 1; reconstruction through the alpha table is exact."""
-    from .ratpoly import RatPoly
-
-    a0_expected = RatPoly((1, 0, -1))
+    for i >= 1; reconstruction through the alpha table is exact.  On t =
+    q^2 arrays a_i is even by construction and a_0 reads [1, -1]."""
     verdicts = []
     for n in range(2, config.oracle_n_max + 1):
         checked = 0
         bad = []
         for tree in all_labeled_trees(n):
             checked += 1
-            a = extract_a_coeffs(tree)
-            if a[0] != a0_expected:
+            a = a_coeff_arrays(matching_weight_arrays(tree))
+            if a[0] != [1, -1]:
                 bad.append((tree.label(), "a0"))
                 continue
             for i in range(1, len(a)):
-                even, nonneg = a[i].even_nonneg()
-                if not (even and nonneg):
+                if any(c < 0 for c in a[i]):
                     bad.append((tree.label(), f"a{i}"))
             if not eq5_reconstruction_ok(tree):
                 bad.append((tree.label(), "reconstruction"))

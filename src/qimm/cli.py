@@ -40,7 +40,6 @@ from .immanants import (
     InequalityVerdict,
     check_hook_chain,
     check_two_row_chain,
-    default_q_grid,
     extract_a_coeffs,
     immanant_bruteforce,
     immanant_tree,
@@ -55,6 +54,7 @@ from .trees import (
 )
 
 USAGE_ERROR = 2
+Q_GRID_MAX_POINTS = 10_000
 
 
 @dataclass
@@ -90,17 +90,19 @@ def parse_tree_spec(spec: str) -> Tree:
 
 
 def parse_q_grid(spec: str) -> tuple[Fraction, ...]:
-    """Grid literal lo:hi:step with exact rational endpoints."""
-    lo_s, hi_s, step_s = spec.split(":")
-    lo, hi, step = Fraction(lo_s), Fraction(hi_s), Fraction(step_s)
+    """Grid literal lo:hi:step with exact rational endpoints, at most
+    Q_GRID_MAX_POINTS points (counted before the grid is built)."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"bad grid {spec!r}; use lo:hi:step")
+    lo, hi, step = (Fraction(p) for p in parts)
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
-    grid = []
-    q = lo
-    while q <= hi:
-        grid.append(q)
-        q += step
-    return tuple(grid)
+    count = (hi - lo) // step + 1
+    if count > Q_GRID_MAX_POINTS:
+        raise ValueError(f"grid {spec!r} has {count} points; "
+                         f"capped at {Q_GRID_MAX_POINTS}")
+    return tuple(lo + i * step for i in range(count))
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -287,6 +289,9 @@ def cmd_verify(config: RunConfig) -> int:
     )
     if config.deep:
         sweep = sweep.deepen()
+    if config.q_grid is not None and (config.which != "hook"
+                                      or config.tree is None):
+        raise ValueError("--q-grid applies only to verify hook --tree")
     if config.tree is not None:
         if config.which not in ("two-row", "hook"):
             raise ValueError("--tree applies only to verify two-row|hook")

@@ -2,12 +2,23 @@
 
 Two independent immanant algorithms are kept side by side:
 
-  * immanant_bruteforce sums chi_lambda(pi) * prod M[i, pi(i)] over the
-    whole symmetric group (the oracle; capped at n <= 9);
+  * immanant_bruteforce expands the matrix row by row, Leibniz style,
+    over the permutations whose entries are all nonzero, and sums
+    chi_lambda(pi) * prod M[i, pi(i)] by cycle type (the oracle; capped at
+    n <= 9; it assumes nothing about trees);
   * immanant_tree contracts the sum to matching involutions through the
     c_j(q) weights (the production path).
 
 The normalized immanant divides by chi_lambda(id).
+
+All tree-side data are integer polynomials in t = q^2 until the last
+division by a character degree, so the per-tree checks run on integer
+t-coefficient lists: the matching weights c_j, the character sums
+sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5), and the Theorem 1 and
+Theorem 2 gaps, each cleared of its (positive) character-degree
+denominators.  The oracle works on integer q-coefficient lists over one
+common denominator.  RatPoly appears only where a polynomial leaves the
+module.
 
 Verifier results are InequalityVerdict records.  `holds` is the honest
 outcome of the exact check; `degenerate` marks instances whose ratio form
@@ -22,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -39,8 +50,8 @@ from .characters import (
     two_row_char,
     two_row_dimension,
 )
-from .ratpoly import RatPoly
-from .trees import PolyMatrix, Tree, matching_weights, q_laplacian
+from .ratpoly import RatPoly, conv, from_t
+from .trees import PolyMatrix, Tree, matching_weight_arrays, q_laplacian
 
 BRUTEFORCE_MAX_N = 9
 
@@ -65,6 +76,9 @@ class ImmanantReport:
 
 @dataclass
 class InequalityVerdict:
+    """One exact check.  `margin` is the structured form of a grid
+    witness, (smallest gap, q where it occurs); it is not serialized."""
+
     claim: str
     params: dict
     holds: bool
@@ -72,6 +86,8 @@ class InequalityVerdict:
     degenerate: bool = False
     asserted: bool = True
     detail: str = ""
+    margin: tuple[Fraction, Fraction] | None = field(
+        default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -88,6 +104,27 @@ class InequalityVerdict:
 def default_q_grid() -> tuple[Fraction, ...]:
     """Exact rationals -10, -19/2, ..., 10 (step 1/2)."""
     return tuple(Fraction(i, 2) for i in range(-20, 21))
+
+
+# -- integer coefficient lists ----------------------------------------------
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    """Strip trailing zeros in place; the zero polynomial becomes []."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _weighted_sum(arrays: Sequence[Sequence[int]],
+                  factors: Iterable[int]) -> list[int]:
+    """sum_j factors[j] * arrays[j], as long as the longest array."""
+    out = [0] * max(map(len, arrays), default=0)
+    for f, arr in zip(factors, arrays):
+        if f:
+            for p, c in enumerate(arr):
+                out[p] += f * c
+    return out
 
 
 # -- immanant algorithms ---------------------------------------------------
@@ -109,49 +146,70 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lens, reverse=True))
 
 
-def _bruteforce_buckets(matrix: PolyMatrix) -> dict[tuple[int, ...], RatPoly]:
-    """Entry-product sums over all n! permutations, keyed by cycle type."""
+def _bruteforce_buckets(matrix: PolyMatrix
+                        ) -> tuple[dict[tuple[int, ...], list[int]], int]:
+    """Entry-product sums over every permutation with no zero entry, keyed
+    by cycle type, as integer q-coefficient lists over one common
+    denominator (returned second).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    the permutations are expanded row by row, skipping zero entries and
+    used columns, with the partial product carried down the expansion.
+    """
     n = matrix.n
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force capped at n <= {BRUTEFORCE_MAX_N}")
-    nonzero = [
-        [not matrix[i, j].is_zero() for j in range(n)] for i in range(n)
-    ]
-    buckets: dict[tuple[int, ...], RatPoly] = {}
-    for perm in permutations(range(n)):
-        prod = None
-        for i in range(n):
-            if not nonzero[i][perm[i]]:
-                prod = None
-                break
-            e = matrix[i, perm[i]]
-            prod = e if prod is None else prod * e
-        if prod is None:
-            continue
-        rho = _cycle_type(perm)
-        buckets[rho] = buckets.get(rho, RatPoly.zero()) + prod
-    return buckets
+    rows = []
+    denom = 1
+    for i in range(n):
+        entries = [matrix[i, j].coeffs for j in range(n)]
+        scale = lcm(*(c.denominator for e in entries for c in e))
+        rows.append([(j, [int(c * scale) for c in e])
+                     for j, e in enumerate(entries) if e])
+        denom *= scale
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    perm = [0] * n
+
+    def expand(i: int, used: int, prod: list[int]) -> None:
+        if i == n:
+            acc = buckets.setdefault(_cycle_type(perm), [])
+            acc.extend([0] * (len(prod) - len(acc)))
+            for p, c in enumerate(prod):
+                acc[p] += c
+            return
+        for j, entry in rows[i]:
+            if not used >> j & 1:
+                perm[i] = j
+                expand(i + 1, used | 1 << j, conv(prod, entry))
+
+    expand(0, 0, [1])
+    return buckets, denom
 
 
-def _combine_buckets(buckets: dict[tuple[int, ...], RatPoly],
-                     shape: tuple[int, ...], n: int,
-                     normalized: bool) -> RatPoly:
-    total = RatPoly.zero()
-    for rho, weight in buckets.items():
-        total = total + weight.scale(mn_character(shape, rho))
-    if normalized:
-        total = total.scale(Fraction(1, mn_character(shape, (1,) * n)))
-    return total
+def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
+                     shape: tuple[int, ...]) -> list[int]:
+    """sum over cycle types rho of chi_shape(rho) times the bucket."""
+    return _weighted_sum(list(buckets.values()),
+                         [mn_character(shape, rho) for rho in buckets])
 
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
                         normalized: bool = False) -> RatPoly:
-    """Sum over all n! permutations of chi(pi) times the entry product."""
+    """Sum over the permutations of chi(pi) times the entry product."""
     shape = as_partition(shape)
     n = matrix.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != matrix dimension {n}")
-    return _combine_buckets(_bruteforce_buckets(matrix), shape, n, normalized)
+    buckets, denom = _bruteforce_buckets(matrix)
+    total = _combine_buckets(buckets, shape)
+    if normalized:
+        denom *= mn_character(shape, (1,) * n)
+    return RatPoly(tuple(Fraction(c, denom) for c in total))
+
+
+def _char_row(weights: Sequence[Sequence[int]], chi) -> list[int]:
+    """chi(j) for every j with c_j nonzero, 0 (without asking chi) elsewhere."""
+    return [chi(j) if any(arr) else 0 for j, arr in enumerate(weights)]
 
 
 def immanant_tree(tree: Tree, shape: Sequence[int],
@@ -161,48 +219,67 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
     n = tree.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != tree size {n}")
-    weights = matching_weights(tree)
-    total = RatPoly.zero()
-    for j, cj in enumerate(weights):
-        if cj.is_zero():
-            continue
-        total = total + cj.scale(mn_character(shape, two_cycle_type(n, j)))
-    if normalized:
-        total = total.scale(Fraction(1, syt_count(shape)))
-    return total
+    weights = matching_weight_arrays(tree)
+    total = _weighted_sum(weights, _char_row(
+        weights, lambda j: mn_character(shape, two_cycle_type(n, j))))
+    return from_t(total, syt_count(shape) if normalized else 1)
 
 
-def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
-    """Recover a_i(q) from the matching weights by binomial inversion.
+def a_coeff_arrays(weights: Sequence[Sequence[int]]) -> list[list[int]]:
+    """a_i in t = q^2 from the c_j t-arrays by binomial inversion.
 
     c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j.
     """
-    c = matching_weights(tree)
-    half = tree.n // 2
-    out = []
-    for i in range(half + 1):
-        acc = RatPoly.zero()
-        for j in range(i, half + 1):
-            acc = acc + c[j].scale((-1) ** (j - i) * comb(j, i))
-        out.append(acc)
-    return tuple(out)
+    return [
+        _trim(_weighted_sum(
+            weights[i:],
+            [(-1) ** m * comb(i + m, i) for m in range(len(weights) - i)]))
+        for i in range(len(weights))
+    ]
+
+
+def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
+    """Recover a_i(q) from the matching weights by binomial inversion."""
+    return tuple(
+        from_t(a) for a in a_coeff_arrays(matching_weight_arrays(tree)))
+
+
+def _two_row_sums(n: int, weights: Sequence[Sequence[int]]
+                  ) -> list[list[int]]:
+    """sum_j chi_{(n-k,k)}(2^j 1^(n-2j)) c_j in t, k = 0..floor(n/2)."""
+    return [_weighted_sum(weights, ch) for ch in _two_row_chars(n, weights)]
+
+
+def _two_row_chars(n: int, weights: Sequence[Sequence[int]]
+                   ) -> list[list[int]]:
+    """The two-row character table chi_{(n-k,k)}(2^j 1^(n-2j)), rows k,
+    filled only where c_j is nonzero."""
+    return [_char_row(weights, lambda j: two_row_char(n, k, j))
+            for k in range(n // 2 + 1)]
 
 
 def normalized_two_row_immanants(tree: Tree) -> tuple[RatPoly, ...]:
     """Normalized immanants for (n-k, k), k = 0..floor(n/2)."""
     n = tree.n
-    weights = matching_weights(tree)
-    out = []
-    for k in range(n // 2 + 1):
-        total = RatPoly.zero()
-        for j, cj in enumerate(weights):
-            if not cj.is_zero():
-                total = total + cj.scale(two_row_char(n, k, j))
-        out.append(total.scale(Fraction(1, two_row_dimension(n, k))))
-    return tuple(out)
+    sums = _two_row_sums(n, matching_weight_arrays(tree))
+    return tuple(from_t(s, two_row_dimension(n, k))
+                 for k, s in enumerate(sums))
 
 
 # -- Theorem 2: the two-row chain ------------------------------------------
+
+
+def two_row_witness_arrays(weights: Sequence[Sequence[int]],
+                           chars: Sequence[Sequence[int]],
+                           dims: Sequence[int]) -> list[list[int]]:
+    """t-arrays of dim_k*dim_{k-1}*(imm_{k-1} - imm_k), k = 1..floor(n/2),
+    from the c_j t-arrays, the two-row character table (rows k, columns j)
+    and the dimensions; positive scaling keeps the coefficient signs."""
+    sums = [_weighted_sum(weights, ch) for ch in chars]
+    return [
+        [dims[k] * a - dims[k - 1] * b for a, b in zip(sums[k - 1], sums[k])]
+        for k in range(1, len(sums))
+    ]
 
 
 def check_two_row_chain(tree: Tree, ks: Iterable[int] | None = None
@@ -210,18 +287,21 @@ def check_two_row_chain(tree: Tree, ks: Iterable[int] | None = None
     """Per k: imm_{k-1} - imm_k must be even in q with coefficients >= 0.
 
     That certificate is sufficient for the inequality at every real q and
-    is what the term-by-term proof produces.  Instances with n < 5 are
-    reported but not asserted (the path on four vertices genuinely fails
-    at k = 2 for large |q|).
+    is what the term-by-term proof produces.  On t = q^2 arrays evenness
+    holds by construction, so the check is coefficientwise nonnegativity.
+    Instances with n < 5 are reported but not asserted (the path on four
+    vertices genuinely fails at k = 2 for large |q|).
     """
     n = tree.n
-    imms = normalized_two_row_immanants(tree)
+    dims = [two_row_dimension(n, k) for k in range(n // 2 + 1)]
+    weights = matching_weight_arrays(tree)
+    wits = two_row_witness_arrays(weights, _two_row_chars(n, weights), dims)
     label = tree.label()
     verdicts = []
     for k in ks if ks is not None else range(1, n // 2 + 1):
-        witness = imms[k - 1] - imms[k]
-        even, nonneg = witness.even_nonneg()
-        holds = even and nonneg
+        arr = wits[k - 1]
+        holds = all(c >= 0 for c in arr)
+        witness = str(from_t(arr, dims[k] * dims[k - 1]))
         detail = ""
         if not holds:
             detail = f"difference imm_{k-1} - imm_{k} = {witness}"
@@ -230,7 +310,7 @@ def check_two_row_chain(tree: Tree, ks: Iterable[int] | None = None
                 claim="thm2",
                 params={"n": n, "tree": label, "k": k},
                 holds=holds,
-                witness=str(witness),
+                witness=witness,
                 asserted=n >= 5,
                 detail=detail,
             )
@@ -255,16 +335,27 @@ def _hook_char_data(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
     return chars, dims
 
 
-def _hook_values(weights: Sequence[RatPoly], n: int, q: Fraction
-                 ) -> list[Fraction]:
-    """Normalized hook immanant values at one grid point, k = 1..n."""
-    chars, dims = _hook_char_data(n)
-    cvals = [cj(q) for cj in weights]
-    out = []
-    for k in range(1, n + 1):
-        raw = sum(ch * cv for ch, cv in zip(chars[k - 1], cvals))
-        out.append(Fraction(raw, dims[k - 1]))
-    return out
+@lru_cache(maxsize=16)
+def _grid_table(grid: tuple[Fraction, ...], degree: int
+                ) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...],
+                           int]:
+    """Evaluation table of a q grid for t-polynomials of degree <= degree.
+
+    The distinct t = q^2 in order of first appearance, the first q giving
+    each, and per t the integer row r with sum_p g_p r_p = denom * g(t) for
+    every g, so that integer values compare directly across t.
+    """
+    firsts: dict[Fraction, Fraction] = {}
+    for q in grid:
+        firsts.setdefault(q * q, q)
+    denom = lcm(*(t.denominator ** degree for t in firsts))
+    rows = []
+    for t in firsts:
+        a, b = t.numerator, t.denominator
+        scale = denom // b ** degree
+        rows.append(tuple(a ** p * b ** (degree - p) * scale
+                          for p in range(degree + 1)))
+    return tuple(firsts.values()), tuple(rows), denom
 
 
 def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
@@ -273,34 +364,44 @@ def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
 
     Weak: imm_{k-1} <= imm_k.  Strong, cleared of denominators:
     (k-1) imm_{k-1} + (q^2 - 1) <= (k-2) imm_k.
+
+    Both gaps are integer t-polynomials once multiplied by the hook
+    degrees f_{k-1} f_k > 0.  Each is evaluated once per distinct t = q^2
+    of the grid; the grid is scanned in order with strict <, so the first
+    grid point wins ties.  The margin of each verdict is (gap, q).
     """
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
     label = tree.label()
-    weights = matching_weights(tree)
-    weak_gap: dict[int, tuple[Fraction, Fraction]] = {}
-    strong_gap: dict[int, tuple[Fraction, Fraction]] = {}
-    for q in grid:
-        vals = _hook_values(weights, n, q)
-        for k in range(2, n + 1):
-            lo, hi = vals[k - 2], vals[k - 1]
-            wg = hi - lo
-            sg = (k - 2) * hi - ((k - 1) * lo + (q * q - 1))
-            if k not in weak_gap or wg < weak_gap[k][0]:
-                weak_gap[k] = (wg, q)
-            if k not in strong_gap or sg < strong_gap[k][0]:
-                strong_gap[k] = (sg, q)
+    chars, dims = _hook_char_data(n)
+    weights = matching_weight_arrays(tree)
+    hooks = [_weighted_sum(weights, ch) for ch in chars]
+    qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)
     verdicts = []
-    for claim, gaps in (("thm1-weak", weak_gap), ("thm1-strong", strong_gap)):
+    for claim in ("thm1-weak", "thm1-strong"):
         for k in range(2, n + 1):
-            gap, at = gaps[k]
+            lo, hi = hooks[k - 2], hooks[k - 1]
+            f_lo, f_hi = dims[k - 2], dims[k - 1]
+            if claim == "thm1-weak":
+                gap = [f_lo * h - f_hi * l for l, h in zip(lo, hi)]
+            else:
+                gap = [(k - 2) * f_lo * h - (k - 1) * f_hi * l
+                       for l, h in zip(lo, hi)]
+                gap[0] += f_lo * f_hi
+                gap[1] -= f_lo * f_hi
+            values = [sum(map(mul, gap, row)) for row in rows]
+            low = min(values)
+            at = qs[values.index(low)]
+            value = Fraction(low, denom * f_lo * f_hi)
             verdicts.append(
                 InequalityVerdict(
                     claim=claim,
                     params={"n": n, "tree": label, "k": k},
-                    holds=gap >= 0,
-                    witness=f"min gap {gap} at q={at}",
-                    detail="" if gap >= 0 else f"negative gap {gap} at q={at}",
+                    holds=low >= 0,
+                    witness=f"min gap {value} at q={at}",
+                    detail="" if low >= 0
+                    else f"negative gap {value} at q={at}",
+                    margin=(value, at),
                 )
             )
     return verdicts
@@ -474,32 +575,36 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
 
 
 def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
-    """For every shape of |tree|: matching route == brute force, exactly."""
+    """For every shape of |tree|: matching route == brute force, exactly,
+    compared as integer q-coefficient lists."""
     n = tree.n
-    buckets = _bruteforce_buckets(q_laplacian(tree))
-    weights = matching_weights(tree)
+    buckets, denom = _bruteforce_buckets(q_laplacian(tree))
+    weights = matching_weight_arrays(tree)
     results = []
     for shape in partitions(n):
-        lhs = RatPoly.zero()
-        for j, cj in enumerate(weights):
-            if not cj.is_zero():
-                lhs = lhs + cj.scale(mn_character(shape, two_cycle_type(n, j)))
-        rhs = _combine_buckets(buckets, shape, n, normalized=False)
-        results.append((shape, lhs == rhs))
+        in_t = _weighted_sum(weights, _char_row(
+            weights, lambda j: mn_character(shape, two_cycle_type(n, j))))
+        lhs = [0] * (2 * len(in_t))
+        lhs[::2] = [denom * c for c in in_t]
+        rhs = _combine_buckets(buckets, shape)
+        results.append((shape, _trim(lhs) == _trim(rhs)))
     return results
 
 
 def eq5_reconstruction_ok(tree: Tree) -> bool:
     """sum_i a_i 2^i alpha_{n,k,i} / alpha_{n,k,0} reproduces every
-    normalized two-row immanant."""
+    normalized two-row immanant, checked cross-multiplied on t-arrays:
+    f_k sum_i 2^i alpha_{n,k,i} a_i = alpha_{n,k,0} sum_j chi_{(n-k,k)}(j) c_j.
+    """
     n = tree.n
-    a = extract_a_coeffs(tree)
+    weights = matching_weight_arrays(tree)
+    a = a_coeff_arrays(weights)
     table = alpha_table(n)
-    imms = normalized_two_row_immanants(tree)
-    for k in range(n // 2 + 1):
-        acc = RatPoly.zero()
-        for i in range(n // 2 + 1):
-            acc = acc + a[i].scale((1 << i) * table.get(k, i))
-        if acc.scale(Fraction(1, table.get(k, 0))) != imms[k]:
+    for k, imm in enumerate(_two_row_sums(n, weights)):
+        recon = _weighted_sum(
+            a, [(1 << i) * table.get(k, i) for i in range(len(a))])
+        f_k, alpha_0 = two_row_dimension(n, k), table.get(k, 0)
+        if (_trim([f_k * c for c in recon])
+                != _trim([alpha_0 * c for c in imm])):
             return False
     return True

@@ -6,6 +6,11 @@ tuple.  All arithmetic is exact; nothing here ever touches a float.
 
 Degrees in this project stay small (at most twice the number of tree
 vertices), so the dense representation is deliberate.
+
+The tree-side computations run on plain integer coefficient lists (most
+of them in t = q^2) and meet RatPoly only at the API and serialization
+edge: `conv` is the one dense convolution, `from_t` the one conversion
+from an integer t-list over a common denominator.
 """
 
 from __future__ import annotations
@@ -96,16 +101,7 @@ class RatPoly:
         return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
+        return RatPoly(conv(self.coeffs, other.coeffs))
 
     def __pow__(self, exponent: int) -> "RatPoly":
         if exponent < 0:
@@ -172,6 +168,18 @@ class RatPoly:
         return self.format()
 
 
+def conv(a: Sequence, b: Sequence) -> list:
+    """Coefficient list of the product of two dense coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 ZERO = RatPoly.zero()
 ONE = RatPoly.one()
 Q = RatPoly.monomial(1)
@@ -181,3 +189,12 @@ Q2 = RatPoly.monomial(2)
 def from_ints(coeffs: Iterable[int]) -> RatPoly:
     """Build a polynomial from plain integer coefficients."""
     return RatPoly(tuple(Fraction(c) for c in coeffs))
+
+
+def from_t(coeffs: Iterable[int], denom: int = 1) -> RatPoly:
+    """Polynomial in q from integer coefficients in t = q^2, all divided
+    by one common denominator."""
+    out: list = []
+    for c in coeffs:
+        out += (Fraction(c, denom), 0)
+    return RatPoly(out)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, conv, from_t
 
 ALL_TREES_MAX_N = 9
 
@@ -225,15 +224,6 @@ def q_laplacian(tree: Tree) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(row) for row in rows))
 
 
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     """Integer coefficient arrays of c_j in t = q^2, j = 0..floor(n/2).
 
@@ -256,7 +246,7 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
         if poly is None:
             poly = [1]
             for f in factors:
-                poly = _conv(poly, [1, f])
+                poly = conv(poly, [1, f])
             cache[factors] = poly
         return poly
 
@@ -281,13 +271,7 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
 
 def matching_weights(tree: Tree) -> tuple[RatPoly, ...]:
     """c_j(q) for j = 0..floor(n/2), as exact polynomials in q."""
-    out = []
-    for arr in matching_weight_arrays(tree):
-        coeffs = [0] * (2 * len(arr) - 1) if arr else [0]
-        for p, c in enumerate(arr):
-            coeffs[2 * p] = c
-        out.append(RatPoly(tuple(Fraction(c) for c in coeffs)))
-    return tuple(out)
+    return tuple(from_t(arr) for arr in matching_weight_arrays(tree))
 
 
 # -- tree file format -----------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qimm.cli import main, parse_q_grid, parse_tree_spec
+from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import path_tree, star_tree
 
 
@@ -28,6 +28,38 @@ def test_q_grid_parsing():
     assert [str(q) for q in grid] == ["-1", "-1/2", "0", "1/2", "1"]
     with pytest.raises(ValueError):
         parse_q_grid("1:0:1")
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_q_grid_point_cap(capsys):
+    # counted before building: cap + 1 points fails, the cap itself passes
+    assert len(parse_q_grid(f"1:{Q_GRID_MAX_POINTS}:1")) == Q_GRID_MAX_POINTS
+    with pytest.raises(ValueError, match="capped"):
+        parse_q_grid(f"0:{Q_GRID_MAX_POINTS}:1")
+    # 10^9 points: rejected by arithmetic, never built
+    code, out, err = run_cli(
+        capsys, "verify", "hook", "--tree", "path:5",
+        "--q-grid", "0:1000000:1/1000",
+    )
+    assert_usage_error(code, out, err)
+    assert "capped" in err
+
+
+def test_q_grid_rejected_outside_single_tree_hook(capsys):
+    for argv in (
+        ("verify", "hook", "--hook-n-max", "5", "--q-grid", "0:1:1"),
+        ("verify", "two-row", "--tree", "path:5", "--q-grid", "0:1:1"),
+        ("verify", "all", "--q-grid", "0:1:1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert_usage_error(code, out, err)
+        assert "--q-grid" in err
 
 
 def test_alpha_table_csv(capsys):

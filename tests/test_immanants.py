@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 import pytest
 
-from qimm.characters import partitions
+from qimm.characters import hook_shape, mn_character, partitions
 from qimm.immanants import (
     LEMMA9_ERRATA,
+    default_q_grid,
     check_alpha_ratios,
     check_general_sr,
     check_hook_chain,
@@ -17,6 +20,7 @@ from qimm.immanants import (
     normalized_two_row_immanants,
     oracle_equivalence_report,
 )
+from qimm.trees import matching_weights
 from qimm.ratpoly import RatPoly, from_ints
 from qimm.trees import (
     PolyMatrix,
@@ -35,6 +39,44 @@ def test_bruteforce_2x2_determinant_and_permanent():
     m = q_laplacian(path_tree(2))
     assert immanant_bruteforce(m, (1, 1)) == from_ints([1, 0, -1])
     assert immanant_bruteforce(m, (2,)) == from_ints([1, 0, 1])
+
+
+def _cycle_type(perm):
+    seen, lens = set(), []
+    for s in range(len(perm)):
+        length, v = 0, s
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+            length += 1
+        if length:
+            lens.append(length)
+    return tuple(sorted(lens, reverse=True))
+
+
+def test_bruteforce_dense_matrix_matches_permutation_sum():
+    # dense, non-symmetric, rational entries: nothing tree-like to lean on
+    n = 5
+    rows = tuple(
+        tuple(
+            RatPoly((Fraction(i - j, 1 + i), 0 if i == j else j + 1,
+                     Fraction(1, 2 + i + j)))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    matrix = PolyMatrix(rows)
+    for shape in partitions(n):
+        expected = RatPoly.zero()
+        for perm in permutations(range(n)):
+            prod = RatPoly.one()
+            for i in range(n):
+                prod = prod * rows[i][perm[i]]
+            expected = expected + prod.scale(
+                mn_character(shape, _cycle_type(perm)))
+        assert immanant_bruteforce(matrix, shape) == expected
+        assert immanant_bruteforce(matrix, shape, normalized=True) == (
+            expected.scale(Fraction(1, mn_character(shape, (1,) * n))))
 
 
 def test_bruteforce_cap():
@@ -99,6 +141,18 @@ def test_a_coeffs_properties_sampled():
                 assert p.even_nonneg() == (True, True)
 
 
+def test_a_coeffs_rebuild_matching_weights():
+    # forward direction of the inversion: c_j = sum_{i >= j} C(i,j) a_i
+    for n in range(2, 8):
+        for tree in random_trees(n, 5, seed=20 + n):
+            a = extract_a_coeffs(tree)
+            for j, cj in enumerate(matching_weights(tree)):
+                total = RatPoly.zero()
+                for i in range(j, len(a)):
+                    total = total + a[i].scale(comb(i, j))
+                assert total == cj
+
+
 def test_eq5_reconstruction_sampled():
     for n in range(2, 8):
         for tree in random_trees(n, 4, seed=10 + n):
@@ -127,6 +181,61 @@ def test_two_row_witness_is_difference():
     imms = normalized_two_row_immanants(tree)
     v = check_two_row_chain(tree)[1]
     assert v.witness == str(imms[1] - imms[2])
+
+
+def test_two_row_witness_matches_immanant_tree():
+    trees = list(all_labeled_trees(5)) + list(random_trees(8, 10, seed=3))
+    for tree in trees:
+        n = tree.n
+        imms = [immanant_tree(tree, (n - k, k) if k else (n,),
+                              normalized=True)
+                for k in range(n // 2 + 1)]
+        for v in check_two_row_chain(tree):
+            k = v.params["k"]
+            assert v.witness == str(imms[k - 1] - imms[k])
+
+
+def _hook_witnesses_by_eval(tree, grid):
+    """Grid minima of both hook gaps from immanant_tree and RatPoly
+    evaluation, scanning the grid in order (the first point wins ties)."""
+    n = tree.n
+    imms = [immanant_tree(tree, hook_shape(n, k), normalized=True)
+            for k in range(1, n + 1)]
+    out = {}
+    for k in range(2, n + 1):
+        lo, hi = imms[k - 2], imms[k - 1]
+        for claim in ("thm1-weak", "thm1-strong"):
+            best = None
+            for q in grid:
+                if claim == "thm1-weak":
+                    gap = hi(q) - lo(q)
+                else:
+                    gap = (k - 2) * hi(q) - ((k - 1) * lo(q) + (q * q - 1))
+                if best is None or gap < best[0]:
+                    best = (gap, q)
+            out[claim, k] = f"min gap {best[0]} at q={best[1]}"
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    None,
+    # asymmetric, unsorted, with repeated q^2 values to exercise ties
+    (Fraction(3, 2), Fraction(-1), Fraction(1, 3), Fraction(1),
+     Fraction(-3, 2), Fraction(0), Fraction(-1, 3), Fraction(5, 2)),
+])
+def test_hook_chain_matches_immanant_evaluation(grid):
+    for n in range(2, 6):
+        for tree in all_labeled_trees(n):
+            expected = _hook_witnesses_by_eval(
+                tree, grid if grid is not None else default_q_grid())
+            verdicts = check_hook_chain(tree, grid)
+            assert len(verdicts) == len(expected)
+            for v in verdicts:
+                want = expected[v.claim, v.params["k"]]
+                assert v.witness == want, (tree.label(), v.claim)
+                gap, q = v.margin
+                assert want == f"min gap {gap} at q={q}"
+                assert v.holds == (gap >= 0)
 
 
 def test_hook_chain_p2_boundary():
