@@ -29,7 +29,7 @@ from .immanants import (
     check_last_row_ratios,
     check_two_row_chain,
     default_q_grid,
-    eq5_reconstruction_ok,
+    eq5_holds,
     oracle_equivalence_report,
     two_row_witness_arrays,
 )
@@ -458,14 +458,15 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
         bad = []
         for tree in all_labeled_trees(n):
             checked += 1
-            a = a_coeff_arrays(matching_weight_arrays(tree))
+            weights = matching_weight_arrays(tree)
+            a = a_coeff_arrays(weights)
             if a[0] != [1, -1]:
                 bad.append((tree.label(), "a0"))
                 continue
             for i in range(1, len(a)):
                 if any(c < 0 for c in a[i]):
                     bad.append((tree.label(), f"a{i}"))
-            if not eq5_reconstruction_ok(tree):
+            if not eq5_holds(n, weights):
                 bad.append((tree.label(), "reconstruction"))
         verdicts.append(
             InequalityVerdict(

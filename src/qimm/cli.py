@@ -408,6 +408,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:
+        print("error: input beyond capacity: the computation exceeded "
+              "Python's recursion limit", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

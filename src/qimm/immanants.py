@@ -38,6 +38,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import (
+    _mn,
     alpha_table,
     as_partition,
     hook_shape,
@@ -188,9 +189,11 @@ def _bruteforce_buckets(matrix: PolyMatrix
 
 def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
                      shape: tuple[int, ...]) -> list[int]:
-    """sum over cycle types rho of chi_shape(rho) times the bucket."""
+    """sum over cycle types rho of chi_shape(rho) times the bucket; the
+    shape is a validated partition of n and the keys are canonical cycle
+    types of n, so the character engine is called unchecked."""
     return _weighted_sum(list(buckets.values()),
-                         [mn_character(shape, rho) for rho in buckets])
+                         [_mn(shape, rho) for rho in buckets])
 
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
@@ -221,7 +224,7 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
         raise ValueError(f"|shape| = {sum(shape)} != tree size {n}")
     weights = matching_weight_arrays(tree)
     total = _weighted_sum(weights, _char_row(
-        weights, lambda j: mn_character(shape, two_cycle_type(n, j))))
+        weights, lambda j: _mn(shape, two_cycle_type(n, j))))
     return from_t(total, syt_count(shape) if normalized else 1)
 
 
@@ -583,7 +586,7 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
     results = []
     for shape in partitions(n):
         in_t = _weighted_sum(weights, _char_row(
-            weights, lambda j: mn_character(shape, two_cycle_type(n, j))))
+            weights, lambda j: _mn(shape, two_cycle_type(n, j))))
         lhs = [0] * (2 * len(in_t))
         lhs[::2] = [denom * c for c in in_t]
         rhs = _combine_buckets(buckets, shape)
@@ -592,12 +595,16 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
 
 
 def eq5_reconstruction_ok(tree: Tree) -> bool:
+    """eq5_holds on the tree's own matching weights."""
+    return eq5_holds(tree.n, matching_weight_arrays(tree))
+
+
+def eq5_holds(n: int, weights: Sequence[Sequence[int]]) -> bool:
     """sum_i a_i 2^i alpha_{n,k,i} / alpha_{n,k,0} reproduces every
-    normalized two-row immanant, checked cross-multiplied on t-arrays:
+    normalized two-row immanant, checked cross-multiplied on the t-arrays
+    of the matching weights c_j of an n-vertex tree:
     f_k sum_i 2^i alpha_{n,k,i} a_i = alpha_{n,k,0} sum_j chi_{(n-k,k)}(j) c_j.
     """
-    n = tree.n
-    weights = matching_weight_arrays(tree)
     a = a_coeff_arrays(weights)
     table = alpha_table(n)
     for k, imm in enumerate(_two_row_sums(n, weights)):

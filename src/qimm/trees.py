@@ -11,6 +11,14 @@ data of the whole symmetric group collapses to
 
     c_j(q) = sum over size-j matchings M of
              q^(2j) * prod_{v unmatched} (1 + (deg(v) - 1) q^2).
+
+These are integer polynomials in t = q^2.  matching_weight_arrays gets
+all of them at once, without listing matchings, from an iterative
+rooted-tree DP over a bivariate polynomial in (x, t), x marking the
+matching size, held as one Python int by Kronecker substitution
+(t = 2^b, x = 2^(b(n+1))).  Every coefficient is a nonnegative integer
+bounded by the DP's value at t = x = 1, which fixes b; see its
+docstring.  Time is polynomial in n and no step recurses.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .ratpoly import RatPoly, conv, from_t
+from .ratpoly import RatPoly, from_t
 
 ALL_TREES_MAX_N = 9
 
@@ -224,49 +232,74 @@ def q_laplacian(tree: Tree) -> PolyMatrix:
     return PolyMatrix(tuple(tuple(row) for row in rows))
 
 
+def _fold_matchings(order: Sequence[int], parent: Sequence[int],
+                    deg: Sequence[int], shift_t: int, shift_xt: int) -> int:
+    """P(x, t) = sum over matchings M of x^|M| t^|M| prod_{v unmatched}
+    (1 + (deg(v) - 1) t), at t = 2^shift_t and x t = 2^shift_xt.
+
+    The children are folded into their parents in reverse BFS `order`.
+    Per vertex v, `free[v]` sums the matchings of the folded part of v's
+    subtree that leave v unmatched (v's own factor not yet applied) and
+    `matched[v]` those that match v to a child.  A finished child c adds
+    total = free[c] (1 + (deg(c) - 1) t) + matched[c] when its parent
+    edge is unused and free[c] x t when that edge is matched.
+    """
+    free = [1] * len(deg)
+    matched = [0] * len(deg)
+    total = 1
+    for v in reversed(order):
+        u = free[v]
+        total = u + (deg[v] - 1) * (u << shift_t) + matched[v]
+        p = parent[v]
+        if p:
+            up = free[p]
+            matched[p] = matched[p] * total + (up * u << shift_xt)
+            free[p] = up * total
+    return total
+
+
 def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     """Integer coefficient arrays of c_j in t = q^2, j = 0..floor(n/2).
 
-    Matchings are enumerated by include/exclude recursion over the edge
-    list with endpoint blocking.  Weight products over the unmatched
-    vertices are cached by the multiset of their degree factors, which
-    collapses most of the repeated work in whole-tree sweeps.
+    c_j is the coefficient of x^j in the bivariate P(x, t) of
+    `_fold_matchings`, an iterative rooted-tree DP (the matchings-
+    polynomial recursion; Godsil, Algebraic Combinatorics, 1993, ch. 1)
+    rooted at vertex 1 and evaluated once at a Kronecker point: t = 2^b,
+    x = 2^(b(n+1)).  The t-degree of c_j is at most n - j <= n, so the
+    n + 1 slots of one x power never reach the next.
+
+    Exactness: for n >= 2 every degree is at least 1, so every factor
+    1 + (deg(v) - 1) t, and with it every coefficient of P, is a
+    nonnegative integer.  Those coefficients sum to P(1, 1), the same DP
+    at t = x = 1, so each is below 2^b for b = P(1, 1).bit_length() + 1;
+    b is rounded up to whole bytes, and the packed integer decodes slot
+    by slot from its little-endian bytes, in time linear in its size.
+    n = 1 has the single weight 1 - t, whose negative coefficient the
+    packing cannot carry, so it is returned directly.
     """
     n = tree.n
+    if n == 1:
+        return [[1, -1]]
+    adj = tree.adjacency()
+    parent = [0] * (n + 1)
+    order = [1]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
     deg = tree.degrees()
-    edges = tree.edges
-    half = n // 2
-    acc: list[list[int]] = [[0] * (n + 1) for _ in range(half + 1)]
-    cache: dict[tuple[int, ...], list[int]] = {}
-
-    def unmatched_product(mask: int) -> list[int]:
-        factors = tuple(sorted(deg[v] - 1 for v in range(1, n + 1)
-                               if not mask & (1 << v)))
-        poly = cache.get(factors)
-        if poly is None:
-            poly = [1]
-            for f in factors:
-                poly = conv(poly, [1, f])
-            cache[factors] = poly
-        return poly
-
-    def rec(idx: int, mask: int, size: int):
-        if idx == len(edges):
-            row = acc[size]
-            for p, coeff in enumerate(unmatched_product(mask)):
-                row[size + p] += coeff
-            return
-        rec(idx + 1, mask, size)
-        u, v = edges[idx]
-        bits = (1 << u) | (1 << v)
-        if not mask & bits:
-            rec(idx + 1, mask | bits, size + 1)
-
-    rec(0, 0, 0)
-    for row in acc:
-        while len(row) > 1 and row[-1] == 0:
-            row.pop()
-    return acc
+    width = (_fold_matchings(order, parent, deg, 0, 0).bit_length() + 8) // 8
+    b = 8 * width
+    packed = _fold_matchings(order, parent, deg, b, b * (n + 2))
+    stride = width * (n + 1)
+    data = packed.to_bytes(stride * (n // 2 + 1), "little")
+    rows = []
+    for start in range(0, len(data), stride):
+        end = start + len(data[start:start + stride].rstrip(b"\0"))
+        rows.append([int.from_bytes(data[i:i + width], "little")
+                     for i in range(start, end, width)] or [0])
+    return rows
 
 
 def matching_weights(tree: Tree) -> tuple[RatPoly, ...]:

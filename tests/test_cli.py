@@ -118,6 +118,26 @@ def test_a_coeffs_command(capsys):
     assert out.splitlines() == ["a_0 = 1 - q^2", "a_1 = q^2"]
 
 
+def test_a_coeffs_large_star(capsys):
+    # matching weights no longer recurse once per edge
+    code, out, err = run_cli(capsys, "a-coeffs", "--tree", "star:1200")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 601
+    assert lines[0] == "a_0 = 1 - q^2"
+
+
+def test_recursion_limit_is_a_capacity_error(capsys):
+    # the character recursions still go one level per cycle or vertex
+    for argv in (
+        ("immanant", "--tree", "star:1200", "--shape", "1199,1"),
+        ("verify", "two-row", "--tree", "star:1200"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert_usage_error(code, out, err)
+        assert "beyond capacity" in err
+
+
 def test_verify_single_tree_exit_codes(capsys):
     # P_4 fails outside the asserted range: reported, exit 0
     code, out, _ = run_cli(capsys, "verify", "two-row", "--tree", "path:4")

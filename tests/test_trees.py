@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from qimm.trees import (
     Tree,
     all_labeled_trees,
     generate_trees,
+    matching_weight_arrays,
     matching_weights,
     parse_tree_file,
     path_tree,
@@ -137,6 +139,53 @@ def brute_weights(tree):
                 w = w * from_ints([1, 0, deg[v] - 1])
         acc[len(matching)] = acc[len(matching)] + w
     return tuple(acc)
+
+
+def brute_weight_arrays(tree):
+    """c_j t-arrays from brute_matchings, trimmed like the library's."""
+    deg = tree.degrees()
+    rows = [[0] * (tree.n + 1) for _ in range(tree.n // 2 + 1)]
+    for matching in brute_matchings(tree):
+        matched = {v for e in matching for v in e}
+        w = [0] * len(matching) + [1]
+        for v in range(1, tree.n + 1):
+            if v not in matched:
+                w = [a + (deg[v] - 1) * b for a, b in zip(w + [0], [0] + w)]
+        for p, c in enumerate(w):
+            rows[len(matching)][p] += c
+    for row in rows:
+        while len(row) > 1 and row[-1] == 0:
+            row.pop()
+    return rows
+
+
+def test_matching_weight_arrays_against_edge_subsets():
+    trees = [t for n in range(2, 7) for t in all_labeled_trees(n)]
+    trees += list(random_trees(10, 100, seed=2024))
+    for tree in trees:
+        assert matching_weight_arrays(tree) == brute_weight_arrays(tree)
+
+
+def test_matching_weight_arrays_single_vertex():
+    # the one vertex has degree 0, so its factor is 1 - t
+    assert matching_weight_arrays(Tree(1, ())) == [[1, -1]]
+
+
+def test_matching_weight_arrays_large_star():
+    # c_0: hub factor 1 + (N-2) t; c_1: N-1 edges, each t times leaf factors 1
+    n = 1200
+    rows = matching_weight_arrays(star_tree(n))
+    assert len(rows) == n // 2 + 1
+    assert rows[0] == [1, n - 2] and rows[1] == [0, n - 1]
+    assert all(row == [0] for row in rows[2:])
+
+
+def test_matching_weight_arrays_large_path():
+    # the t^j coefficient of c_j counts the j-matchings of the path
+    n = 100
+    rows = matching_weight_arrays(path_tree(n))
+    assert [row[j] for j, row in enumerate(rows)] == [
+        comb(n - j, j) for j in range(n // 2 + 1)]
 
 
 def test_matching_weights_p2():
