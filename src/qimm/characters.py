@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, factorial
+from operator import lt
 from typing import Iterator, Sequence
 
 from .ratpoly import conv
@@ -23,10 +24,10 @@ from .ratpoly import conv
 
 def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing sequence of positive integers."""
-    t = tuple(int(p) for p in parts)
-    if any(p < 1 for p in t):
+    t = tuple(map(int, parts))
+    if t and min(t) < 1:
         raise ValueError(f"partition parts must be positive: {t}")
-    if any(a < b for a, b in zip(t, t[1:])):
+    if any(map(lt, t, t[1:])):
         raise ValueError(f"partition must be weakly decreasing: {t}")
     return t
 
@@ -123,7 +124,10 @@ def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
     """chi_lambda(rho) by border-strip removal on first-column hook lengths."""
     shape = as_partition(shape)
-    rho = as_partition(tuple(sorted(cycle_type, reverse=True)))
+    # sorted after conversion, so only positivity is left to check
+    rho = tuple(sorted(map(int, cycle_type), reverse=True))
+    if rho and rho[-1] < 1:
+        raise ValueError(f"partition parts must be positive: {rho}")
     if sum(shape) != sum(rho):
         raise ValueError(f"|shape|={sum(shape)} != |cycle type|={sum(rho)}")
     return _mn(shape, rho)
@@ -198,8 +202,22 @@ def poly_power_coeffs(base: Sequence[int], exponent: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def trinomial_coeffs(l: int) -> tuple[int, ...]:
-    """Coefficients of (1 + x + x^2)^l."""
-    return tuple(poly_power_coeffs((1, 1, 1), l))
+    """Coefficients p_0..p_{2l} of f = (1 + x + x^2)^l, in O(l) steps.
+
+    Differentiating gives (1 + x + x^2) f' = l (1 + 2x) f; comparing the
+    coefficients of x^k on both sides,
+    (k+1) p_{k+1} + k p_k + (k-1) p_{k-1} = l p_k + 2l p_{k-1}, so
+    (k+1) p_{k+1} = (l-k) p_k + (2l-k+1) p_{k-1}, from p_0 = 1 (and
+    p_{-1} = 0).  Each division is exact, and is asserted so.
+    """
+    p = [1]
+    prev = 0
+    for k in range(2 * l):
+        q, r = divmod((l - k) * p[k] + (2 * l - k + 1) * prev, k + 1)
+        assert r == 0
+        prev = p[k]
+        p.append(q)
+    return tuple(p)
 
 
 def last_value(l: int, k: int) -> int:
@@ -244,14 +262,9 @@ def last_table_recursive(l_max: int) -> LastTable:
     signed = [1, -1]
     rows = [(1,)]
     for l in range(1, l_max + 1):
-        prev = signed
-        signed = [0] * (2 * l + 2)
-        for k in range(2 * l + 2):
-            v = 0
-            for back in (0, 1, 2):
-                if 0 <= k - back < len(prev):
-                    v += prev[k - back]
-            signed[k] = v
+        # signed[k] = prev[k] + prev[k-1] + prev[k-2], zero off the ends
+        signed = [a + b + c for a, b, c in zip(
+            signed + [0, 0], [0] + signed + [0], [0, 0] + signed)]
         rows.append(tuple(signed[: l + 1]))
     return LastTable(l_max, tuple(rows))
 
@@ -293,25 +306,15 @@ def alpha_table(n: int) -> AlphaTable:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = {0: {0: 1}}  # n = 1: single entry alpha_{1,0,0}
+    rows = [[1]]  # n = 1: single entry alpha_{1,0,0}
     for m in range(2, n + 1):
         half = m // 2
-        prev = rows
-        rows = {}
-        for i in range((m - 1) // 2 + 1):
-            prow = prev.get(i, {})
-            rows[i] = {
-                k: prow.get(k, 0) + prow.get(k - 1, 0) for k in range(half + 1)
-            }
+        # row i of m - 1 has (m-1)//2 + 1 entries; pad one zero each side
+        rows = [[a + b for a, b in zip(prow + [0], [0] + prow)][: half + 1]
+                for prow in rows]
         if m % 2 == 0:
-            rows[half] = {k: last_value(half, k) for k in range(half + 1)}
-    half = n // 2
-    return AlphaTable(
-        n,
-        tuple(
-            tuple(rows[i][k] for k in range(half + 1)) for i in range(half + 1)
-        ),
-    )
+            rows.append([last_value(half, k) for k in range(half + 1)])
+    return AlphaTable(n, tuple(map(tuple, rows)))
 
 
 def two_row_dimension(n: int, k: int) -> int:

@@ -9,7 +9,7 @@ lem22, rem20, a0-identity, oracle-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -35,19 +35,18 @@ from .immanants import (
 )
 from .paths import (
     LatticePath,
+    allowed_count,
     callan_fwd,
     callan_inv,
-    count_restricted,
     enumerate_paths,
-    enumerate_two_row_syt,
     max_odd_peak_interval,
-    nlp_count,
-    probability_monotonicity,
+    probability_sequences,
     restricted_count_histogram,
     riordan_double_fwd,
     riordan_double_inv,
     sequence_identities,
-    syt_to_path,
+    syt_descent_histogram,
+    weakly_decreasing,
 )
 from .ratpoly import conv
 from .trees import (
@@ -88,23 +87,17 @@ class SweepConfig:
     riordan_l_max: int = 12
 
     def deepen(self) -> "SweepConfig":
-        return SweepConfig(
+        return replace(
+            self,
             n_max=max(self.n_max, 8),
             exhaustive_tree_max=min(8, self.exhaustive_tree_max + 1),
             hook_n_max=self.hook_n_max + 1,
             oracle_n_max=min(7, self.oracle_n_max + 1),
             random_count=self.random_count * 5,
-            seed=self.seed,
-            alpha_n_max=self.alpha_n_max,
-            last_l_max=self.last_l_max,
-            sr_l_max=self.sr_l_max,
-            sr_max=self.sr_max,
             callan_l_max=self.callan_l_max + 1,
             double_l_max=self.double_l_max + 1,
             count_n_max=self.count_n_max + 2,
             prob_n_max=self.prob_n_max + 2,
-            conv_l_max=self.conv_l_max,
-            riordan_l_max=self.riordan_l_max,
         )
 
 
@@ -312,13 +305,8 @@ def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
         table = alpha_table(n)
         for k in range(half + 1):
             hist = restricted_count_histogram(n, k)
-            running = 0
-            by_threshold = []
-            for d in range(half + 1):
-                running += hist[d]
-                by_threshold.append(running)
             for i in range(half + 1):
-                counted = by_threshold[half - i]
+                counted = allowed_count(hist, n, i)
                 expect = table.get(k, i)
                 verdicts.append(
                     InequalityVerdict(
@@ -332,43 +320,31 @@ def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
 
 
 def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
-    """lem20 on paths and lem21 on tableaux, with exact rationals."""
+    """lem20 on paths and lem21 on tableaux, with exact rationals.  Each
+    path class and tableau shape is listed once per n; every i reads a
+    prefix of its histogram."""
     verdicts = []
     for n in range(2, config.prob_n_max + 1):
-        for i in range((n - 1) // 2 + 1):
-            seq, monotone = probability_monotonicity(n, i)
+        path_seqs = probability_sequences(n)
+        for i, seq in enumerate(path_seqs):
             verdicts.append(
                 InequalityVerdict(
                     claim="lem20",
                     params={"n": n, "i": i},
-                    holds=monotone,
+                    holds=weakly_decreasing(seq),
                     witness=", ".join(f"k={k}:{p}" for k, p in seq),
                 )
             )
         # tableau side: descents with odd RowDiff, counted from the rows
-        half = n // 2
-        for i in range((n - 1) // 2 + 1):
-            allowed = half - i
-            seq2 = []
-            for k in range(half + 1):
-                good = 0
-                total = 0
-                for tab in enumerate_two_row_syt(n, k):
-                    total += 1
-                    if all(
-                        (d + 1) // 2 <= allowed
-                        for d in tab.descents()
-                        if tab.row_diff(d) % 2 == 1
-                    ):
-                        good += 1
-                seq2.append((k, Fraction(good, total)))
-            monotone = all(a[1] >= b[1] for a, b in zip(seq2, seq2[1:]))
-            path_seq, _ = probability_monotonicity(n, i)
+        syt_hists = [syt_descent_histogram(n, k) for k in range(n // 2 + 1)]
+        for i, path_seq in enumerate(path_seqs):
+            seq2 = [(k, Fraction(allowed_count(h, n, i), sum(h)))
+                    for k, h in enumerate(syt_hists)]
             verdicts.append(
                 InequalityVerdict(
                     claim="lem21",
                     params={"n": n, "i": i},
-                    holds=monotone and seq2 == path_seq,
+                    holds=weakly_decreasing(seq2) and seq2 == path_seq,
                     witness=", ".join(f"k={k}:{p}" for k, p in seq2),
                     detail="" if seq2 == path_seq
                     else "tableau and path probabilities disagree",

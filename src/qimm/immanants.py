@@ -232,13 +232,21 @@ def a_coeff_arrays(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     """a_i in t = q^2 from the c_j t-arrays by binomial inversion.
 
     c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j.
+    Each nonzero c_j is spread over a_j, a_{j-1}, ..., a_0 with the
+    binomials of row j taken in turn; zero rows are skipped.
     """
-    return [
-        _trim(_weighted_sum(
-            weights[i:],
-            [(-1) ** m * comb(i + m, i) for m in range(len(weights) - i)]))
-        for i in range(len(weights))
-    ]
+    width = max(map(len, weights), default=0)
+    out = [[0] * width for _ in weights]
+    for j, arr in enumerate(weights):
+        if not any(arr):
+            continue
+        factor = 1  # (-1)^(j-i) C(j, i), from i = j down
+        for i in range(j, -1, -1):
+            row = out[i]
+            for p, c in enumerate(arr):
+                row[p] += factor * c
+            factor = -factor * i // (j - i + 1)
+    return [_trim(row) for row in out]
 
 
 def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:

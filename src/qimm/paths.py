@@ -17,6 +17,7 @@ one occupies exactly one of the intervals s_d = (2d-2, 2d); a peak at
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -281,12 +282,7 @@ def count_restricted(n: int, k: int, i: int) -> int:
     peaks all sit in intervals s_1..s_{floor(n/2)-i}; equals alpha_{n,k,i}."""
     if not (0 <= k <= n // 2 and 0 <= i <= n // 2):
         raise ValueError(f"need 0 <= k, i <= n//2, got k={k}, i={i}")
-    allowed = n // 2 - i
-    return sum(
-        1
-        for p in enumerate_paths("NLP", n, n - 2 * k)
-        if max_odd_peak_interval(p) <= allowed
-    )
+    return allowed_count(restricted_count_histogram(n, k), n, i)
 
 
 def restricted_count_histogram(n: int, k: int) -> list[int]:
@@ -296,6 +292,12 @@ def restricted_count_histogram(n: int, k: int) -> list[int]:
     for p in enumerate_paths("NLP", n, n - 2 * k):
         hist[max_odd_peak_interval(p)] += 1
     return hist
+
+
+def allowed_count(hist: Sequence[int], n: int, i: int) -> int:
+    """Objects of a histogram by largest odd interval index d (path peaks
+    or tableau descents) with d <= floor(n/2) - i."""
+    return sum(hist[: n // 2 - i + 1])
 
 
 # -- standard Young tableaux with at most two rows ----------------------------
@@ -334,10 +336,9 @@ class TwoRowSYT:
         return [i for i in range(1, self.n) if i in r1 and i + 1 in r2]
 
     def row_diff(self, i: int) -> int:
-        """RowDiff of the restriction to 1..i (first minus second row size)."""
-        a = sum(1 for v in self.row1 if v <= i)
-        b = sum(1 for v in self.row2 if v <= i)
-        return a - b
+        """RowDiff of the restriction to 1..i (first minus second row size);
+        both rows increase, so each count is a bisection."""
+        return bisect_right(self.row1, i) - bisect_right(self.row2, i)
 
     def to_json(self) -> dict:
         """Wire form: the two rows as JSON arrays of integers."""
@@ -374,6 +375,24 @@ def syt_codec(direction: str, value):
     raise ValueError(f"direction must be to_path or to_syt, got {direction!r}")
 
 
+def max_odd_descent_interval(tableau: TwoRowSYT) -> int:
+    """Largest (d+1)//2 over descents d with odd RowDiff; 0 if none.  The
+    tableau counterpart of max_odd_peak_interval."""
+    return max(
+        ((d + 1) // 2 for d in tableau.descents() if tableau.row_diff(d) % 2),
+        default=0,
+    )
+
+
+def syt_descent_histogram(n: int, k: int) -> list[int]:
+    """hist[d] = number of standard tableaux of shape (n-k, k) whose
+    max_odd_descent_interval is exactly d."""
+    hist = [0] * (n // 2 + 1)
+    for tab in enumerate_two_row_syt(n, k):
+        hist[max_odd_descent_interval(tab)] += 1
+    return hist
+
+
 def enumerate_two_row_syt(n: int, k: int) -> Iterator[TwoRowSYT]:
     """All standard tableaux of shape (n-k, k), by direct row growth."""
     if not 0 <= k <= n // 2:
@@ -394,6 +413,24 @@ def enumerate_two_row_syt(n: int, k: int) -> Iterator[TwoRowSYT]:
 # -- probabilities and identities ---------------------------------------------
 
 
+def probability_sequences(n: int) -> list[list[tuple[int, Fraction]]]:
+    """seqs[i] = [(k, P_k)] for i = 0..floor((n-1)/2), k = 0..floor(n/2),
+    with P_k the probability that a uniform NLP(n, n-2k) path keeps its
+    odd-height peaks inside the first floor(n/2)-i intervals.  Each
+    NLP(n, n-2k) is listed once; every i reads a prefix of its histogram."""
+    hists = [restricted_count_histogram(n, k) for k in range(n // 2 + 1)]
+    return [
+        [(k, Fraction(allowed_count(h, n, i), nlp_count(n, k)))
+         for k, h in enumerate(hists)]
+        for i in range((n - 1) // 2 + 1)
+    ]
+
+
+def weakly_decreasing(seq: Sequence[tuple[int, Fraction]]) -> bool:
+    """Whether the probabilities of a (k, P_k) sequence weakly decrease."""
+    return all(a[1] >= b[1] for a, b in zip(seq, seq[1:]))
+
+
 def probability_monotonicity(n: int, i: int
                              ) -> tuple[list[tuple[int, Fraction]], bool]:
     """Probability that a uniform NLP(n, n-2k) path keeps its odd-height
@@ -401,11 +438,8 @@ def probability_monotonicity(n: int, i: int
     returns the exact sequence and whether it weakly decreases in k."""
     if not 0 <= i <= (n - 1) // 2:
         raise ValueError(f"need i <= floor((n-1)/2), got i={i}")
-    seq = []
-    for k in range(n // 2 + 1):
-        seq.append((k, Fraction(count_restricted(n, k, i), nlp_count(n, k))))
-    monotone = all(a[1] >= b[1] for a, b in zip(seq, seq[1:]))
-    return seq, monotone
+    seq = probability_sequences(n)[i]
+    return seq, weakly_decreasing(seq)
 
 
 def catalan(l: int) -> int:

@@ -21,6 +21,7 @@ from qimm.characters import (
     two_row_dimension,
     two_row_shape,
 )
+from qimm.ratpoly import conv
 
 # the three tables the recursion must reproduce entry for entry
 TABLE_N6 = ((1, 5, 9, 5), (1, 4, 6, 3), (1, 3, 4, 2), (1, 2, 3, 1))
@@ -53,6 +54,21 @@ def test_partition_validation():
         as_partition((1, 3))
     with pytest.raises(ValueError):
         as_partition((2, 0))
+
+
+def test_validation_messages_and_order():
+    # positivity is checked before order, on the shape and the cycle type
+    cases = [
+        (((0, 3), (2, 1)), "partition parts must be positive: (0, 3)"),
+        (((1, 2), (2, 1)), "partition must be weakly decreasing: (1, 2)"),
+        (((2, 1), (1, 0, 2)), "partition parts must be positive: (2, 1, 0)"),
+        (((2, 1), (2, 2)), "|shape|=3 != |cycle type|=4"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            mn_character(*args)
+        assert str(err.value) == message
+    assert mn_character((2, 1), (1, 2)) == mn_character((2, 1), (2, 1)) == 0
 
 
 def test_partitions_count():
@@ -206,3 +222,17 @@ def test_last_row_equals_alpha_last_row():
 
 def test_trinomial_row():
     assert trinomial_coeffs(4) == (1, 4, 10, 16, 19, 16, 10, 4, 1)
+
+
+def test_trinomial_coeffs_match_repeated_convolution():
+    row = [1]
+    for l in range(61):
+        assert trinomial_coeffs(l) == tuple(row), l
+        row = conv(row, (1, 1, 1))
+
+
+def test_trinomial_coeffs_large_row():
+    p = trinomial_coeffs(2000)
+    assert len(p) == 4001
+    assert sum(p) == 3**2000
+    assert p == p[::-1]

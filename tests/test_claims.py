@@ -1,0 +1,59 @@
+import hashlib
+from dataclasses import fields
+
+from qimm.claims import SweepConfig
+from qimm.cli import main
+
+# SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
+# json`, recorded before the probability sweep read every i from one
+# histogram per (n, k); the verdict stream must not change.
+GOLDEN_DEEP = {
+    "paths":
+        "3c90a5ff0c4cf4b5498c9a37b1eeb0e5cdbfbae8d22446f95728417828d5aded",
+    "probability":
+        "bfdfe514af8c2af1b9616813e2ab3988cfc13d4d3819ffa995b4251591f4b4c2",
+}
+
+
+def explicit_deepen(c: SweepConfig) -> SweepConfig:
+    """Every cap of `deepen`, written out by hand."""
+    return SweepConfig(
+        n_max=max(c.n_max, 8),
+        exhaustive_tree_max=min(8, c.exhaustive_tree_max + 1),
+        hook_n_max=c.hook_n_max + 1,
+        oracle_n_max=min(7, c.oracle_n_max + 1),
+        random_count=c.random_count * 5,
+        seed=c.seed,
+        alpha_n_max=c.alpha_n_max,
+        last_l_max=c.last_l_max,
+        sr_l_max=c.sr_l_max,
+        sr_max=c.sr_max,
+        callan_l_max=c.callan_l_max + 1,
+        double_l_max=c.double_l_max + 1,
+        count_n_max=c.count_n_max + 2,
+        prob_n_max=c.prob_n_max + 2,
+        conv_l_max=c.conv_l_max,
+        riordan_l_max=c.riordan_l_max,
+    )
+
+
+def test_deepen_field_by_field():
+    custom = SweepConfig(
+        n_max=5, exhaustive_tree_max=7, hook_n_max=3, oracle_n_max=6,
+        random_count=7, seed=11, alpha_n_max=9, last_l_max=10, sr_l_max=4,
+        sr_max=2, callan_l_max=3, double_l_max=2, count_n_max=6,
+        prob_n_max=5, conv_l_max=3, riordan_l_max=4,
+    )
+    for config in (SweepConfig(), custom):
+        got, want = config.deepen(), explicit_deepen(config)
+        for f in fields(SweepConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert custom.deepen().n_max == 8
+    assert SweepConfig().deepen().exhaustive_tree_max == 8
+
+
+def test_deep_paths_and_probability_streams_unchanged(capsys):
+    for which, want in GOLDEN_DEEP.items():
+        assert main(["verify", which, "--deep", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, which

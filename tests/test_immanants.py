@@ -7,6 +7,7 @@ import pytest
 from qimm.characters import hook_shape, mn_character, partitions
 from qimm.immanants import (
     LEMMA9_ERRATA,
+    a_coeff_arrays,
     default_q_grid,
     check_alpha_ratios,
     check_general_sr,
@@ -151,6 +152,22 @@ def test_a_coeffs_rebuild_matching_weights():
                 for i in range(j, len(a)):
                     total = total + a[i].scale(comb(i, j))
                 assert total == cj
+
+
+def test_a_coeff_arrays_match_binomial_inversion():
+    # zero rows in the middle and at the end, as a star's c_j have
+    weights = [[1, 5, 2], [0, 3], [0], [0, 0, 7, 1], [0], [0]]
+    expect = []
+    for i in range(len(weights)):
+        row = [0] * 4
+        for j in range(i, len(weights)):
+            for p, c in enumerate(weights[j]):
+                row[p] += (-1) ** (j - i) * comb(j, i) * c
+        while row and not row[-1]:
+            row.pop()
+        expect.append(row)
+    assert a_coeff_arrays(weights) == expect
+    assert a_coeff_arrays([]) == []
 
 
 def test_eq5_reconstruction_sampled():

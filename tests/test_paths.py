@@ -7,22 +7,26 @@ from qimm.characters import alpha_table, last_value, trinomial_coeffs
 from qimm.paths import (
     LatticePath,
     TwoRowSYT,
+    allowed_count,
     callan_bijection,
     callan_fwd,
     callan_inv,
     count_restricted,
     enumerate_paths,
     enumerate_two_row_syt,
+    max_odd_descent_interval,
     max_odd_peak_interval,
     nlp_count,
     path_to_syt,
     peak_profile,
     probability_monotonicity,
+    probability_sequences,
     riordan_double,
     riordan_double_fwd,
     riordan_double_inv,
     sequence_identities,
     syt_codec,
+    syt_descent_histogram,
     syt_to_path,
 )
 
@@ -313,6 +317,42 @@ def test_probability_monotone_small():
         for i in range((n - 1) // 2 + 1):
             _, monotone = probability_monotonicity(n, i)
             assert monotone
+
+
+def test_syt_histogram_prefix_sums_match_descent_predicate():
+    # the per-i reading of the tableau side, one tableau at a time
+    for n in range(1, 11):
+        half = n // 2
+        for k in range(half + 1):
+            tableaux = list(enumerate_two_row_syt(n, k))
+            hist = syt_descent_histogram(n, k)
+            assert sum(hist) == len(tableaux)
+            for i in range(half + 1):
+                allowed = half - i
+                good = [
+                    all((d + 1) // 2 <= allowed
+                        for d in tab.descents() if tab.row_diff(d) % 2 == 1)
+                    for tab in tableaux
+                ]
+                for tab, ok in zip(tableaux, good):
+                    assert (max_odd_descent_interval(tab) <= allowed) == ok
+                assert allowed_count(hist, n, i) == sum(good), (n, k, i)
+
+
+def test_probability_sequences_match_per_i_enumeration():
+    for n in range(1, 13):
+        seqs = probability_sequences(n)
+        assert len(seqs) == (n - 1) // 2 + 1
+        for i, seq in enumerate(seqs):
+            direct = [
+                (k, Fraction(
+                    sum(1 for p in enumerate_paths("NLP", n, n - 2 * k)
+                        if max_odd_peak_interval(p) <= n // 2 - i),
+                    nlp_count(n, k)))
+                for k in range(n // 2 + 1)
+            ]
+            assert seq == direct, (n, i)
+            assert probability_monotonicity(n, i)[0] == seq
 
 
 def test_probability_range_check():
