@@ -10,7 +10,6 @@ Exit status 0 iff every asserted verdict holds.
 """
 
 import csv
-import json
 import os
 import sys
 import time
@@ -19,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qimm.claims import SweepConfig, run_claims, summarize  # noqa: E402
+from qimm.cli import render_verdicts  # noqa: E402
 
 
 def main(argv):
@@ -40,10 +40,7 @@ def main(argv):
     summary = summarize(verdicts)
 
     jsonl = outdir / "verdicts.jsonl"
-    with jsonl.open("w") as fh:
-        for v in verdicts:
-            fh.write(json.dumps(v.to_json(), sort_keys=True) + "\n")
-        fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    jsonl.write_text(render_verdicts(verdicts, "json"))
 
     per_claim = {}
     for v in verdicts:

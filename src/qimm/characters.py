@@ -1,4 +1,4 @@
-"""Symmetric-group character data: Murnaghan-Nakayama, two-row fast path,
+"""Symmetric-group character data: Murnaghan-Nakayama, two-row closed form,
 alpha tables, and the last-row (trinomial difference) triangle.
 
 alpha_{n,lambda,i} is the integer (1/2^i) * sum_j C(i,j) chi_lambda(j),
@@ -137,10 +137,11 @@ def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
 def two_row_char(n: int, k: int, j: int) -> int:
     """chi_{(n-k,k)} at cycle type 2^j 1^(n-2j).
 
-    Fast path: strip single boxes while fixed points remain, which gives
-    the Pascal-style recursion chi_{n,k}(j) = chi_{n-1,k}(j) +
-    chi_{n-1,k-1}(j); the fixed-point-free floor n = 2j falls back to the
-    border-strip engine.
+    Closed form by Young's rule: for m <= n/2 the permutation character
+    on the m-subsets of {1..n} is the sum of chi_{(n-i,i)} over i <= m,
+    so chi_{(n-k,k)} = F(k) - F(k-1), where F(m) counts the m-subsets
+    fixed by an involution with j 2-cycles (see Sagan, The Symmetric
+    Group).
     """
     if not 0 <= k <= n // 2:
         raise ValueError(f"need 0 <= k <= n//2, got k={k}, n={n}")
@@ -151,13 +152,14 @@ def two_row_char(n: int, k: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _two_row_rec(n: int, k: int, j: int) -> int:
-    if k < 0 or n - k < k:
-        return 0
-    if k == 0:
-        return 1
-    if n == 2 * j:
-        return _mn(two_row_shape(n, k), (2,) * j)
-    return _two_row_rec(n - 1, k, j) + _two_row_rec(n - 1, k - 1, j)
+    return _fixed_subsets(n, j, k) - _fixed_subsets(n, j, k - 1)
+
+
+def _fixed_subsets(n: int, j: int, m: int) -> int:
+    """F(m) = sum_a C(j, a) C(n-2j, m-2a): an m-subset fixed by the
+    involution is a union of a of its 2-cycles and m-2a fixed points."""
+    return sum(comb(j, a) * comb(n - 2 * j, m - 2 * a)
+               for a in range(min(j, m // 2) + 1))
 
 
 # -- alpha -----------------------------------------------------------------

@@ -27,7 +27,6 @@ from .immanants import (
     check_general_sr,
     check_hook_chain,
     check_last_row_ratios,
-    check_two_row_chain,
     default_q_grid,
     eq5_holds,
     oracle_equivalence_report,
@@ -56,18 +55,11 @@ from .trees import (
     random_trees,
 )
 
-ALL_CLAIM_IDS = (
-    "thm1-weak", "thm1-strong", "thm2",
-    "lem6", "lem9", "cor10", "lem11", "lem13", "rem12",
-    "lem15-bij", "lem16-bij", "lem17-conv", "lem18", "lem19",
-    "lem20", "lem21", "lem22", "rem20",
-    "a0-identity", "oracle-equivalence",
-)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
-    """Caps for the verification sweeps; `deep` raises the tree caps."""
+    """Caps for the verification sweeps.  `deepen` (the CLI's --deep)
+    raises the tree caps and the path caps; the CLI's cap flags take
+    these fields as their destinations and defaults."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -101,16 +93,9 @@ class SweepConfig:
         )
 
 
-def verify_two_row(config: SweepConfig, trees: Sequence[Tree] | None = None
-                   ) -> list[InequalityVerdict]:
+def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
     """Theorem 2 sweep: exhaustive over labeled trees for small n, seeded
     random sampling above the exhaustive cap."""
-    if trees is not None:
-        verdicts = []
-        for tree in trees:
-            verdicts.extend(check_two_row_chain(tree))
-        return verdicts
-
     verdicts = []
     for n in range(5, config.n_max + 1):
         half = n // 2
@@ -149,18 +134,10 @@ def verify_two_row(config: SweepConfig, trees: Sequence[Tree] | None = None
     return verdicts
 
 
-def verify_hook(config: SweepConfig, trees: Sequence[Tree] | None = None,
-                q_grid: Sequence[Fraction] | None = None
-                ) -> list[InequalityVerdict]:
-    """Theorem 1 weak and strong hook chains on the exact q grid; the
-    smallest margin per claim comes from the per-tree verdicts."""
-    grid = tuple(q_grid) if q_grid is not None else default_q_grid()
-    if trees is not None:
-        verdicts = []
-        for tree in trees:
-            verdicts.extend(check_hook_chain(tree, grid))
-        return verdicts
-
+def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
+    """Theorem 1 weak and strong hook chains on the default exact q grid;
+    the smallest margin per claim comes from the per-tree verdicts."""
+    grid = default_q_grid()
     verdicts = []
     for n in range(5, config.hook_n_max + 1):
         checked = 0
@@ -199,9 +176,7 @@ def verify_alpha_ratios(config: SweepConfig) -> list[InequalityVerdict]:
     of the last-row triangle up to last_l_max."""
     verdicts = []
     for n in range(2, config.alpha_n_max + 1):
-        for v in check_alpha_ratios(n):
-            if v.claim in ("lem6", "lem13"):
-                verdicts.append(v)
+        verdicts.extend(check_alpha_ratios(n))
     for l in range(2, config.last_l_max + 1):
         verdicts.extend(check_last_row_ratios(l))
     return verdicts

@@ -22,21 +22,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .characters import (
-    AlphaTable,
-    alpha_table,
-    as_partition,
-    last_table,
-    mn_character,
-)
+from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import SweepConfig, run_claims, summarize
 from .immanants import (
-    ImmanantReport,
     InequalityVerdict,
     check_hook_chain,
     check_two_row_chain,
@@ -55,23 +48,6 @@ from .trees import (
 
 USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, parameters, and output routing."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "text"
-    out: str | None = None
-    seed: int = 0
-
-    def __getattr__(self, name):
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def parse_tree_spec(spec: str) -> Tree:
@@ -185,77 +161,71 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str) -> str:
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def cmd_alpha_table(config: RunConfig) -> int:
-    table = alpha_table(config.n)
-    _emit(render_int_table(table.rows, "i", "k", config.fmt), config.out)
+def cmd_alpha_table(args: argparse.Namespace) -> int:
+    table = alpha_table(args.n)
+    _emit(render_int_table(table.rows, "i", "k", args.format), args.out)
     return 0
 
 
-def cmd_last_table(config: RunConfig) -> int:
-    table = last_table(config.l)
-    _emit(render_int_table(table.rows, "l", "k", config.fmt), config.out)
+def cmd_last_table(args: argparse.Namespace) -> int:
+    table = last_table(args.l)
+    _emit(render_int_table(table.rows, "l", "k", args.format), args.out)
     return 0
 
 
-def cmd_char(config: RunConfig) -> int:
-    shape = as_partition(tuple(int(x) for x in config.shape.split(",")))
+def cmd_char(args: argparse.Namespace) -> int:
+    shape = as_partition(tuple(int(x) for x in args.shape.split(",")))
     rho = as_partition(
-        tuple(sorted((int(x) for x in config.cycle_type.split(",")),
+        tuple(sorted((int(x) for x in args.cycle_type.split(",")),
                      reverse=True))
     )
     value = mn_character(shape, rho)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit(
             json.dumps(
                 {"shape": list(shape), "cycle_type": list(rho),
                  "value": str(value)},
                 sort_keys=True,
             ),
-            config.out,
+            args.out,
         )
     else:
-        _emit(str(value), config.out)
+        _emit(str(value), args.out)
     return 0
 
 
-def cmd_immanant(config: RunConfig) -> int:
-    tree = parse_tree_spec(config.tree)
-    shape = as_partition(tuple(int(x) for x in config.shape.split(",")))
-    if config.algorithm == "bruteforce":
+def cmd_immanant(args: argparse.Namespace) -> int:
+    tree = parse_tree_spec(args.tree)
+    shape = as_partition(tuple(int(x) for x in args.shape.split(",")))
+    if args.algorithm == "bruteforce":
         poly = immanant_bruteforce(
-            q_laplacian(tree), shape, normalized=config.normalized
+            q_laplacian(tree), shape, normalized=args.normalized
         )
     else:
-        poly = immanant_tree(tree, shape, normalized=config.normalized)
-    report = ImmanantReport(
-        tree_label=tree.label(),
-        shape=shape,
-        normalized=poly,
-        algorithm=config.algorithm,
-    )
-    if config.fmt == "json":
+        poly = immanant_tree(tree, shape, normalized=args.normalized)
+    if args.format == "json":
         _emit(
             json.dumps(
                 {
-                    "tree": report.tree_label,
+                    "tree": tree.label(),
                     "shape": list(shape),
-                    "normalized": config.normalized,
-                    "algorithm": report.algorithm,
+                    "normalized": args.normalized,
+                    "algorithm": args.algorithm,
                     "coeffs": poly.to_json_list(),
                 },
                 sort_keys=True,
             ),
-            config.out,
+            args.out,
         )
     else:
-        _emit(str(poly), config.out)
+        _emit(str(poly), args.out)
     return 0
 
 
-def cmd_a_coeffs(config: RunConfig) -> int:
-    tree = parse_tree_spec(config.tree)
+def cmd_a_coeffs(args: argparse.Namespace) -> int:
+    tree = parse_tree_spec(args.tree)
     coeffs = extract_a_coeffs(tree)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit(
             json.dumps(
                 {
@@ -264,47 +234,40 @@ def cmd_a_coeffs(config: RunConfig) -> int:
                 },
                 sort_keys=True,
             ),
-            config.out,
+            args.out,
         )
     else:
         _emit(
             "\n".join(f"a_{i} = {p}" for i, p in enumerate(coeffs)),
-            config.out,
+            args.out,
         )
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     sweep = SweepConfig(
-        n_max=config.n_max,
-        exhaustive_tree_max=min(7, config.n_max),
-        hook_n_max=config.hook_n_max,
-        oracle_n_max=config.oracle_n_max,
-        random_count=config.random_trees,
-        seed=config.seed,
-        alpha_n_max=config.alpha_n_max,
-        last_l_max=config.l_max,
-        sr_l_max=config.sr_l_max,
-        sr_max=config.sr_max,
+        **{f.name: getattr(args, f.name) for f in fields(SweepConfig)
+           if hasattr(args, f.name)},
+        exhaustive_tree_max=min(SweepConfig.exhaustive_tree_max, args.n_max),
     )
-    if config.deep:
+    if args.deep:
         sweep = sweep.deepen()
-    if config.q_grid is not None and (config.which != "hook"
-                                      or config.tree is None):
+    if args.q_grid is not None and (args.which != "hook"
+                                    or args.tree is None):
         raise ValueError("--q-grid applies only to verify hook --tree")
-    if config.tree is not None:
-        if config.which not in ("two-row", "hook"):
+    if args.tree is not None:
+        if args.which not in ("two-row", "hook"):
             raise ValueError("--tree applies only to verify two-row|hook")
-        tree = parse_tree_spec(config.tree)
-        if config.which == "two-row":
+        tree = parse_tree_spec(args.tree)
+        if args.which == "two-row":
             verdicts = check_two_row_chain(tree)
         else:
-            grid = parse_q_grid(config.q_grid) if config.q_grid else None
+            grid = parse_q_grid(args.q_grid) if args.q_grid else None
             verdicts = check_hook_chain(tree, grid)
     else:
-        verdicts = run_claims(config.which, sweep)
-    fmt = config.fmt if config.fmt != "text" else "json"
-    _emit(render_verdicts(verdicts, fmt), config.out)
+        verdicts = run_claims(args.which, sweep)
+    fmt = args.format if args.format != "text" else "json"
+    _emit(render_verdicts(verdicts, fmt), args.out)
     return 0 if summarize(verdicts)["all_ok"] else 1
 
 
@@ -316,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
         p.add_argument("--out", default=None,
@@ -325,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha-table", help="alpha_{n,k,i} table")
     p.add_argument("n", type=int)
-    add_common(p)
+    add_common(p, cmd_alpha_table)
 
     p = sub.add_parser("last-table", help="last_{l,k} triangle")
     p.add_argument("l", type=int)
-    add_common(p)
+    add_common(p, cmd_last_table)
 
     p = sub.add_parser("char", help="character value chi_shape(cycle type)")
     p.add_argument("shape", help="comma separated partition, e.g. 3,1")
     p.add_argument("cycle_type", help="comma separated cycle type")
-    add_common(p)
+    add_common(p, cmd_char)
 
     p = sub.add_parser("immanant", help="immanant of a tree q-Laplacian")
     p.add_argument("--tree", required=True)
@@ -342,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--algorithm", choices=("matching", "bruteforce"),
                    default="matching")
-    add_common(p)
+    add_common(p, cmd_immanant)
 
     p = sub.add_parser("a-coeffs", help="tree polynomials a_i(q)")
     p.add_argument("--tree", required=True)
-    add_common(p)
+    add_common(p, cmd_a_coeffs)
 
     p = sub.add_parser("verify", help="verification sweeps")
     p.add_argument(
@@ -356,55 +320,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tree", default=None,
                    help="check a single tree (two-row and hook only)")
-    p.add_argument("--n-max", type=int, default=8,
-                   help="largest n for the two-row tree sweep")
-    p.add_argument("--hook-n-max", type=int, default=6)
-    p.add_argument("--oracle-n-max", type=int, default=6)
-    p.add_argument("--random-trees", type=int, default=1000,
-                   help="sample size per n above the exhaustive cap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-n-max", type=int, default=40)
-    p.add_argument("--l-max", type=int, default=40)
-    p.add_argument("--sr-max", type=int, default=4)
-    p.add_argument("--sr-l-max", type=int, default=12)
+
+    def add_cap(flag, name=None, help=None):
+        """A sweep-cap flag whose destination and default are the
+        SweepConfig field `name` (the flag's own name by default)."""
+        metavar = flag[2:].replace("-", "_")
+        p.add_argument(flag, type=int, dest=name or metavar,
+                       default=getattr(SweepConfig, name or metavar),
+                       metavar=metavar.upper(), help=help)
+
+    add_cap("--n-max", help="largest n for the two-row tree sweep")
+    add_cap("--hook-n-max")
+    add_cap("--oracle-n-max")
+    add_cap("--random-trees", "random_count",
+            help="sample size per n above the exhaustive cap")
+    add_cap("--seed")
+    add_cap("--alpha-n-max")
+    add_cap("--l-max", "last_l_max")
+    add_cap("--sr-max")
+    add_cap("--sr-l-max")
     p.add_argument("--q-grid", default=None,
                    help="lo:hi:step with exact rationals, e.g. -10:10:1/2")
     p.add_argument("--deep", action="store_true",
                    help="raise the sweep caps")
-    add_common(p)
+    add_common(p, cmd_verify)
 
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration to its subcommand handler."""
-    handlers = {
-        "alpha-table": cmd_alpha_table,
-        "last-table": cmd_last_table,
-        "char": cmd_char,
-        "immanant": cmd_immanant,
-        "a-coeffs": cmd_a_coeffs,
-        "verify": cmd_verify,
-    }
-    return handlers[config.subcommand](config)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in ("subcommand", "format", "out", "func")
-    }
-    config = RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        fmt=args.format,
-        out=args.out,
-        seed=params.get("seed", 0),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -67,14 +67,6 @@ LEMMA9_ERRATA = frozenset({(3, 1), (4, 3), (6, 5)})
 REM12_ERRATA = frozenset({(1, 1, 2, 1)})  # (s, r, l, k)
 
 
-@dataclass(frozen=True)
-class ImmanantReport:
-    tree_label: str
-    shape: tuple[int, ...]
-    normalized: RatPoly
-    algorithm: str
-
-
 @dataclass
 class InequalityVerdict:
     """One exact check.  `margin` is the structured form of a grid
@@ -293,8 +285,7 @@ def two_row_witness_arrays(weights: Sequence[Sequence[int]],
     ]
 
 
-def check_two_row_chain(tree: Tree, ks: Iterable[int] | None = None
-                        ) -> list[InequalityVerdict]:
+def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
     """Per k: imm_{k-1} - imm_k must be even in q with coefficients >= 0.
 
     That certificate is sufficient for the inequality at every real q and
@@ -309,8 +300,7 @@ def check_two_row_chain(tree: Tree, ks: Iterable[int] | None = None
     wits = two_row_witness_arrays(weights, _two_row_chars(n, weights), dims)
     label = tree.label()
     verdicts = []
-    for k in ks if ks is not None else range(1, n // 2 + 1):
-        arr = wits[k - 1]
+    for k, arr in enumerate(wits, 1):
         holds = all(c >= 0 for c in arr)
         witness = str(from_t(arr, dims[k] * dims[k - 1]))
         detail = ""
@@ -440,7 +430,8 @@ def _ratio_verdict(claim: str, params: dict, num_l: int, den_l: int,
 
 
 def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
-    """Ratio chain lemmas at a single n (plus the last-row lemmas at n/2).
+    """lem13 and lem6, the ratio chain lemmas at a single n; the last-row
+    lemmas are check_last_row_ratios.
 
     All comparisons are exact cross-multiplied integers; nothing divides.
     """
@@ -471,8 +462,6 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
                         asserted=not v.degenerate,
                     )
                 )
-    if n % 2 == 0:
-        verdicts.extend(check_last_row_ratios(half))
     return verdicts
 
 

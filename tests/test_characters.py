@@ -128,12 +128,23 @@ def test_two_row_char_dimension_entry():
 
 
 def test_two_row_char_matches_murnaghan_nakayama():
-    for n in range(2, 11):
+    for n in range(2, 17):
         for k in range(n // 2 + 1):
             for j in range(n // 2 + 1):
                 assert two_row_char(n, k, j) == mn_character(
                     two_row_shape(n, k), two_cycle_type(n, j)
                 )
+
+
+def test_two_row_char_pascal_identity():
+    # removing a fixed point: chi_{n,k}(j) = chi_{n-1,k}(j) + chi_{n-1,k-1}(j)
+    def chi(n, k, j):
+        return two_row_char(n, k, j) if k <= n // 2 else 0
+
+    for n in range(2, 61):
+        for j in range((n - 1) // 2 + 1):
+            for k in range(1, n // 2 + 1):
+                assert chi(n, k, j) == chi(n - 1, k, j) + chi(n - 1, k - 1, j)
 
 
 def test_two_row_char_range_checks():

@@ -2,7 +2,7 @@ import hashlib
 from dataclasses import fields
 
 from qimm.claims import SweepConfig
-from qimm.cli import main
+from qimm.cli import build_parser, main
 
 # SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
 # json`, recorded before the probability sweep read every i from one
@@ -12,6 +12,20 @@ GOLDEN_DEEP = {
         "3c90a5ff0c4cf4b5498c9a37b1eeb0e5cdbfbae8d22446f95728417828d5aded",
     "probability":
         "bfdfe514af8c2af1b9616813e2ab3988cfc13d4d3819ffa995b4251591f4b4c2",
+}
+
+# SHA-256 of stdout of `python -m qimm.cli verify ...` for two flag sets,
+# recorded before the cap flags took their destinations and defaults from
+# SweepConfig.  The second pins exhaustive_tree_max = min(7, n_max) under
+# --deep.
+GOLDEN_FLAGS = {
+    ("all", "--n-max", "6", "--hook-n-max", "5", "--oracle-n-max", "5",
+     "--random-trees", "3", "--seed", "4", "--alpha-n-max", "12",
+     "--l-max", "10", "--sr-max", "2", "--sr-l-max", "5"):
+        "9a9c06e6ddd854d02ebac03ba52e3709ee41559a1588fc79aeca052c7dcd2fb0",
+    ("two-row", "--deep", "--n-max", "5", "--random-trees", "2",
+     "--seed", "3"):
+        "32ea16322576a0b19a39af413e53c3fe874b40a43c92e2903b40afff901eeb65",
 }
 
 
@@ -57,3 +71,21 @@ def test_deep_paths_and_probability_streams_unchanged(capsys):
         assert main(["verify", which, "--deep", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, which
+
+
+def test_cap_flags_streams_unchanged(capsys):
+    for argv, want in GOLDEN_FLAGS.items():
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
+def test_cap_flag_defaults_are_sweep_config_defaults():
+    args = build_parser().parse_args(["verify", "all"])
+    flagged = {f.name for f in fields(SweepConfig) if hasattr(args, f.name)}
+    assert flagged == {
+        "n_max", "hook_n_max", "oracle_n_max", "random_count", "seed",
+        "alpha_n_max", "last_l_max", "sr_max", "sr_l_max",
+    }
+    for name in flagged:
+        assert getattr(args, name) == getattr(SweepConfig(), name), name

@@ -128,14 +128,19 @@ def test_a_coeffs_large_star(capsys):
 
 
 def test_recursion_limit_is_a_capacity_error(capsys):
-    # the character recursions still go one level per cycle or vertex
-    for argv in (
-        ("immanant", "--tree", "star:1200", "--shape", "1199,1"),
-        ("verify", "two-row", "--tree", "star:1200"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert_usage_error(code, out, err)
-        assert "beyond capacity" in err
+    # the border-strip engine still goes one level per cycle
+    code, out, err = run_cli(
+        capsys, "immanant", "--tree", "star:1200", "--shape", "1199,1")
+    assert_usage_error(code, out, err)
+    assert "beyond capacity" in err
+
+
+def test_verify_two_row_large_star(capsys):
+    # two-row characters come from a closed form with no recursion
+    code, out, err = run_cli(capsys, "verify", "two-row", "--tree", "star:1200")
+    assert code == 0 and err == ""
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert summary["passed_asserted"] == summary["total"] == 600
 
 
 def test_verify_single_tree_exit_codes(capsys):
