@@ -23,20 +23,16 @@ from .immanants import (
 from .paths import (
     LatticePath,
     TwoRowSYT,
-    callan_bijection,
     count_restricted,
     enumerate_paths,
     peak_profile,
     probability_monotonicity,
-    riordan_double,
     sequence_identities,
-    syt_codec,
 )
 from .ratpoly import RatPoly
 from .trees import (
     PolyMatrix,
     Tree,
-    generate_trees,
     matching_weights,
     pruefer_decode,
     pruefer_encode,
@@ -53,7 +49,6 @@ __all__ = [
     "TwoRowSYT",
     "alpha",
     "alpha_table",
-    "callan_bijection",
     "check_alpha_ratios",
     "check_general_sr",
     "check_hook_chain",
@@ -61,7 +56,6 @@ __all__ = [
     "count_restricted",
     "enumerate_paths",
     "extract_a_coeffs",
-    "generate_trees",
     "immanant_bruteforce",
     "immanant_tree",
     "last_table",
@@ -73,8 +67,6 @@ __all__ = [
     "pruefer_decode",
     "pruefer_encode",
     "q_laplacian",
-    "riordan_double",
     "sequence_identities",
-    "syt_codec",
     "two_row_char",
 ]

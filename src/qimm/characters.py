@@ -147,12 +147,11 @@ def two_row_char(n: int, k: int, j: int) -> int:
         raise ValueError(f"need 0 <= k <= n//2, got k={k}, n={n}")
     if not 0 <= j <= n // 2:
         raise ValueError(f"need 0 <= j <= n//2, got j={j}, n={n}")
-    return _two_row_rec(n, k, j)
-
-
-@lru_cache(maxsize=None)
-def _two_row_rec(n: int, k: int, j: int) -> int:
     return _fixed_subsets(n, j, k) - _fixed_subsets(n, j, k - 1)
+
+
+# one cache under two names: perfbench/tracing.py reads this one by name
+_two_row_rec = two_row_char
 
 
 def _fixed_subsets(n: int, j: int, m: int) -> int:

@@ -2,10 +2,10 @@
 
 Two independent immanant algorithms are kept side by side:
 
-  * immanant_bruteforce expands the matrix row by row, Leibniz style,
-    over the permutations whose entries are all nonzero, and sums
-    chi_lambda(pi) * prod M[i, pi(i)] by cycle type (the oracle; capped at
-    n <= 9; it assumes nothing about trees);
+  * immanant_bruteforce expands an integer polynomial matrix row by row,
+    Leibniz style, over the permutations whose entries are all nonzero,
+    and sums chi_lambda(pi) * prod M[i, pi(i)] by cycle type (the oracle;
+    capped at n <= 9; it assumes nothing about trees);
   * immanant_tree contracts the sum to matching involutions through the
     c_j(q) weights (the production path).
 
@@ -16,9 +16,9 @@ division by a character degree, so the per-tree checks run on integer
 t-coefficient lists: the matching weights c_j, the character sums
 sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5), and the Theorem 1 and
 Theorem 2 gaps, each cleared of its (positive) character-degree
-denominators.  The oracle works on integer q-coefficient lists over one
-common denominator.  RatPoly appears only where a polynomial leaves the
-module.
+denominators.  The oracle expands the q-Laplacian's integer
+q-coefficient lists directly.  RatPoly appears only where a polynomial
+leaves the module.
 
 Verifier results are InequalityVerdict records.  `holds` is the honest
 outcome of the exact check; `degenerate` marks instances whose ratio form
@@ -140,26 +140,18 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
 
 
 def _bruteforce_buckets(matrix: PolyMatrix
-                        ) -> tuple[dict[tuple[int, ...], list[int]], int]:
+                        ) -> dict[tuple[int, ...], list[int]]:
     """Entry-product sums over every permutation with no zero entry, keyed
-    by cycle type, as integer q-coefficient lists over one common
-    denominator (returned second).
+    by cycle type, as integer coefficient lists.
 
-    Each row is scaled to integers by the lcm of its denominators, then
-    the permutations are expanded row by row, skipping zero entries and
+    The permutations are expanded row by row, skipping zero entries and
     used columns, with the partial product carried down the expansion.
     """
     n = matrix.n
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force capped at n <= {BRUTEFORCE_MAX_N}")
-    rows = []
-    denom = 1
-    for i in range(n):
-        entries = [matrix[i, j].coeffs for j in range(n)]
-        scale = lcm(*(c.denominator for e in entries for c in e))
-        rows.append([(j, [int(c * scale) for c in e])
-                     for j, e in enumerate(entries) if e])
-        denom *= scale
+    rows = [[(j, e) for j, e in enumerate(row) if e]
+            for row in matrix.entries]
     buckets: dict[tuple[int, ...], list[int]] = {}
     perm = [0] * n
 
@@ -176,7 +168,7 @@ def _bruteforce_buckets(matrix: PolyMatrix
                 expand(i + 1, used | 1 << j, conv(prod, entry))
 
     expand(0, 0, [1])
-    return buckets, denom
+    return buckets
 
 
 def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
@@ -190,16 +182,15 @@ def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
                         normalized: bool = False) -> RatPoly:
-    """Sum over the permutations of chi(pi) times the entry product."""
+    """Sum over the permutations of chi(pi) times the entry product of an
+    integer polynomial matrix; `normalized` divides by chi(id) alone."""
     shape = as_partition(shape)
     n = matrix.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != matrix dimension {n}")
-    buckets, denom = _bruteforce_buckets(matrix)
-    total = _combine_buckets(buckets, shape)
-    if normalized:
-        denom *= mn_character(shape, (1,) * n)
-    return RatPoly(tuple(Fraction(c, denom) for c in total))
+    total = _combine_buckets(_bruteforce_buckets(matrix), shape)
+    dim = mn_character(shape, (1,) * n) if normalized else 1
+    return RatPoly(tuple(Fraction(c, dim) for c in total))
 
 
 def _char_row(weights: Sequence[Sequence[int]], chi) -> list[int]:
@@ -578,14 +569,14 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
     """For every shape of |tree|: matching route == brute force, exactly,
     compared as integer q-coefficient lists."""
     n = tree.n
-    buckets, denom = _bruteforce_buckets(q_laplacian(tree))
+    buckets = _bruteforce_buckets(q_laplacian(tree))
     weights = matching_weight_arrays(tree)
     results = []
     for shape in partitions(n):
         in_t = _weighted_sum(weights, _char_row(
             weights, lambda j: _mn(shape, two_cycle_type(n, j))))
         lhs = [0] * (2 * len(in_t))
-        lhs[::2] = [denom * c for c in in_t]
+        lhs[::2] = in_t
         rhs = _combine_buckets(buckets, shape)
         results.append((shape, _trim(lhs) == _trim(rhs)))
     return results

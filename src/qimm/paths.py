@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -199,14 +200,6 @@ def callan_inv(path: LatticePath) -> LatticePath:
     raise AssertionError("cut step cannot be D")
 
 
-def callan_bijection(direction: str, path: LatticePath) -> LatticePath:
-    if direction == "fwd":
-        return callan_fwd(path)
-    if direction == "inv":
-        return callan_inv(path)
-    raise ValueError(f"direction must be fwd or inv, got {direction!r}")
-
-
 # -- the doubling bijection ---------------------------------------------------
 
 
@@ -244,14 +237,6 @@ def riordan_double_inv(path: LatticePath) -> LatticePath:
     return out
 
 
-def riordan_double(direction: str, path: LatticePath) -> LatticePath:
-    if direction == "fwd":
-        return riordan_double_fwd(path)
-    if direction == "inv":
-        return riordan_double_inv(path)
-    raise ValueError(f"direction must be fwd or inv, got {direction!r}")
-
-
 # -- peaks and restricted counting -------------------------------------------
 
 
@@ -285,13 +270,15 @@ def count_restricted(n: int, k: int, i: int) -> int:
     return allowed_count(restricted_count_histogram(n, k), n, i)
 
 
-def restricted_count_histogram(n: int, k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def restricted_count_histogram(n: int, k: int) -> tuple[int, ...]:
     """hist[d] = number of NLP(n, n-2k) paths whose largest odd-peak
-    interval index is exactly d; shared backend for whole-table sweeps."""
+    interval index is exactly d; built once per (n, k) and shared by the
+    counting and probability sweeps."""
     hist = [0] * (n // 2 + 1)
     for p in enumerate_paths("NLP", n, n - 2 * k):
         hist[max_odd_peak_interval(p)] += 1
-    return hist
+    return tuple(hist)
 
 
 def allowed_count(hist: Sequence[int], n: int, i: int) -> int:
@@ -365,14 +352,6 @@ def path_to_syt(path: LatticePath) -> TwoRowSYT:
     row1 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "U")
     row2 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "D")
     return TwoRowSYT(row1, row2)
-
-
-def syt_codec(direction: str, value):
-    if direction == "to_path":
-        return syt_to_path(value)
-    if direction == "to_syt":
-        return path_to_syt(value)
-    raise ValueError(f"direction must be to_path or to_syt, got {direction!r}")
 
 
 def max_odd_descent_interval(tableau: TwoRowSYT) -> int:

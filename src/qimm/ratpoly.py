@@ -1,16 +1,18 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact polynomials at the library's edge, and the one convolution.
 
-A polynomial is a dense tuple of Fraction coefficients in ascending power
-order, with trailing zeros stripped.  The zero polynomial is the empty
-tuple.  All arithmetic is exact; nothing here ever touches a float.
+Inside the library every polynomial is a plain integer coefficient list
+(most of them in t = q^2, the q-Laplacian's entries in q).  RatPoly is
+the type a polynomial leaves the library as: a canonical tuple of
+Fraction coefficients in ascending power order, trailing zeros stripped,
+so the zero polynomial is the empty tuple.  It renders (`format`) and
+serializes (`to_json_list`/`from_json_list`), and keeps exact `+`, `-`,
+`*`, `scale` and evaluation, which tests use as an independent route and
+`perfbench/tracing.py` traces by name.  Nothing here touches a float.
+Degrees stay small (at most twice the number of tree vertices), so the
+representation is dense.
 
-Degrees in this project stay small (at most twice the number of tree
-vertices), so the dense representation is deliberate.
-
-The tree-side computations run on plain integer coefficient lists (most
-of them in t = q^2) and meet RatPoly only at the API and serialization
-edge: `conv` is the one dense convolution, `from_t` the one conversion
-from an integer t-list over a common denominator.
+`conv` is the one dense convolution of integer lists; `from_t` is the
+one conversion from an integer t-list over a common denominator.
 """
 
 from __future__ import annotations
@@ -41,48 +43,6 @@ class RatPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _canon(self.coeffs))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "RatPoly":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
-
-    # -- basic queries -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def is_even(self) -> bool:
-        """True iff every odd-power coefficient vanishes."""
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    def is_nonneg(self) -> bool:
-        """True iff every coefficient is >= 0."""
-        return all(c >= 0 for c in self.coeffs)
-
-    def even_nonneg(self) -> tuple[bool, bool]:
-        """(is even, has nonnegative coefficients) as one pair."""
-        return self.is_even(), self.is_nonneg()
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
@@ -102,19 +62,6 @@ class RatPoly:
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         return RatPoly(conv(self.coeffs, other.coeffs))
-
-    def __pow__(self, exponent: int) -> "RatPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = RatPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def scale(self, factor) -> "RatPoly":
         f = Fraction(factor)
@@ -178,17 +125,6 @@ def conv(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-ZERO = RatPoly.zero()
-ONE = RatPoly.one()
-Q = RatPoly.monomial(1)
-Q2 = RatPoly.monomial(2)
-
-
-def from_ints(coeffs: Iterable[int]) -> RatPoly:
-    """Build a polynomial from plain integer coefficients."""
-    return RatPoly(tuple(Fraction(c) for c in coeffs))
 
 
 def from_t(coeffs: Iterable[int], denom: int = 1) -> RatPoly:

@@ -2,7 +2,9 @@
 
 Vertices are labeled 1..n throughout, matching the Pruefer convention.
 The q-Laplacian of a graph is I + (D - I) q^2 - q A: diagonal entry
-1 + (deg(v) - 1) q^2 at vertex v, -q on edges, 0 elsewhere.
+1 + (deg(v) - 1) q^2 at vertex v, -q on edges, 0 elsewhere.  q_laplacian
+holds each entry as an integer q-coefficient tuple, the form the
+immanant oracle expands.
 
 Matching weights: only permutations that are involutions along a matching
 of the tree contribute to an immanant of a tree matrix (any longer
@@ -98,9 +100,10 @@ class Tree:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square grid of exact polynomials."""
+    """Square grid of polynomials, each an integer coefficient tuple in
+    ascending power order; the zero polynomial is ()."""
 
-    entries: tuple[tuple[RatPoly, ...], ...]
+    entries: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
         n = len(self.entries)
@@ -111,7 +114,7 @@ class PolyMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, rc: tuple[int, int]) -> RatPoly:
+    def __getitem__(self, rc: tuple[int, int]) -> tuple[int, ...]:
         r, c = rc
         return self.entries[r][c]
 
@@ -202,34 +205,21 @@ def random_trees(n: int, count: int, seed: int) -> Iterator[Tree]:
         yield pruefer_decode(seq, n)
 
 
-def generate_trees(kind: str, n: int, seed: int | None = None,
-                   count: int = 1) -> Iterator[Tree]:
-    """Dispatcher over the tree sources: path, star, all, random."""
-    if kind == "path":
-        return iter([path_tree(n)])
-    if kind == "star":
-        return iter([star_tree(n)])
-    if kind == "all":
-        return all_labeled_trees(n)
-    if kind == "random":
-        return random_trees(n, count, 0 if seed is None else seed)
-    raise ValueError(f"unknown tree kind {kind!r}")
-
-
 # -- q-Laplacian and matching weights ------------------------------------
 
 
 def q_laplacian(tree: Tree) -> PolyMatrix:
+    """L_q as integer q-coefficient tuples: (1, 0, deg(v) - 1) on the
+    diagonal (a leaf's trailing zeros stripped to (1,)), (0, -1) on
+    edges and () elsewhere."""
     deg = tree.degrees()
     n = tree.n
-    rows = [[RatPoly.zero() for _ in range(n)] for _ in range(n)]
+    rows = [[()] * n for _ in range(n)]
     for v in range(1, n + 1):
-        rows[v - 1][v - 1] = RatPoly((1, 0, deg[v] - 1))
-    minus_q = RatPoly((0, -1))
+        rows[v - 1][v - 1] = (1, 0, deg[v] - 1) if deg[v] != 1 else (1,)
     for u, v in tree.edges:
-        rows[u - 1][v - 1] = minus_q
-        rows[v - 1][u - 1] = minus_q
-    return PolyMatrix(tuple(tuple(row) for row in rows))
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = (0, -1)
+    return PolyMatrix(tuple(map(tuple, rows)))
 
 
 def _fold_matchings(order: Sequence[int], parent: Sequence[int],

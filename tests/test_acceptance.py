@@ -13,11 +13,9 @@ from qimm.characters import (
     alpha_table,
     last_table_recursive,
     last_table_trinomial,
-    last_value,
 )
 from qimm.claims import (
     SweepConfig,
-    summarize,
     verify_a_coeffs,
     verify_alpha_ratios,
     verify_callan,
@@ -26,7 +24,6 @@ from qimm.claims import (
     verify_general_sr,
     verify_hook,
     verify_oracle,
-    verify_probability,
     verify_two_row,
 )
 from qimm.cli import main
@@ -42,7 +39,7 @@ from qimm.paths import (
     riordan_number,
     sequence_identities,
 )
-from qimm.ratpoly import RatPoly, from_ints
+from qimm.ratpoly import RatPoly
 from qimm.trees import path_tree, star_tree
 
 TABLE_N6 = [["1", "5", "9", "5"], ["1", "4", "6", "3"],
@@ -98,8 +95,8 @@ def test_criterion_03_p4_counterexample(capsys):
     assert immanant_tree(p4, (3, 1), normalized=True) == RatPoly(
         (1, 0, 3, 0, Fraction(4, 3))
     )
-    assert immanant_tree(p4, (2, 2), normalized=True) == from_ints(
-        [1, 0, 2, 0, 2]
+    assert immanant_tree(p4, (2, 2), normalized=True) == RatPoly(
+        (1, 0, 2, 0, 2)
     )
     p4_verdicts = {v.params["k"]: v for v in check_two_row_chain(p4)}
     assert p4_verdicts[2].holds is False

@@ -1,8 +1,10 @@
 import hashlib
 from dataclasses import fields
 
-from qimm.claims import SweepConfig
+from qimm import characters
+from qimm.claims import SweepConfig, run_claims
 from qimm.cli import build_parser, main
+from qimm.paths import restricted_count_histogram
 
 # SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
 # json`, recorded before the probability sweep read every i from one
@@ -89,3 +91,17 @@ def test_cap_flag_defaults_are_sweep_config_defaults():
     }
     for name in flagged:
         assert getattr(args, name) == getattr(SweepConfig(), name), name
+
+
+def test_one_cache_entry_per_key_in_a_full_run():
+    # the counting and probability sweeps share one histogram per (n, k)
+    restricted_count_histogram.cache_clear()
+    config = SweepConfig()
+    run_claims("all", config)
+    info = restricted_count_histogram.cache_info()
+    keys = {(n, k)
+            for n in range(2, max(config.count_n_max, config.prob_n_max) + 1)
+            for k in range(n // 2 + 1)}
+    assert info.misses == len(keys) and info.hits > 0
+    # two-row characters are cached once, under both names
+    assert characters._two_row_rec is characters.two_row_char

@@ -1,9 +1,45 @@
+import hashlib
 import json
 
 import pytest
 
+from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import path_tree, star_tree
+
+# SHA-256 of the stdout of every command `edge_argvs` yields for one
+# subcommand and tree, concatenated in order; recorded before q_laplacian
+# emitted integer coefficient tuples in place of RatPoly entries.
+GOLDEN_EDGE = {
+    ("immanant", "path:6"):
+        "99fc2f9372cc0ee47a0b2f313e87082e9330fd30c879e20c55d12b689f5acaf2",
+    ("immanant", "star:6"):
+        "d20608976dd7c0c64729785c20d7e813b0d6affb6366999bead245ccedf861da",
+    ("immanant", "pruefer:2,2,3,3"):
+        "66513a8e8f912fd69cca51f17f47738ee3caea6f3a81949b0ba61caac6397b7e",
+    ("a-coeffs", "path:6"):
+        "1deaf9920bee556ede3a75c97151adf3e013d28ec92a8566af93fc6b905e0db0",
+    ("a-coeffs", "star:6"):
+        "6ec5c8cca86f7f36701c9840d5829e9db2eae0c86c1cd09181ab1f70494a66c3",
+    ("a-coeffs", "pruefer:2,2,3,3"):
+        "b7078205e5ed9d704af9b509aad88ff71c6cc9acdca91661d24539b9a0c08c4d",
+}
+
+
+def edge_argvs(command, tree):
+    """a-coeffs in both formats; immanant for every shape of 6, plain and
+    normalized, by both algorithms, in both formats."""
+    if command == "a-coeffs":
+        for fmt in ("text", "json"):
+            yield ("a-coeffs", "--tree", tree, "--format", fmt)
+        return
+    for shape in partitions(6):
+        for normalized in ((), ("--normalized",)):
+            for algorithm in ("matching", "bruteforce"):
+                for fmt in ("text", "json"):
+                    yield ("immanant", "--tree", tree,
+                           "--shape", ",".join(map(str, shape)), *normalized,
+                           "--algorithm", algorithm, "--format", fmt)
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +146,15 @@ def test_immanant_bruteforce_agrees(capsys):
         "--normalized", "--algorithm", "bruteforce", "--format", "json",
     )
     assert json.loads(matching)["coeffs"] == json.loads(brute)["coeffs"]
+
+
+def test_immanant_and_a_coeffs_output_unchanged(capsys):
+    for (command, tree), want in GOLDEN_EDGE.items():
+        digest = hashlib.sha256()
+        for argv in edge_argvs(command, tree):
+            assert main(list(argv)) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == want, (command, tree)
 
 
 def test_a_coeffs_command(capsys):

@@ -8,7 +8,6 @@ from qimm.paths import (
     LatticePath,
     TwoRowSYT,
     allowed_count,
-    callan_bijection,
     callan_fwd,
     callan_inv,
     count_restricted,
@@ -21,11 +20,9 @@ from qimm.paths import (
     peak_profile,
     probability_monotonicity,
     probability_sequences,
-    riordan_double,
     riordan_double_fwd,
     riordan_double_inv,
     sequence_identities,
-    syt_codec,
     syt_descent_histogram,
     syt_to_path,
 )
@@ -99,7 +96,7 @@ def test_grp_counts_are_last_values():
 def test_callan_published_examples():
     assert str(callan_fwd(LatticePath("UDDUUUUH"))) == "DUUHUUUH"
     assert str(callan_inv(LatticePath("UDDHDUUU"))) == "DUUHUDDH"
-    assert str(callan_bijection("fwd", LatticePath("UDDUUUUH"))) == "DUUHUUUH"
+    assert str(callan_inv(LatticePath("DUUHUUUH"))) == "UDDUUUUH"
 
 
 def test_callan_rejects_grp_input():
@@ -107,8 +104,6 @@ def test_callan_rejects_grp_input():
         callan_fwd(LatticePath("UUUU"))
     with pytest.raises(ValueError):
         callan_inv(LatticePath("UD"))  # ends at height 0
-    with pytest.raises(ValueError):
-        callan_bijection("sideways", LatticePath("UD"))
 
 
 def test_callan_first_step_rule():
@@ -156,8 +151,6 @@ def test_doubling_domain_and_image_errors():
         riordan_double_inv(LatticePath("UUU"))  # odd length
     with pytest.raises(ValueError):
         riordan_double_inv(LatticePath("UHUU"))  # not a U/D path
-    with pytest.raises(ValueError):
-        riordan_double("up", LatticePath("U"))
 
 
 def test_doubling_round_trip():
@@ -166,7 +159,7 @@ def test_doubling_round_trip():
             for p in enumerate_paths("GRP", l, l - k):
                 q = riordan_double_fwd(p)
                 assert str(riordan_double_inv(q)) == str(p)
-                assert riordan_double("inv", riordan_double("fwd", p)) == p
+                assert riordan_double_inv(riordan_double_fwd(p)) == p
 
 
 def test_doubling_image_is_odd_peak_free_slice():
@@ -255,10 +248,8 @@ def test_syt_codec_golden():
     assert str(syt_to_path(TwoRowSYT((1, 3), (2, 4)))) == "UDUD"
     t = path_to_syt(LatticePath("UUDD"))
     assert (t.row1, t.row2) == ((1, 2), (3, 4))
-    assert syt_codec("to_path", t) == LatticePath("UUDD")
-    assert syt_codec("to_syt", LatticePath("UDUD")) == TwoRowSYT(
-        (1, 3), (2, 4)
-    )
+    assert syt_to_path(t) == LatticePath("UUDD")
+    assert path_to_syt(LatticePath("UDUD")) == TwoRowSYT((1, 3), (2, 4))
 
 
 def test_syt_json_round_trip():

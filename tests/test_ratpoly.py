@@ -1,9 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from qimm.ratpoly import ONE, Q, RatPoly, ZERO, from_ints
+from qimm.ratpoly import RatPoly
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -15,32 +14,36 @@ def test_canonical_strips_trailing_zeros():
     assert RatPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert RatPoly((0, 0)).coeffs == ()
     assert RatPoly(()).coeffs == ()
-    assert ZERO.is_zero()
+    assert RatPoly() == RatPoly((0, 0))
 
 
 def test_difference_of_squares():
-    one_plus = from_ints([1, 1])
-    one_minus = from_ints([1, -1])
-    assert one_plus * one_minus == from_ints([1, 0, -1])
+    one_plus = RatPoly((1, 1))
+    one_minus = RatPoly((1, -1))
+    assert one_plus * one_minus == RatPoly((1, 0, -1))
 
 
 def test_trinomial_fourth_power_coefficients():
-    p = from_ints([1, 1, 1]) ** 4
+    p = RatPoly((1, 1, 1))
+    p = (p * p) * (p * p)
     assert p.coeffs == (1, 4, 10, 16, 19, 16, 10, 4, 1)
 
 
 def test_pow_zero_is_one():
-    assert (from_ints([3, 1, 7]) ** 0) == ONE
-    assert (ZERO ** 0) == ONE
+    # p^0 is the empty product, one: the unit of * on either side
+    one = RatPoly((1,))
+    p = RatPoly((3, 1, 7))
+    assert one * p == p == p * one
+    assert one * RatPoly() == RatPoly()
 
 
 def test_eval_squared_trinomial_at_one():
-    p = from_ints([1, 1, 1]) ** 2
+    p = RatPoly((1, 1, 1)) * RatPoly((1, 1, 1))
     assert p(1) == 9
 
 
 def test_eval_at_zero():
-    assert from_ints([1, 0, -1])(0) == 1
+    assert RatPoly((1, 0, -1))(0) == 1
 
 
 def test_eval_rational_coefficients():
@@ -50,22 +53,11 @@ def test_eval_rational_coefficients():
     assert p(2) == Fraction(103, 3)
 
 
-def test_even_nonneg_pairs():
-    assert from_ints([1, 0, 2, 0, 2]).even_nonneg() == (True, True)
-    assert from_ints([1, 0, -1]).even_nonneg() == (True, False)
-    assert Q.even_nonneg() == (False, True)
-
-
 def test_degree_additivity():
-    a = from_ints([1, 2, 3])
-    b = from_ints([-5, 0, 0, 7])
-    assert (a * b).degree() == a.degree() + b.degree()
-    assert ZERO.degree() == -1
-
-
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        Q ** -1
+    a = RatPoly((1, 2, 3))
+    b = RatPoly((-5, 0, 0, 7))
+    assert len((a * b).coeffs) == len(a.coeffs) + len(b.coeffs) - 1
+    assert (a * RatPoly()).coeffs == ()
 
 
 def test_json_round_trip():
@@ -76,9 +68,9 @@ def test_json_round_trip():
 
 def test_format():
     assert str(RatPoly((1, 0, 3, 0, Fraction(4, 3)))) == "1 + 3q^2 + 4/3 q^4"
-    assert str(from_ints([1, 0, -1])) == "1 - q^2"
-    assert str(ZERO) == "0"
-    assert str(from_ints([0, -2])) == "-2q"
+    assert str(RatPoly((1, 0, -1))) == "1 - q^2"
+    assert str(RatPoly()) == "0"
+    assert str(RatPoly((0, -2))) == "-2q"
 
 
 @given(polys, polys, rationals)
@@ -96,9 +88,18 @@ def test_canonical_idempotent(p):
     assert RatPoly(p.coeffs) == p
 
 
+def power(p, m):
+    """p^m as m products from the left."""
+    out = RatPoly((1,))
+    for _ in range(m):
+        out = out * p
+    return out
+
+
 @given(polys, st.integers(min_value=0, max_value=8))
 def test_pow_peels_one_factor(p, m):
-    assert p ** (m + 1) == (p ** m) * p
+    # peeled from the other side than `power` builds it
+    assert power(p, m + 1) == p * power(p, m)
 
 
 @given(polys)

@@ -4,11 +4,10 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from qimm.ratpoly import RatPoly, from_ints
+from qimm.ratpoly import RatPoly
 from qimm.trees import (
     Tree,
     all_labeled_trees,
-    generate_trees,
     matching_weight_arrays,
     matching_weights,
     parse_tree_file,
@@ -83,7 +82,7 @@ def test_generator_cap():
 def test_path_and_star_edges():
     assert path_tree(4).edges == ((1, 2), (2, 3), (3, 4))
     assert star_tree(4).edges == ((1, 2), (1, 3), (1, 4))
-    assert list(generate_trees("path", 4))[0] == path_tree(4)
+    assert Tree(4, ((3, 4), (2, 1), (2, 3))) == path_tree(4)
 
 
 def test_random_trees_seeded():
@@ -95,26 +94,23 @@ def test_random_trees_seeded():
 
 def test_q_laplacian_entries():
     m = q_laplacian(star_tree(4))
-    assert m[0, 0] == from_ints([1, 0, 2])
-    assert m[1, 1] == from_ints([1])
-    assert m[0, 1] == from_ints([0, -1])
-    assert m[1, 2] == RatPoly.zero()
+    assert m[0, 0] == (1, 0, 2)
+    assert m[1, 1] == (1,)
+    assert m[0, 1] == (0, -1)
+    assert m[1, 2] == ()
 
     p2 = q_laplacian(path_tree(2))
-    assert p2[0, 0] == from_ints([1]) and p2[0, 1] == from_ints([0, -1])
+    assert p2[0, 0] == (1,) and p2[0, 1] == (0, -1)
 
     p4 = q_laplacian(path_tree(4))
-    assert [p4[i, i] for i in range(4)] == [
-        from_ints([1]), from_ints([1, 0, 1]), from_ints([1, 0, 1]),
-        from_ints([1]),
-    ]
+    assert [p4[i, i] for i in range(4)] == [(1,), (1, 0, 1), (1, 0, 1), (1,)]
 
 
 def test_q_laplacian_row_sums_vanish_at_one():
     for tree in random_trees(7, 10, seed=3):
         m = q_laplacian(tree)
         for i in range(tree.n):
-            assert sum(m[i, j](1) for j in range(tree.n)) == 0
+            assert sum(RatPoly(m[i, j])(1) for j in range(tree.n)) == 0
 
 
 def brute_matchings(tree):
@@ -130,13 +126,13 @@ def brute_matchings(tree):
 
 def brute_weights(tree):
     deg = tree.degrees()
-    acc = [RatPoly.zero() for _ in range(tree.n // 2 + 1)]
+    acc = [RatPoly() for _ in range(tree.n // 2 + 1)]
     for matching in brute_matchings(tree):
         matched = {v for e in matching for v in e}
-        w = RatPoly.monomial(2 * len(matching))
+        w = RatPoly((0,) * 2 * len(matching) + (1,))
         for v in range(1, tree.n + 1):
             if v not in matched:
-                w = w * from_ints([1, 0, deg[v] - 1])
+                w = w * RatPoly((1, 0, deg[v] - 1))
         acc[len(matching)] = acc[len(matching)] + w
     return tuple(acc)
 
@@ -190,7 +186,7 @@ def test_matching_weight_arrays_large_path():
 
 def test_matching_weights_p2():
     c = matching_weights(path_tree(2))
-    assert c == (from_ints([1]), from_ints([0, 0, 1]))
+    assert c == (RatPoly((1,)), RatPoly((0, 0, 1)))
 
 
 def test_matching_weights_p4_counts():
@@ -200,8 +196,8 @@ def test_matching_weights_p4_counts():
         counts[len(m)] = counts.get(len(m), 0) + 1
     assert counts == {0: 1, 1: 3, 2: 1}
     c = matching_weights(path_tree(4))
-    assert c[1] == from_ints([0, 0, 3, 0, 2])
-    assert c[2] == from_ints([0, 0, 0, 0, 1])
+    assert c[1] == RatPoly((0, 0, 3, 0, 2))
+    assert c[2] == RatPoly((0, 0, 0, 0, 1))
 
 
 def test_matching_weights_at_zero():
@@ -226,19 +222,20 @@ def test_matching_counts_against_subset_bruteforce():
                 by_size[len(m)] = by_size.get(len(m), 0) + 1
             c = matching_weights(tree)
             for j in range(tree.n // 2 + 1):
-                assert c[j].coeff(2 * j) == by_size.get(j, 0)
+                assert (c[j].coeffs + (0,) * (2 * j + 1))[2 * j] == (
+                    by_size.get(j, 0))
 
 
 def test_single_edge_matching_count_is_edge_count():
     for tree in all_labeled_trees(6):
         c1 = matching_weights(tree)[1]
         # q^2 coefficient counts the size-1 matchings
-        assert c1.coeff(2) == tree.n - 1
+        assert c1.coeffs[2] == tree.n - 1
 
 
 def test_c0_is_unmatched_degree_product():
     tree = star_tree(5)
-    assert matching_weights(tree)[0] == from_ints([1, 0, 3])
+    assert matching_weights(tree)[0] == RatPoly((1, 0, 3))
 
 
 def test_tree_file_parse():
