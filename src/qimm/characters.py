@@ -101,9 +101,13 @@ def centralizer_size(cycle_type: Sequence[int]) -> int:
 
 @cache
 def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """Border-strip removal, one cycle per level, longest cycle first;
+    once only 1-cycles are left, chi(1^m) = f^shape ends the descent."""
     if not shape:
         return 1
     t = cycles[0]
+    if t == 1:
+        return syt_count(shape)
     rest = cycles[1:]
     m = len(shape)
     beta = [shape[i] + (m - 1 - i) for i in range(m)]

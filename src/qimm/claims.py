@@ -55,6 +55,11 @@ from .trees import (
     random_trees,
 )
 
+# fixed ranges of the identity sweep: rem20 for l <= 12, lem17-conv for l <= 8
+RIORDAN_L_MAX = 12
+CONV_L_MAX = 8
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Caps for the verification sweeps.  `deepen` (the CLI's --deep)
@@ -75,8 +80,6 @@ class SweepConfig:
     double_l_max: int = 7
     count_n_max: int = 14
     prob_n_max: int = 14
-    conv_l_max: int = 8
-    riordan_l_max: int = 12
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -241,6 +244,7 @@ def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
     """lem16-bij: the doubled image is exactly the odd-peak-free slice."""
     verdicts = []
     for l in range(1, config.double_l_max + 1):
+        table = last_table(l)
         for k in range(l + 1):
             grp = enumerate_paths("GRP", l, l - k)
             images = sorted(str(riordan_double_fwd(p)) for p in grp)
@@ -256,7 +260,7 @@ def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
             ok = (
                 images == target
                 and len(set(images)) == len(grp)
-                and len(grp) == last_table(l).get(l, k)
+                and len(grp) == table.get(l, k)
                 and round_trip
             )
             verdicts.append(
@@ -332,7 +336,7 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
     """rem20 (Catalan-Riordan), lem17-conv (binomial-Riordan expansion),
     and lem22 (successive differences of (1+x)^(n-2i) (1+x+x^2)^i)."""
     verdicts = []
-    report = sequence_identities(config.riordan_l_max)
+    report = sequence_identities(RIORDAN_L_MAX)
     for l, lhs, rhs, ok in report["catalan_riordan"]:
         verdicts.append(
             InequalityVerdict(
@@ -342,8 +346,9 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
                 witness=f"C_{l}={lhs}, convolution={rhs}",
             )
         )
-    convolution = sequence_identities(config.conv_l_max)["convolution"]
-    for (l, k, i), lhs, rhs, ok in convolution:
+    for (l, k, i), lhs, rhs, ok in report["convolution"]:
+        if l > CONV_L_MAX:
+            break
         verdicts.append(
             InequalityVerdict(
                 claim="lem17-conv",

@@ -359,6 +359,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: input beyond capacity: the computation exceeded "
               "Python's recursion limit", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        print("error: input beyond capacity: the computation ran out of "
+              "memory", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -13,15 +13,22 @@ A peak of a U/D path is a lattice point where an up step ends and a down
 step starts.  Odd-height peaks live at odd x, so the step pair producing
 one occupies exactly one of the intervals s_d = (2d-2, 2d); a peak at
 (x, y) is attributed to interval d = (x+1)/2.
+
+Each path is walked once: the pass that checks its alphabet also stores
+its running heights, and every height query reads them.  Paths and
+tableaux are listed one step (or entry) at a time with no recursion, so
+their size is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import ge, le
 from typing import Iterator, Sequence
 
 from .characters import alpha_table, last_value, two_row_dimension
@@ -31,45 +38,39 @@ _STEP = {"U": 1, "D": -1, "H": 0}
 
 @dataclass(frozen=True)
 class LatticePath:
-    """Step string over U/D/H with cached running heights."""
+    """Step string over U/D/H with its running heights, computed once."""
 
     steps: str
+    _heights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(s not in _STEP for s in self.steps):
-            raise ValueError(f"bad step in {self.steps!r}; expected U/D/H")
+        try:
+            heights = tuple(
+                accumulate(map(_STEP.__getitem__, self.steps), initial=0))
+        except KeyError:
+            raise ValueError(
+                f"bad step in {self.steps!r}; expected U/D/H") from None
+        object.__setattr__(self, "_heights", heights)
 
     def heights(self) -> tuple[int, ...]:
         """Heights at positions 0..len(steps), starting at 0."""
-        h = 0
-        out = [0]
-        for s in self.steps:
-            h += _STEP[s]
-            out.append(h)
-        return tuple(out)
+        return self._heights
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def end_height(self) -> int:
-        return self.heights()[-1]
-
-    def min_height(self) -> int:
-        return min(self.heights())
+        return self._heights[-1]
 
     def is_ud(self) -> bool:
         return "H" not in self.steps
 
     def is_nonnegative(self) -> bool:
-        return self.min_height() >= 0
+        return min(self._heights) >= 0
 
     def has_ground_h(self) -> bool:
-        h = 0
-        for s in self.steps:
-            if s == "H" and h == 0:
-                return True
-            h += _STEP[s]
-        return False
+        return any(s == "H" and h == 0
+                   for s, h in zip(self.steps, self._heights))
 
     def is_grp(self) -> bool:
         return self.is_nonnegative() and not self.has_ground_h()
@@ -78,9 +79,7 @@ class LatticePath:
         return self.steps
 
 
-def _flip(steps: str) -> str:
-    """Reflect across the x-axis: swap U and D, H fixed."""
-    return steps.translate(str.maketrans("UD", "DU"))
+_FLIP = str.maketrans("UD", "DU")  # reflect across the x-axis; H fixed
 
 
 # -- enumeration -----------------------------------------------------------
@@ -88,7 +87,9 @@ def _flip(steps: str) -> str:
 
 def enumerate_paths(path_class: str, length: int, end_height: int
                     ) -> list[LatticePath]:
-    """Exhaustive, duplicate-free listing of one path class."""
+    """Exhaustive, duplicate-free listing of one path class, in the
+    lexicographic order of its alphabet.  Prefixes grow one step per
+    round, and a prefix that can no longer reach `end_height` is dropped."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if path_class == "NLP":
@@ -99,46 +100,30 @@ def enumerate_paths(path_class: str, length: int, end_height: int
         if end_height < 0 or end_height > length:
             raise ValueError(f"end height {end_height} unreachable")
         alphabet = "UD"
-        nonneg = True
-        riordan = False
     elif path_class == "UHD":
         if abs(end_height) > length:
             raise ValueError(f"end height {end_height} unreachable")
         alphabet = "UHD"
-        nonneg = False
-        riordan = False
     elif path_class == "GRP":
         if end_height < 0 or end_height > length:
             raise ValueError(f"end height {end_height} unreachable")
         alphabet = "UHD"
-        nonneg = True
-        riordan = True
     else:
         raise ValueError(f"unknown path class {path_class!r}")
+    floor = -length if path_class == "UHD" else 0
+    riordan = path_class == "GRP"
 
-    out: list[LatticePath] = []
-
-    def rec(prefix: list[str], h: int):
-        rem = length - len(prefix)
-        if abs(end_height - h) > rem:
-            return
-        if rem == 0:
-            out.append(LatticePath("".join(prefix)))
-            return
-        for s in alphabet:
-            nh = h + _STEP[s]
-            if nonneg and nh < 0:
-                continue
-            if riordan and s == "H" and h == 0:
-                continue
-            prefix.append(s)
-            rec(prefix, nh)
-            prefix.pop()
-
-    rec([], 0)
-    return out
-
-
+    prefixes = [("", 0)]
+    for rem in range(length - 1, -1, -1):
+        prefixes = [
+            (word + s, nh)
+            for word, h in prefixes
+            for s in alphabet
+            if (nh := h + _STEP[s]) >= floor
+            and abs(end_height - nh) <= rem
+            and not (riordan and s == "H" and h == 0)
+        ]
+    return [LatticePath(word) for word, _ in prefixes]
 def nlp_count(n: int, k: int) -> int:
     """|NLP(n, n-2k)| = C(n,k) - C(n,k-1)."""
     return two_row_dimension(n, k)
@@ -152,19 +137,22 @@ def _riordan_suffix_cut(path: LatticePath, level: int) -> int:
     has no H step at `level`.  The suffix then starts exactly at `level`
     (or c = 0 for level 0 when the whole path qualifies)."""
     h = path.heights()
-    n = len(path)
-    ok_from = n + 1
-    if h[n] >= level:
-        ok_from = n
-    for c in range(n - 1, -1, -1):
-        if h[c] < level:
-            break
-        if path.steps[c] == "H" and h[c] == level:
-            break
-        ok_from = c
-    if ok_from == n + 1 or h[n] < level:
+    c = len(path)
+    if h[c] < level:
         raise ValueError(f"path {path} has no suffix at level {level}")
-    return ok_from
+    while c and h[c - 1] >= level and not (
+            path.steps[c - 1] == "H" and h[c - 1] == level):
+        c -= 1
+    return c
+
+
+def _swap_at_cut(path: LatticePath, c: int) -> LatticePath:
+    """P = S X R with X the step before cut c: flip(S), then H for U or
+    U for H, then R unchanged."""
+    s, x, r = path.steps[: c - 1], path.steps[c - 1], path.steps[c:]
+    if x == "D":
+        raise AssertionError("cut step cannot be D")
+    return LatticePath(s.translate(_FLIP) + ("U" if x == "H" else "H") + r)
 
 
 def callan_fwd(path: LatticePath) -> LatticePath:
@@ -179,31 +167,20 @@ def callan_fwd(path: LatticePath) -> LatticePath:
     c = _riordan_suffix_cut(path, 0)
     if c == 0:
         raise ValueError(f"{path} is already a generalized Riordan path")
-    s, x, r = path.steps[: c - 1], path.steps[c - 1], path.steps[c:]
-    if x == "H":
-        return LatticePath(_flip(s) + "U" + r)
-    if x == "U":
-        return LatticePath(_flip(s) + "H" + r)
-    raise AssertionError("cut step cannot be D")
+    return _swap_at_cut(path, c)
 
 
 def callan_inv(path: LatticePath) -> LatticePath:
     """Inverse of callan_fwd; defined on UHD paths ending at height >= 1."""
     if path.end_height() < 1:
         raise ValueError(f"{path} ends below height 1; not in the image")
-    c = _riordan_suffix_cut(path, 1)
-    s, x, r = path.steps[: c - 1], path.steps[c - 1], path.steps[c:]
-    if x == "H":
-        return LatticePath(_flip(s) + "U" + r)
-    if x == "U":
-        return LatticePath(_flip(s) + "H" + r)
-    raise AssertionError("cut step cannot be D")
+    return _swap_at_cut(path, _riordan_suffix_cut(path, 1))
 
 
 # -- the doubling bijection ---------------------------------------------------
 
 
-_DOUBLE = {"U": "UU", "D": "DD", "H": "DU"}
+_DOUBLE = str.maketrans({"U": "UU", "D": "DD", "H": "DU"})
 _HALVE = {"UU": "U", "DD": "D", "DU": "H"}
 
 
@@ -211,7 +188,7 @@ def riordan_double_fwd(path: LatticePath) -> LatticePath:
     """GRP(l, l-k) -> U/D paths of length 2l with no odd-height peaks."""
     if not path.is_grp():
         raise ValueError(f"{path} is not a generalized Riordan path")
-    return LatticePath("".join(_DOUBLE[s] for s in path.steps))
+    return LatticePath(path.steps.translate(_DOUBLE))
 
 
 def riordan_double_inv(path: LatticePath) -> LatticePath:
@@ -244,22 +221,15 @@ def peak_profile(path: LatticePath) -> list[tuple[int, int, str]]:
     """All peaks of a U/D path as (x, height, parity-of-height)."""
     if not path.is_ud():
         raise ValueError("peaks are defined for U/D paths here")
-    h = path.heights()
-    out = []
-    for t in range(len(path) - 1):
-        if path.steps[t] == "U" and path.steps[t + 1] == "D":
-            y = h[t + 1]
-            out.append((t + 1, y, "odd" if y % 2 else "even"))
-    return out
+    s, h = path.steps, path.heights()
+    return [(t, h[t], "odd" if h[t] % 2 else "even")
+            for t in range(1, len(s)) if s[t - 1] == "U" and s[t] == "D"]
 
 
 def max_odd_peak_interval(path: LatticePath) -> int:
     """Largest interval index d = (x+1)/2 over odd-height peaks; 0 if none."""
-    worst = 0
-    for x, y, parity in peak_profile(path):
-        if parity == "odd":
-            worst = max(worst, (x + 1) // 2)
-    return worst
+    return max(((x + 1) // 2 for x, y, parity in peak_profile(path)
+                if parity == "odd"), default=0)
 
 
 def count_restricted(n: int, k: int, i: int) -> int:
@@ -298,16 +268,16 @@ class TwoRowSYT:
     row2: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.row1) + len(self.row2)
-        if sorted(self.row1 + self.row2) != list(range(1, n + 1)):
+        r1, r2 = self.row1, self.row2
+        if sorted(r1 + r2) != list(range(1, len(r1) + len(r2) + 1)):
             raise ValueError("rows must partition 1..n")
-        if any(a >= b for a, b in zip(self.row1, self.row1[1:])):
+        if any(map(ge, r1, r1[1:])):
             raise ValueError("row 1 must increase")
-        if any(a >= b for a, b in zip(self.row2, self.row2[1:])):
+        if any(map(ge, r2, r2[1:])):
             raise ValueError("row 2 must increase")
-        if len(self.row2) > len(self.row1):
+        if len(r2) > len(r1):
             raise ValueError("row 2 may not be longer than row 1")
-        if any(self.row2[t] <= self.row1[t] for t in range(len(self.row2))):
+        if any(map(le, r2, r1)):
             raise ValueError("columns must increase")
 
     @property
@@ -373,20 +343,22 @@ def syt_descent_histogram(n: int, k: int) -> list[int]:
 
 
 def enumerate_two_row_syt(n: int, k: int) -> Iterator[TwoRowSYT]:
-    """All standard tableaux of shape (n-k, k), by direct row growth."""
+    """All standard tableaux of shape (n-k, k): entries 1..n are placed
+    one per round, in row 1 before row 2, so the listing is in
+    lexicographic order of the row word."""
     if not 0 <= k <= n // 2:
         raise ValueError(f"need 0 <= k <= n//2, got k={k}")
-
-    def rec(entry: int, row1: tuple[int, ...], row2: tuple[int, ...]):
-        if entry > n:
-            yield TwoRowSYT(row1, row2)
-            return
-        if len(row1) < n - k:
-            yield from rec(entry + 1, row1 + (entry,), row2)
-        if len(row2) < min(k, len(row1)):
-            yield from rec(entry + 1, row1, row2 + (entry,))
-
-    yield from rec(1, (), ())
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for entry in range(1, n + 1):
+        grown = []
+        for row1, row2 in rows:
+            if len(row1) < n - k:
+                grown.append((row1 + (entry,), row2))
+            if len(row2) < min(k, len(row1)):
+                grown.append((row1, row2 + (entry,)))
+        rows = grown
+    for row1, row2 in rows:
+        yield TwoRowSYT(row1, row2)
 
 
 # -- probabilities and identities ---------------------------------------------

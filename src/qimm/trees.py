@@ -232,7 +232,9 @@ def _fold_matchings(order: Sequence[int], parent: Sequence[int],
     subtree that leave v unmatched (v's own factor not yet applied) and
     `matched[v]` those that match v to a child.  A finished child c adds
     total = free[c] (1 + (deg(c) - 1) t) + matched[c] when its parent
-    edge is unused and free[c] x t when that edge is matched.
+    edge is unused and free[c] x t when that edge is matched.  A folded
+    vertex's two integers are released, so only the unfinished frontier
+    is held.
     """
     free = [1] * len(deg)
     matched = [0] * len(deg)
@@ -240,6 +242,7 @@ def _fold_matchings(order: Sequence[int], parent: Sequence[int],
     for v in reversed(order):
         u = free[v]
         total = u + (deg[v] - 1) * (u << shift_t) + matched[v]
+        free[v] = matched[v] = 0
         p = parent[v]
         if p:
             up = free[p]

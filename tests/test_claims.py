@@ -31,6 +31,13 @@ GOLDEN_FLAGS = {
 }
 
 
+# SHA-256 of stdout of `python -m qimm.cli verify all` at default flags,
+# recorded before the paths module computed each path's heights in the
+# pass that checks its steps.
+GOLDEN_DEFAULT = (
+    "3df2a954fd22a1f7b59b799805ceeb2b43864dfadd09839754ea4fb471708380")
+
+
 def explicit_deepen(c: SweepConfig) -> SweepConfig:
     """Every cap of `deepen`, written out by hand."""
     return SweepConfig(
@@ -48,8 +55,6 @@ def explicit_deepen(c: SweepConfig) -> SweepConfig:
         double_l_max=c.double_l_max + 1,
         count_n_max=c.count_n_max + 2,
         prob_n_max=c.prob_n_max + 2,
-        conv_l_max=c.conv_l_max,
-        riordan_l_max=c.riordan_l_max,
     )
 
 
@@ -58,7 +63,7 @@ def test_deepen_field_by_field():
         n_max=5, exhaustive_tree_max=7, hook_n_max=3, oracle_n_max=6,
         random_count=7, seed=11, alpha_n_max=9, last_l_max=10, sr_l_max=4,
         sr_max=2, callan_l_max=3, double_l_max=2, count_n_max=6,
-        prob_n_max=5, conv_l_max=3, riordan_l_max=4,
+        prob_n_max=5,
     )
     for config in (SweepConfig(), custom):
         got, want = config.deepen(), explicit_deepen(config)
@@ -73,6 +78,12 @@ def test_deep_paths_and_probability_streams_unchanged(capsys):
         assert main(["verify", which, "--deep", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, which
+
+
+def test_default_verify_all_stream_unchanged(capsys):
+    assert main(["verify", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEFAULT
 
 
 def test_cap_flags_streams_unchanged(capsys):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qimm import immanants
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import path_tree, star_tree
@@ -173,9 +174,28 @@ def test_a_coeffs_large_star(capsys):
 
 
 def test_recursion_limit_is_a_capacity_error(capsys):
-    # the border-strip engine still goes one level per cycle
+    # the border-strip engine still goes one level per cycle longer than 1
+    code, out, err = run_cli(
+        capsys, "char", "2000", ",".join(["2"] * 1000))
+    assert_usage_error(code, out, err)
+    assert "beyond capacity" in err
+
+
+def test_immanant_large_star(capsys):
+    # only one 2-cycle is peeled; chi(1^m) = f^shape ends the descent
     code, out, err = run_cli(
         capsys, "immanant", "--tree", "star:1200", "--shape", "1199,1")
+    assert code == 0 and err == ""
+    # 1199 (1 + 1198 t) + 1197 * 1199 t with t = q^2
+    assert out.strip() == "1199 + 2871605q^2"
+
+
+def test_memory_error_is_a_capacity_error(capsys, monkeypatch):
+    def exhausted(tree):
+        raise MemoryError
+    monkeypatch.setattr(immanants, "matching_weight_arrays", exhausted)
+    code, out, err = run_cli(
+        capsys, "immanant", "--tree", "path:5", "--shape", "4,1")
     assert_usage_error(code, out, err)
     assert "beyond capacity" in err
 

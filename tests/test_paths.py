@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,47 @@ def test_enumerate_parity_errors():
         enumerate_paths("UHD", 3, 5)
     with pytest.raises(ValueError):
         enumerate_paths("DYCK", 4, 0)
+
+
+def test_enumeration_matches_filtered_product():
+    # every word over the alphabet, in product (lexicographic) order,
+    # kept when it satisfies the class predicate; members and order agree
+    classes = {"NLP": ("UD", LatticePath.is_nonnegative),
+               "UHD": ("UHD", lambda p: True),
+               "GRP": ("UHD", LatticePath.is_grp)}
+    for path_class, (alphabet, keep) in classes.items():
+        for length in range(11):
+            by_end: dict[int, list[str]] = {}
+            for word in product(alphabet, repeat=length):
+                p = LatticePath("".join(word))
+                if keep(p):
+                    by_end.setdefault(p.end_height(), []).append(p.steps)
+            for end, words in by_end.items():
+                got = enumerate_paths(path_class, length, end)
+                assert [p.steps for p in got] == words, (path_class, end)
+
+
+def test_syt_enumeration_matches_filtered_product():
+    # entry i goes to row word[i-1]; the tableau check is the predicate
+    for n in range(13):
+        by_k: dict[int, list[TwoRowSYT]] = {}
+        for word in product((1, 2), repeat=n):
+            rows = tuple(tuple(i + 1 for i, r in enumerate(word) if r == row)
+                         for row in (1, 2))
+            try:
+                tab = TwoRowSYT(*rows)
+            except ValueError:
+                continue
+            by_k.setdefault(len(rows[1]), []).append(tab)
+        assert sorted(by_k) == list(range(n // 2 + 1))
+        for k, tabs in by_k.items():
+            assert list(enumerate_two_row_syt(n, k)) == tabs, (n, k)
+
+
+def test_enumeration_needs_no_recursion():
+    # one path of 1,500 steps, far past the interpreter's recursion limit
+    (p,) = enumerate_paths("NLP", 1500, 1500)
+    assert p.steps == "U" * 1500 and p.end_height() == 1500
 
 
 def test_nlp_counts_are_ballot_numbers():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -182,6 +183,19 @@ def test_matching_weight_arrays_large_path():
     rows = matching_weight_arrays(path_tree(n))
     assert [row[j] for j, row in enumerate(rows)] == [
         comb(n - j, j) for j in range(n // 2 + 1)]
+
+
+def test_matching_weight_dp_releases_folded_vertices():
+    # a folded vertex drops its packed integers, so the peak stays near
+    # one frontier of them rather than one per vertex
+    tracemalloc.start()
+    try:
+        rows = matching_weight_arrays(path_tree(150))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[75] == [0] * 75 + [1]
+    assert peak < 10_000_000
 
 
 def test_matching_weights_p2():
