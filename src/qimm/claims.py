@@ -17,8 +17,6 @@ from .characters import (
     alpha_table,
     last_table,
     poly_power_coeffs,
-    two_row_char,
-    two_row_dimension,
 )
 from .immanants import (
     InequalityVerdict,
@@ -30,7 +28,7 @@ from .immanants import (
     default_q_grid,
     eq5_holds,
     oracle_equivalence_report,
-    two_row_witness_arrays,
+    two_row_gaps,
 )
 from .paths import (
     LatticePath,
@@ -101,12 +99,6 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
     random sampling above the exhaustive cap."""
     verdicts = []
     for n in range(5, config.n_max + 1):
-        half = n // 2
-        chars = [
-            [two_row_char(n, k, j) for j in range(half + 1)]
-            for k in range(half + 1)
-        ]
-        dims = [two_row_dimension(n, k) for k in range(half + 1)]
         exhaustive = n <= config.exhaustive_tree_max
         if exhaustive:
             source: Iterable[Tree] = all_labeled_trees(n)
@@ -118,15 +110,14 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
         failures = []
         for tree in source:
             checked += 1
-            wits = two_row_witness_arrays(
-                matching_weight_arrays(tree), chars, dims)
-            for idx, wit in enumerate(wits):
-                if any(c < 0 for c in wit):
-                    failures.append((tree.label(), idx + 1, wit))
+            gaps = two_row_gaps(n, matching_weight_arrays(tree))
+            for k, gap in enumerate(gaps, 1):
+                if any(c < 0 for c in gap):
+                    failures.append((tree.label(), k, gap))
         verdicts.append(
             InequalityVerdict(
                 claim="thm2",
-                params={"n": n, "trees": src_label, "k": f"1..{half}"},
+                params={"n": n, "trees": src_label, "k": f"1..{n // 2}"},
                 holds=not failures,
                 witness=f"{checked} trees, {len(failures)} violations",
                 detail="; ".join(
@@ -422,7 +413,7 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
             for i in range(1, len(a)):
                 if any(c < 0 for c in a[i]):
                     bad.append((tree.label(), f"a{i}"))
-            if not eq5_holds(n, weights):
+            if not eq5_holds(n, weights, a):
                 bad.append((tree.label(), "reconstruction"))
         verdicts.append(
             InequalityVerdict(

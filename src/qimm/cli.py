@@ -279,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, handler):
+    def add_common(p, handler, formats=("text", "csv", "json")):
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None,
                        help="output path (relative paths resolve under "
                             "QIMM_OUT_DIR)")
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="character value chi_shape(cycle type)")
     p.add_argument("shape", help="comma separated partition, e.g. 3,1")
     p.add_argument("cycle_type", help="comma separated cycle type")
-    add_common(p, cmd_char)
+    add_common(p, cmd_char, ("text", "json"))
 
     p = sub.add_parser("immanant", help="immanant of a tree q-Laplacian")
     p.add_argument("--tree", required=True)
@@ -306,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--algorithm", choices=("matching", "bruteforce"),
                    default="matching")
-    add_common(p, cmd_immanant)
+    add_common(p, cmd_immanant, ("text", "json"))
 
     p = sub.add_parser("a-coeffs", help="tree polynomials a_i(q)")
     p.add_argument("--tree", required=True)
-    add_common(p, cmd_a_coeffs)
+    add_common(p, cmd_a_coeffs, ("text", "json"))
 
     p = sub.add_parser("verify", help="verification sweeps")
     p.add_argument(

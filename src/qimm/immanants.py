@@ -16,9 +16,12 @@ division by a character degree, so the per-tree checks run on integer
 t-coefficient lists: the matching weights c_j, the character sums
 sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5), and the Theorem 1 and
 Theorem 2 gaps, each cleared of its (positive) character-degree
-denominators.  The oracle expands the q-Laplacian's integer
-q-coefficient lists directly.  RatPoly appears only where a polynomial
-leaves the module.
+denominators.  A tree's c_j vanish above its matching number nu, so each
+sum runs over c_0..c_nu (_nonzero_prefix) and asks for character values
+at j <= nu only; the hook characters and the Theorem 2 gap rows
+f_k chi_{k-1} - f_{k-1} chi_k are tables cached per (n, nu + 1).  The
+oracle expands the q-Laplacian's integer q-coefficient lists directly.
+RatPoly appears only where a polynomial leaves the module.
 
 Verifier results are InequalityVerdict records.  `holds` is the honest
 outcome of the exact check; `degenerate` marks instances whose ratio form
@@ -193,9 +196,14 @@ def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
     return RatPoly(tuple(Fraction(c, dim) for c in total))
 
 
-def _char_row(weights: Sequence[Sequence[int]], chi) -> list[int]:
-    """chi(j) for every j with c_j nonzero, 0 (without asking chi) elsewhere."""
-    return [chi(j) if any(arr) else 0 for j, arr in enumerate(weights)]
+def _nonzero_prefix(weights: Sequence[Sequence[int]]
+                    ) -> Sequence[Sequence[int]]:
+    """c_0..c_nu: a tree's matching weights vanish exactly above its
+    matching number nu, so no character value past j = nu is needed."""
+    nu = len(weights) - 1
+    while nu > 0 and not any(weights[nu]):
+        nu -= 1
+    return weights[:nu + 1]
 
 
 def immanant_tree(tree: Tree, shape: Sequence[int],
@@ -205,9 +213,9 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
     n = tree.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != tree size {n}")
-    weights = matching_weight_arrays(tree)
-    total = _weighted_sum(weights, _char_row(
-        weights, lambda j: _mn(shape, two_cycle_type(n, j))))
+    weights = _nonzero_prefix(matching_weight_arrays(tree))
+    total = _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
+                                    for j in range(len(weights))])
     return from_t(total, syt_count(shape) if normalized else 1)
 
 
@@ -215,14 +223,12 @@ def a_coeff_arrays(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     """a_i in t = q^2 from the c_j t-arrays by binomial inversion.
 
     c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j.
-    Each nonzero c_j is spread over a_j, a_{j-1}, ..., a_0 with the
-    binomials of row j taken in turn; zero rows are skipped.
+    Each c_j, j <= nu, is spread over a_j, a_{j-1}, ..., a_0 with the
+    binomials of row j taken in turn; a_i is [] for i > nu.
     """
     width = max(map(len, weights), default=0)
     out = [[0] * width for _ in weights]
-    for j, arr in enumerate(weights):
-        if not any(arr):
-            continue
+    for j, arr in enumerate(_nonzero_prefix(weights)):
         factor = 1  # (-1)^(j-i) C(j, i), from i = j down
         for i in range(j, -1, -1):
             row = out[i]
@@ -241,14 +247,9 @@ def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
 def _two_row_sums(n: int, weights: Sequence[Sequence[int]]
                   ) -> list[list[int]]:
     """sum_j chi_{(n-k,k)}(2^j 1^(n-2j)) c_j in t, k = 0..floor(n/2)."""
-    return [_weighted_sum(weights, ch) for ch in _two_row_chars(n, weights)]
-
-
-def _two_row_chars(n: int, weights: Sequence[Sequence[int]]
-                   ) -> list[list[int]]:
-    """The two-row character table chi_{(n-k,k)}(2^j 1^(n-2j)), rows k,
-    filled only where c_j is nonzero."""
-    return [_char_row(weights, lambda j: two_row_char(n, k, j))
+    weights = _nonzero_prefix(weights)
+    return [_weighted_sum(weights, [two_row_char(n, k, j)
+                                    for j in range(len(weights))])
             for k in range(n // 2 + 1)]
 
 
@@ -263,17 +264,25 @@ def normalized_two_row_immanants(tree: Tree) -> tuple[RatPoly, ...]:
 # -- Theorem 2: the two-row chain ------------------------------------------
 
 
-def two_row_witness_arrays(weights: Sequence[Sequence[int]],
-                           chars: Sequence[Sequence[int]],
-                           dims: Sequence[int]) -> list[list[int]]:
-    """t-arrays of dim_k*dim_{k-1}*(imm_{k-1} - imm_k), k = 1..floor(n/2),
-    from the c_j t-arrays, the two-row character table (rows k, columns j)
-    and the dimensions; positive scaling keeps the coefficient signs."""
-    sums = [_weighted_sum(weights, ch) for ch in chars]
-    return [
-        [dims[k] * a - dims[k - 1] * b for a, b in zip(sums[k - 1], sums[k])]
-        for k in range(1, len(sums))
-    ]
+@lru_cache(maxsize=None)
+def _two_row_gap_table(n: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Rows f_k chi_{k-1}(j) - f_{k-1} chi_k(j), k = 1..floor(n/2), for
+    j < width: chi_k is the character of (n-k, k) at 2^j 1^(n-2j), and
+    its j = 0 value is the degree f_k."""
+    chi = [[two_row_char(n, k, j) for j in range(width)]
+           for k in range(n // 2 + 1)]
+    return tuple(tuple(hi[0] * a - lo[0] * b for a, b in zip(lo, hi))
+                 for lo, hi in zip(chi, chi[1:]))
+
+
+def two_row_gaps(n: int, weights: Sequence[Sequence[int]]
+                 ) -> list[list[int]]:
+    """t-arrays of f_k f_{k-1} (imm_{k-1} - imm_k), k = 1..floor(n/2),
+    from the c_j t-arrays of an n-vertex tree; the positive scaling keeps
+    the coefficient signs."""
+    weights = _nonzero_prefix(weights)
+    return [_weighted_sum(weights, row)
+            for row in _two_row_gap_table(n, len(weights))]
 
 
 def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
@@ -287,11 +296,9 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
     """
     n = tree.n
     dims = [two_row_dimension(n, k) for k in range(n // 2 + 1)]
-    weights = matching_weight_arrays(tree)
-    wits = two_row_witness_arrays(weights, _two_row_chars(n, weights), dims)
     label = tree.label()
     verdicts = []
-    for k, arr in enumerate(wits, 1):
+    for k, arr in enumerate(two_row_gaps(n, matching_weight_arrays(tree)), 1):
         holds = all(c >= 0 for c in arr)
         witness = str(from_t(arr, dims[k] * dims[k - 1]))
         detail = ""
@@ -314,17 +321,13 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
 
 
 @lru_cache(maxsize=None)
-def _hook_char_data(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """chi_{hook_k}(2^j 1^(n-2j)) for k = 1..n, j = 0..n//2, plus dims."""
-    chars = tuple(
-        tuple(
-            mn_character(hook_shape(n, k), two_cycle_type(n, j))
-            for j in range(n // 2 + 1)
-        )
-        for k in range(1, n + 1)
-    )
-    dims = tuple(syt_count(hook_shape(n, k)) for k in range(1, n + 1))
-    return chars, dims
+def _hook_char_data(n: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """chi_{hook_k}(2^j 1^(n-2j)) for k = 1..n, j < width; the j = 0
+    column is the degree of hook_k."""
+    return tuple(
+        tuple(mn_character(hook_shape(n, k), two_cycle_type(n, j))
+              for j in range(width))
+        for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=16)
@@ -365,15 +368,15 @@ def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
     label = tree.label()
-    chars, dims = _hook_char_data(n)
-    weights = matching_weight_arrays(tree)
+    weights = _nonzero_prefix(matching_weight_arrays(tree))
+    chars = _hook_char_data(n, len(weights))
     hooks = [_weighted_sum(weights, ch) for ch in chars]
     qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)
     verdicts = []
     for claim in ("thm1-weak", "thm1-strong"):
         for k in range(2, n + 1):
             lo, hi = hooks[k - 2], hooks[k - 1]
-            f_lo, f_hi = dims[k - 2], dims[k - 1]
+            f_lo, f_hi = chars[k - 2][0], chars[k - 1][0]
             if claim == "thm1-weak":
                 gap = [f_lo * h - f_hi * l for l, h in zip(lo, hi)]
             else:
@@ -570,11 +573,11 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
     compared as integer q-coefficient lists."""
     n = tree.n
     buckets = _bruteforce_buckets(q_laplacian(tree))
-    weights = matching_weight_arrays(tree)
+    weights = _nonzero_prefix(matching_weight_arrays(tree))
     results = []
     for shape in partitions(n):
-        in_t = _weighted_sum(weights, _char_row(
-            weights, lambda j: _mn(shape, two_cycle_type(n, j))))
+        in_t = _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
+                                       for j in range(len(weights))])
         lhs = [0] * (2 * len(in_t))
         lhs[::2] = in_t
         rhs = _combine_buckets(buckets, shape)
@@ -584,16 +587,17 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
 
 def eq5_reconstruction_ok(tree: Tree) -> bool:
     """eq5_holds on the tree's own matching weights."""
-    return eq5_holds(tree.n, matching_weight_arrays(tree))
+    weights = matching_weight_arrays(tree)
+    return eq5_holds(tree.n, weights, a_coeff_arrays(weights))
 
 
-def eq5_holds(n: int, weights: Sequence[Sequence[int]]) -> bool:
+def eq5_holds(n: int, weights: Sequence[Sequence[int]],
+              a: Sequence[Sequence[int]]) -> bool:
     """sum_i a_i 2^i alpha_{n,k,i} / alpha_{n,k,0} reproduces every
     normalized two-row immanant, checked cross-multiplied on the t-arrays
-    of the matching weights c_j of an n-vertex tree:
+    of the matching weights c_j of an n-vertex tree and their a_coeff_arrays:
     f_k sum_i 2^i alpha_{n,k,i} a_i = alpha_{n,k,0} sum_j chi_{(n-k,k)}(j) c_j.
     """
-    a = a_coeff_arrays(weights)
     table = alpha_table(n)
     for k, imm in enumerate(_two_row_sums(n, weights)):
         recon = _weighted_sum(

@@ -14,20 +14,23 @@ data of the whole symmetric group collapses to
     c_j(q) = sum over size-j matchings M of
              q^(2j) * prod_{v unmatched} (1 + (deg(v) - 1) q^2).
 
-These are integer polynomials in t = q^2.  matching_weight_arrays gets
-all of them at once, without listing matchings, from an iterative
-rooted-tree DP over a bivariate polynomial in (x, t), x marking the
-matching size, held as one Python int by Kronecker substitution
-(t = 2^b, x = 2^(b(n+1))).  Every coefficient is a nonnegative integer
-bounded by the DP's value at t = x = 1, which fixes b; see its
-docstring.  Time is polynomial in n and no step recurses.
+These are integer polynomials in t = q^2, nonzero exactly for j <= nu,
+the tree's matching number (for n >= 2 each term is positive at t = 1).
+matching_weight_arrays gets all of them at once, without listing
+matchings, from an iterative rooted-tree DP over a bivariate polynomial
+in (x, t), x marking the matching size, held as one Python int by
+Kronecker substitution (t = 2^b, x = 2^(b(n+1))).  Every coefficient is
+a nonnegative integer bounded by the DP's value at t = x = 1, which
+fixes b; see its docstring.  Time is polynomial in n and no step
+recurses.  The DP folds along the BFS that validated the tree (Tree.order
+and Tree.parent), so each tree is walked once.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -42,6 +45,9 @@ class Tree:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    # the validating BFS from vertex 1, kept for the matching-weight DP
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,20 +67,21 @@ class Tree:
         if len(norm) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} edges, got {len(norm)}")
         object.__setattr__(self, "edges", tuple(norm))
-        # n-1 edges and connectivity together certify acyclicity
-        if self.n > 1 and not self._connected():
-            raise ValueError("edge list is not connected")
-
-    def _connected(self) -> bool:
+        # BFS from vertex 1; a set parent marks a visited vertex.  n-1
+        # edges that reach every vertex certify a tree (a cycle among them
+        # would leave a vertex unreached)
         adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        parent = [0] * (self.n + 1)
+        order = [1]
+        for v in order:
+            for w in adj[v]:
+                if w != 1 and not parent[w]:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != self.n:
+            raise ValueError("edge list is not connected")
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "parent", tuple(parent))
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
@@ -257,9 +264,10 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     c_j is the coefficient of x^j in the bivariate P(x, t) of
     `_fold_matchings`, an iterative rooted-tree DP (the matchings-
     polynomial recursion; Godsil, Algebraic Combinatorics, 1993, ch. 1)
-    rooted at vertex 1 and evaluated once at a Kronecker point: t = 2^b,
-    x = 2^(b(n+1)).  The t-degree of c_j is at most n - j <= n, so the
-    n + 1 slots of one x power never reach the next.
+    along the tree's BFS from vertex 1 (Tree.order, Tree.parent) and
+    evaluated once at a Kronecker point: t = 2^b, x = 2^(b(n+1)).  The
+    t-degree of c_j is at most n - j <= n, so the n + 1 slots of one x
+    power never reach the next.
 
     Exactness: for n >= 2 every degree is at least 1, so every factor
     1 + (deg(v) - 1) t, and with it every coefficient of P, is a
@@ -273,15 +281,8 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     n = tree.n
     if n == 1:
         return [[1, -1]]
-    adj = tree.adjacency()
-    parent = [0] * (n + 1)
-    order = [1]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
     deg = tree.degrees()
+    order, parent = tree.order, tree.parent
     width = (_fold_matchings(order, parent, deg, 0, 0).bit_length() + 8) // 8
     b = 8 * width
     packed = _fold_matchings(order, parent, deg, b, b * (n + 2))

@@ -2,7 +2,7 @@ import hashlib
 from dataclasses import fields
 
 from qimm import characters
-from qimm.claims import SweepConfig, run_claims
+from qimm.claims import SweepConfig
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
 
@@ -81,9 +81,20 @@ def test_deep_paths_and_probability_streams_unchanged(capsys):
 
 
 def test_default_verify_all_stream_unchanged(capsys):
+    # one default sweep serves the digest and the cache checks
+    restricted_count_histogram.cache_clear()
     assert main(["verify", "all"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEFAULT
+    # the counting and probability sweeps share one histogram per (n, k)
+    config = SweepConfig()
+    info = restricted_count_histogram.cache_info()
+    keys = {(n, k)
+            for n in range(2, max(config.count_n_max, config.prob_n_max) + 1)
+            for k in range(n // 2 + 1)}
+    assert info.misses == len(keys) and info.hits > 0
+    # two-row characters are cached once, under both names
+    assert characters._two_row_rec is characters.two_row_char
 
 
 def test_cap_flags_streams_unchanged(capsys):
@@ -102,17 +113,3 @@ def test_cap_flag_defaults_are_sweep_config_defaults():
     }
     for name in flagged:
         assert getattr(args, name) == getattr(SweepConfig(), name), name
-
-
-def test_one_cache_entry_per_key_in_a_full_run():
-    # the counting and probability sweeps share one histogram per (n, k)
-    restricted_count_histogram.cache_clear()
-    config = SweepConfig()
-    run_claims("all", config)
-    info = restricted_count_histogram.cache_info()
-    keys = {(n, k)
-            for n in range(2, max(config.count_n_max, config.prob_n_max) + 1)
-            for k in range(n // 2 + 1)}
-    assert info.misses == len(keys) and info.hits > 0
-    # two-row characters are cached once, under both names
-    assert characters._two_row_rec is characters.two_row_char

@@ -128,6 +128,20 @@ def test_char_command(capsys):
     assert json.loads(out)["value"] == "1"
 
 
+def test_csv_rejected_where_no_csv_output(capsys):
+    # char, immanant and a-coeffs print text or JSON only; csv exits 2
+    for argv in (("char", "2,2", "2,2"),
+                 ("immanant", "--tree", "path:4", "--shape", "3,1"),
+                 ("a-coeffs", "--tree", "path:4")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+    for argv in (("alpha-table", "4"), ("last-table", "3")):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and "," in out
+
+
 def test_immanant_command_matches_published_form(capsys):
     code, out, _ = run_cli(
         capsys, "immanant", "--tree", "path:4", "--shape", "3,1",

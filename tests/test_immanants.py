@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from qimm import immanants
 from qimm.characters import hook_shape, mn_character, partitions
 from qimm.immanants import (
     LEMMA9_ERRATA,
@@ -251,6 +252,20 @@ def test_hook_chain_matches_immanant_evaluation(grid):
                 gap, q = v.margin
                 assert want == f"min gap {gap} at q={q}"
                 assert v.holds == (gap >= 0)
+
+
+def test_hook_chain_asks_characters_up_to_matching_number(monkeypatch):
+    # a star's matching number is 1, so only the columns j = 0, 1 of the
+    # n hook characters can meet a nonzero c_j
+    calls = []
+    monkeypatch.setattr(
+        immanants, "mn_character",
+        lambda *args: calls.append(args) or mn_character(*args))
+    immanants._hook_char_data.cache_clear()
+    n = 60
+    verdicts = check_hook_chain(star_tree(n))
+    assert len(calls) <= 2 * n
+    assert len(verdicts) == 2 * (n - 1) and all(v.holds for v in verdicts)
 
 
 def test_hook_chain_p2_boundary():

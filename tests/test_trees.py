@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -32,6 +33,20 @@ def test_tree_validation():
         Tree(3, ((1, 2), (1, 4)))  # label out of range
     with pytest.raises(ValueError):
         Tree(4, ((1, 2), (3, 4), (1, 2)))  # duplicate hides a disconnect
+
+
+def test_cyclic_edge_list_rejected():
+    # n - 1 distinct edges with a cycle leave vertex 4 unreached; the walk
+    # marks visited vertices, so it ends on the cycle
+    with pytest.raises(ValueError, match="not connected"):
+        Tree(4, ((1, 2), (2, 3), (1, 3)))
+
+
+def test_walk_is_a_bfs_from_vertex_one():
+    tree = Tree(5, ((4, 5), (1, 3), (3, 4), (2, 3)))
+    assert tree.order == (1, 3, 2, 4, 5)
+    assert tree.parent == (0, 0, 3, 1, 3, 4)
+    assert Tree(1, ()).order == (1,)
 
 
 def test_pruefer_decode_forced_cases():
@@ -257,3 +272,32 @@ def test_tree_file_parse():
     assert parse_tree_file(text) == path_tree(4)
     with pytest.raises(ValueError):
         parse_tree_file("")
+
+
+def brute_matching_number(tree):
+    """Largest disjoint edge subset, by scanning every edge subset."""
+    return max(len(m) for m in brute_matchings(tree))
+
+
+def test_weights_nonzero_exactly_up_to_matching_number():
+    trees = [t for n in range(1, 7)
+             for t in (all_labeled_trees(n) if n > 1 else [Tree(1, ())])]
+    trees += [t for n in range(7, 15) for t in random_trees(n, 4, seed=n)]
+    for tree in trees:
+        nu = brute_matching_number(tree)
+        rows = matching_weight_arrays(tree)
+        assert [j for j, row in enumerate(rows) if any(row)] == list(
+            range(nu + 1)), tree
+
+
+def test_weights_invariant_under_relabeling():
+    # the DP roots at vertex 1, so relabeling moves the root and the walk
+    rng = random.Random(8)
+    for tree in list(random_trees(9, 20, seed=5)) + [path_tree(12)]:
+        want = matching_weight_arrays(tree)
+        for _ in range(5):
+            perm = list(range(1, tree.n + 1))
+            rng.shuffle(perm)
+            moved = Tree(tree.n, tuple((perm[u - 1], perm[v - 1])
+                                       for u, v in tree.edges))
+            assert matching_weight_arrays(moved) == want
