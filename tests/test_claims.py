@@ -1,5 +1,9 @@
+import contextlib
 import hashlib
+import io
 from dataclasses import fields
+
+import pytest
 
 from qimm import characters
 from qimm.claims import SweepConfig
@@ -80,15 +84,26 @@ def test_deep_paths_and_probability_streams_unchanged(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, which
 
 
-def test_default_verify_all_stream_unchanged(capsys):
+@pytest.fixture(scope="module")
+def default_sweep():
     # one default sweep serves the digest and the cache checks
     restricted_count_histogram.cache_clear()
-    assert main(["verify", "all"]) == 0
-    out = capsys.readouterr().out
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", "all"])
+    return status, out.getvalue(), restricted_count_histogram.cache_info()
+
+
+def test_default_verify_all_stream_unchanged(default_sweep):
+    status, out, _ = default_sweep
+    assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEFAULT
+
+
+def test_one_cache_entry_per_key_in_a_full_run(default_sweep):
     # the counting and probability sweeps share one histogram per (n, k)
     config = SweepConfig()
-    info = restricted_count_histogram.cache_info()
+    info = default_sweep[2]
     keys = {(n, k)
             for n in range(2, max(config.count_n_max, config.prob_n_max) + 1)
             for k in range(n // 2 + 1)}
