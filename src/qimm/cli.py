@@ -8,7 +8,7 @@ Subcommands
   a-coeffs             the tree polynomials a_i(q)
   verify WHICH         run a verification sweep and stream verdicts
 
-Tree sources: path:N, star:N, pruefer:a,b,c, file:PATH.
+Tree sources: path:N, star:N, pruefer:a,b,c[@n=N], file:PATH.
 Exit codes: 0 all asserted verdicts hold, 1 verification failure,
 2 usage error or cap violation.  QIMM_OUT_DIR sets the directory for
 relative --out paths.
@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -49,6 +49,21 @@ from .trees import (
 USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
 
+# The verify sweep-cap flags: flag, the SweepConfig field it sets (its
+# default lives there only), help.
+CAP_FLAGS = (
+    ("--n-max", "n_max", "largest n for the two-row tree sweep"),
+    ("--hook-n-max", "hook_n_max", None),
+    ("--oracle-n-max", "oracle_n_max", None),
+    ("--random-trees", "random_count",
+     "sample size per n above the exhaustive cap"),
+    ("--seed", "seed", None),
+    ("--alpha-n-max", "alpha_n_max", None),
+    ("--l-max", "last_l_max", None),
+    ("--sr-max", "sr_max", None),
+    ("--sr-l-max", "sr_l_max", None),
+)
+
 
 def parse_tree_spec(spec: str) -> Tree:
     kind, _, rest = spec.partition(":")
@@ -57,8 +72,9 @@ def parse_tree_spec(spec: str) -> Tree:
     if kind == "star":
         return star_tree(int(rest))
     if kind == "pruefer":
-        labels = tuple(int(x) for x in rest.split(",")) if rest else ()
-        return pruefer_decode(labels, len(labels) + 2)
+        body, at, n = rest.partition("@n=")
+        labels = tuple(int(x) for x in body.split(",")) if body else ()
+        return pruefer_decode(labels, int(n) if at else len(labels) + 2)
     if kind == "file":
         return parse_tree_file(Path(rest).read_text())
     raise ValueError(f"unknown tree spec {spec!r}; "
@@ -101,6 +117,12 @@ def _emit(text: str, out: str | None) -> None:
     else:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
+
+
+def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
+    """Emit `record` as sorted-key JSON under --format json, else `text`."""
+    _emit(json.dumps(record, sort_keys=True) if args.format == "json"
+          else text, args.out)
 
 
 # -- table rendering -----------------------------------------------------------
@@ -180,17 +202,9 @@ def cmd_char(args: argparse.Namespace) -> int:
                      reverse=True))
     )
     value = mn_character(shape, rho)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"shape": list(shape), "cycle_type": list(rho),
-                 "value": str(value)},
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        _emit(str(value), args.out)
+    _emit_record(args, str(value), {"shape": list(shape),
+                                    "cycle_type": list(rho),
+                                    "value": str(value)})
     return 0
 
 
@@ -203,61 +217,38 @@ def cmd_immanant(args: argparse.Namespace) -> int:
         )
     else:
         poly = immanant_tree(tree, shape, normalized=args.normalized)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "tree": tree.label(),
-                    "shape": list(shape),
-                    "normalized": args.normalized,
-                    "algorithm": args.algorithm,
-                    "coeffs": poly.to_json_list(),
-                },
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        _emit(str(poly), args.out)
+    _emit_record(args, str(poly), {"tree": tree.label(),
+                                   "shape": list(shape),
+                                   "normalized": args.normalized,
+                                   "algorithm": args.algorithm,
+                                   "coeffs": poly.to_json_list()})
     return 0
 
 
 def cmd_a_coeffs(args: argparse.Namespace) -> int:
     tree = parse_tree_spec(args.tree)
     coeffs = extract_a_coeffs(tree)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "tree": tree.label(),
-                    "a": [p.to_json_list() for p in coeffs],
-                },
-                sort_keys=True,
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            "\n".join(f"a_{i} = {p}" for i, p in enumerate(coeffs)),
-            args.out,
-        )
+    text = "\n".join(f"a_{i} = {p}" for i, p in enumerate(coeffs))
+    _emit_record(args, text, {"tree": tree.label(),
+                              "a": [p.to_json_list() for p in coeffs]})
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sweep = SweepConfig(
-        **{f.name: getattr(args, f.name) for f in fields(SweepConfig)
-           if hasattr(args, f.name)},
-        exhaustive_tree_max=min(SweepConfig.exhaustive_tree_max, args.n_max),
-    )
-    if args.deep:
-        sweep = sweep.deepen()
+    # a cap flag is in the namespace only when typed (default SUPPRESS)
+    caps = {name: getattr(args, name) for _, name, _ in CAP_FLAGS
+            if hasattr(args, name)}
     if args.q_grid is not None and (args.which != "hook"
                                     or args.tree is None):
         raise ValueError("--q-grid applies only to verify hook --tree")
     if args.tree is not None:
         if args.which not in ("two-row", "hook"):
             raise ValueError("--tree applies only to verify two-row|hook")
+        ignored = ([flag for flag, name, _ in CAP_FLAGS if name in caps]
+                   + ["--deep"] * args.deep)
+        if ignored:
+            raise ValueError("--tree checks one tree and takes no sweep "
+                             f"flag: {', '.join(ignored)}")
         tree = parse_tree_spec(args.tree)
         if args.which == "two-row":
             verdicts = check_two_row_chain(tree)
@@ -265,6 +256,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             grid = parse_q_grid(args.q_grid) if args.q_grid else None
             verdicts = check_hook_chain(tree, grid)
     else:
+        sweep = SweepConfig(**caps)
+        sweep = replace(sweep, exhaustive_tree_max=min(
+            sweep.exhaustive_tree_max, sweep.n_max))
+        if args.deep:
+            sweep = sweep.deepen()
         verdicts = run_claims(args.which, sweep)
     fmt = args.format if args.format != "text" else "json"
     _emit(render_verdicts(verdicts, fmt), args.out)
@@ -320,24 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", default=None,
                    help="check a single tree (two-row and hook only)")
 
-    def add_cap(flag, name=None, help=None):
-        """A sweep-cap flag whose destination and default are the
-        SweepConfig field `name` (the flag's own name by default)."""
-        metavar = flag[2:].replace("-", "_")
-        p.add_argument(flag, type=int, dest=name or metavar,
-                       default=getattr(SweepConfig, name or metavar),
-                       metavar=metavar.upper(), help=help)
-
-    add_cap("--n-max", help="largest n for the two-row tree sweep")
-    add_cap("--hook-n-max")
-    add_cap("--oracle-n-max")
-    add_cap("--random-trees", "random_count",
-            help="sample size per n above the exhaustive cap")
-    add_cap("--seed")
-    add_cap("--alpha-n-max")
-    add_cap("--l-max", "last_l_max")
-    add_cap("--sr-max")
-    add_cap("--sr-l-max")
+    for flag, name, help in CAP_FLAGS:
+        p.add_argument(flag, type=int, dest=name, default=argparse.SUPPRESS,
+                       metavar=flag[2:].replace("-", "_").upper(), help=help)
     p.add_argument("--q-grid", default=None,
                    help="lo:hi:step with exact rationals, e.g. -10:10:1/2")
     p.add_argument("--deep", action="store_true",

@@ -18,8 +18,8 @@ sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5), and the Theorem 1 and
 Theorem 2 gaps, each cleared of its (positive) character-degree
 denominators.  A tree's c_j vanish above its matching number nu, so each
 sum runs over c_0..c_nu (_nonzero_prefix) and asks for character values
-at j <= nu only; the hook characters and the Theorem 2 gap rows
-f_k chi_{k-1} - f_{k-1} chi_k are tables cached per (n, nu + 1).  The
+at j <= nu only; the hook characters (a closed form) and the Theorem 2
+gap rows f_k chi_{k-1} - f_{k-1} chi_k are tables cached per (n, nu+1).  The
 oracle expands the q-Laplacian's integer q-coefficient lists directly.
 RatPoly appears only where a polynomial leaves the module.
 
@@ -36,15 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .characters import (
     _mn,
     alpha_table,
     as_partition,
-    hook_shape,
     last_value,
     mn_character,
     partitions,
@@ -323,11 +323,18 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
 @lru_cache(maxsize=None)
 def _hook_char_data(n: int, width: int) -> tuple[tuple[int, ...], ...]:
     """chi_{hook_k}(2^j 1^(n-2j)) for k = 1..n, j < width; the j = 0
-    column is the degree of hook_k."""
-    return tuple(
-        tuple(mn_character(hook_shape(n, k), two_cycle_type(n, j))
-              for j in range(width))
-        for k in range(1, n + 1))
+    column is the degree of hook_k.  By the hook generating function at
+    -y, chi^(k,1^(n-k))(2^j 1^(n-2j)) = [y^(n-k)] (1+y)^(n-j-1) (1-y)^j,
+    so column j + 1 is column j times (1-y)/(1+y): a shifted subtract,
+    then an alternating prefix sum."""
+    column = list(accumulate(range(1, n), lambda c, m: c * (n - m) // m,
+                             initial=1))
+    columns = [column]
+    for _ in range(1, width):
+        column = list(accumulate(map(sub, column, [0] + column[:-1]),
+                                 lambda s, c: c - s))
+        columns.append(column)
+    return tuple(zip(*columns))[::-1]
 
 
 @lru_cache(maxsize=16)

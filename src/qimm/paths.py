@@ -284,9 +284,6 @@ class TwoRowSYT:
     def n(self) -> int:
         return len(self.row1) + len(self.row2)
 
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row1), len(self.row2))
-
     def descents(self) -> list[int]:
         """Positions i with i in row 1 and i+1 in row 2."""
         r1, r2 = set(self.row1), set(self.row2)

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from qimm import characters
+from qimm import characters, cli
 from qimm.claims import SweepConfig
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
@@ -119,12 +119,26 @@ def test_cap_flags_streams_unchanged(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
-def test_cap_flag_defaults_are_sweep_config_defaults():
+def test_cap_flag_defaults_are_sweep_config_defaults(monkeypatch, capsys):
+    # an untyped cap flag leaves no attribute, so SweepConfig holds the
+    # only defaults; each typed flag sets exactly its own field
     args = build_parser().parse_args(["verify", "all"])
-    flagged = {f.name for f in fields(SweepConfig) if hasattr(args, f.name)}
-    assert flagged == {
-        "n_max", "hook_n_max", "oracle_n_max", "random_count", "seed",
-        "alpha_n_max", "last_l_max", "sr_max", "sr_l_max",
-    }
-    for name in flagged:
-        assert getattr(args, name) == getattr(SweepConfig(), name), name
+    assert not any(hasattr(args, f.name) for f in fields(SweepConfig))
+    built = []
+    monkeypatch.setattr(cli, "run_claims",
+                        lambda which, sweep: built.append(sweep) or [])
+    assert main(["verify", "all"]) == 0
+    assert built.pop() == SweepConfig()
+    flags = {"--n-max": "n_max", "--hook-n-max": "hook_n_max",
+             "--oracle-n-max": "oracle_n_max",
+             "--random-trees": "random_count", "--seed": "seed",
+             "--alpha-n-max": "alpha_n_max", "--l-max": "last_l_max",
+             "--sr-max": "sr_max", "--sr-l-max": "sr_l_max"}
+    for flag, name in flags.items():
+        value = getattr(SweepConfig(), name) + 1
+        assert main(["verify", "all", flag, str(value)]) == 0
+        sweep = built.pop()
+        assert getattr(sweep, name) == value, flag
+        changed = {f.name for f in fields(SweepConfig)
+                   if getattr(sweep, f.name) != getattr(SweepConfig(), f.name)}
+        assert changed == {name}, flag

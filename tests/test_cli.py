@@ -6,7 +6,7 @@ import pytest
 from qimm import immanants
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
-from qimm.trees import path_tree, star_tree
+from qimm.trees import all_labeled_trees, path_tree, star_tree
 
 # SHA-256 of the stdout of every command `edge_argvs` yields for one
 # subcommand and tree, concatenated in order; recorded before q_laplacian
@@ -58,6 +58,23 @@ def test_tree_spec_parsing(tmp_path):
     assert parse_tree_spec(f"file:{f}") == path_tree(3)
     with pytest.raises(ValueError):
         parse_tree_spec("ring:4")
+
+
+def test_tree_labels_read_back():
+    # a verdict names its tree by label(); every label parses to that tree
+    for n in range(2, 7):
+        for tree in all_labeled_trees(n):
+            assert parse_tree_spec(tree.label()) == tree
+    assert path_tree(2).label() == "pruefer:@n=2"
+
+
+def test_tree_label_with_wrong_n_is_a_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "verify", "two-row", "--tree",
+                           "pruefer:1,1@n=4")
+    assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["all_ok"]
+    for spec in ("pruefer:1,1@n=5", "pruefer:1,1@n=3", "pruefer:@n=1"):
+        assert_usage_error(*run_cli(capsys, "verify", "two-row", "--tree",
+                                    spec))
 
 
 def test_q_grid_parsing():
@@ -248,6 +265,43 @@ def test_verify_hook_single_tree(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     claims = {v["claim"] for v in lines[:-1]}
     assert claims == {"thm1-weak", "thm1-strong"}
+
+
+CAP_ARGS = (("--n-max", "3"), ("--hook-n-max", "3"), ("--oracle-n-max", "3"),
+            ("--random-trees", "3"), ("--seed", "9"), ("--alpha-n-max", "3"),
+            ("--l-max", "3"), ("--sr-max", "3"), ("--sr-l-max", "3"),
+            ("--deep",), ("--n-max", "3", "--deep", "--seed", "9"))
+
+
+@pytest.mark.parametrize("which", ["two-row", "hook"])
+@pytest.mark.parametrize("args", CAP_ARGS, ids=" ".join)
+def test_verify_tree_refuses_sweep_flags(capsys, which, args):
+    # each sweep flag is named in the one error line, none is ignored
+    code, out, err = run_cli(capsys, "verify", which, "--tree", "star:6",
+                             *args)
+    assert_usage_error(code, out, err)
+    assert all(a in err for a in args if a.startswith("--"))
+
+
+def test_verify_tree_keeps_output_flags(capsys, tmp_path):
+    for which in ("two-row", "hook"):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run_cli(capsys, "verify", which, "--tree",
+                                     "star:6", "--format", fmt)
+            assert code == 0 and out and err == ""
+        target = tmp_path / f"{which}.jsonl"
+        code, out, _ = run_cli(capsys, "verify", which, "--tree", "star:6",
+                               "--out", str(target))
+        assert code == 0 and out == "" and target.read_text()
+
+
+def test_verify_hook_large_star_output_unchanged(capsys):
+    # SHA-256 of the stdout of `qimm verify hook --tree star:1200`,
+    # recorded before the hook characters came from their closed form
+    code, out, err = run_cli(capsys, "verify", "hook", "--tree", "star:1200")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f20cd4c653383b7570e8ff2e8dd6c221941162290d00794703927dbbd72c2e93")
 
 
 def test_verify_tree_flag_rejected_elsewhere(capsys):

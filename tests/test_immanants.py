@@ -5,7 +5,12 @@ from math import comb
 import pytest
 
 from qimm import immanants
-from qimm.characters import hook_shape, mn_character, partitions
+from qimm.characters import (
+    hook_shape,
+    mn_character,
+    partitions,
+    two_cycle_type,
+)
 from qimm.immanants import (
     LEMMA9_ERRATA,
     a_coeff_arrays,
@@ -261,11 +266,27 @@ def test_hook_chain_asks_characters_up_to_matching_number(monkeypatch):
     monkeypatch.setattr(
         immanants, "mn_character",
         lambda *args: calls.append(args) or mn_character(*args))
-    immanants._hook_char_data.cache_clear()
+    table = immanants._hook_char_data
+    asked = []
+    monkeypatch.setattr(
+        immanants, "_hook_char_data",
+        lambda *args: asked.append(args) or table(*args))
+    table.cache_clear()
     n = 60
     verdicts = check_hook_chain(star_tree(n))
     assert len(calls) <= 2 * n
+    assert asked == [(n, 2)]
     assert len(verdicts) == 2 * (n - 1) and all(v.holds for v in verdicts)
+
+
+def test_hook_char_table_matches_murnaghan_nakayama():
+    # the closed form against the general recursion, every column j <= n/2
+    for n in range(1, 15):
+        width = n // 2 + 1
+        assert immanants._hook_char_data(n, width) == tuple(
+            tuple(mn_character(hook_shape(n, k), two_cycle_type(n, j))
+                  for j in range(width))
+            for k in range(1, n + 1)), n
 
 
 def test_hook_chain_p2_boundary():
