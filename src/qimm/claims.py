@@ -23,10 +23,10 @@ from .immanants import (
     a_coeff_arrays,
     check_alpha_ratios,
     check_general_sr,
-    check_hook_chain,
     check_last_row_ratios,
     default_q_grid,
     eq5_holds,
+    hook_margins,
     oracle_equivalence_report,
     two_row_gaps,
 )
@@ -47,6 +47,7 @@ from .paths import (
 )
 from .ratpoly import conv
 from .trees import (
+    ALL_TREES_MAX_N,
     Tree,
     all_labeled_trees,
     matching_weight_arrays,
@@ -62,7 +63,9 @@ CONV_L_MAX = 8
 class SweepConfig:
     """Caps for the verification sweeps.  `deepen` (the CLI's --deep)
     raises the tree caps and the path caps; the CLI's cap flags take
-    these fields as their destinations and defaults."""
+    these fields as their destinations and defaults.  A config, deepened
+    or not, is checked when built, so no sweep starts on a cap it cannot
+    reach; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -78,6 +81,16 @@ class SweepConfig:
     double_l_max: int = 7
     count_n_max: int = 14
     prob_n_max: int = 14
+
+    def __post_init__(self):
+        object.__setattr__(self, "exhaustive_tree_max",
+                           min(self.exhaustive_tree_max, self.n_max))
+        for name in ("hook_n_max", "oracle_n_max", "exhaustive_tree_max"):
+            if getattr(self, name) > ALL_TREES_MAX_N:
+                raise ValueError(f"{name} = {getattr(self, name)} is above "
+                                 f"the tree cap n <= {ALL_TREES_MAX_N}")
+        if self.random_count < 1:
+            raise ValueError("random_count must be at least 1")
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -130,24 +143,24 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
 
 def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
     """Theorem 1 weak and strong hook chains on the default exact q grid;
-    the smallest margin per claim comes from the per-tree verdicts."""
+    the smallest margin per claim is the first minimum of hook_margins in
+    sweep order."""
     grid = default_q_grid()
     verdicts = []
     for n in range(5, config.hook_n_max + 1):
         checked = 0
-        worst: dict[str, tuple[Fraction, str, int]] = {}
-        failures = []
+        worst: dict[str, tuple[Fraction, Tree, int]] = {}
+        failures: dict[str, list[str]] = {"thm1-weak": [], "thm1-strong": []}
         for tree in all_labeled_trees(n):
             checked += 1
-            for v in check_hook_chain(tree, grid):
-                gap, _ = v.margin
-                if v.claim not in worst or gap < worst[v.claim][0]:
-                    worst[v.claim] = (gap, v.params["tree"], v.params["k"])
-                if not v.holds:
-                    failures.append(v)
-        for claim in ("thm1-weak", "thm1-strong"):
-            gap, lbl, k = worst[claim]
-            fails = [f for f in failures if f.claim == claim]
+            for claim, k, gap, q in hook_margins(tree, grid):
+                if claim not in worst or gap < worst[claim][0]:
+                    worst[claim] = (gap, tree, k)
+                if gap < 0:
+                    failures[claim].append(
+                        f"{tree.label()} k={k}: negative gap {gap} at q={q}")
+        for claim, fails in failures.items():
+            gap, tree, k = worst[claim]
             verdicts.append(
                 InequalityVerdict(
                     claim=claim,
@@ -155,11 +168,8 @@ def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
                             "grid": f"{len(grid)} points"},
                     holds=not fails,
                     witness=f"{checked} trees; min gap {gap} "
-                            f"({lbl}, k={k})",
-                    detail="; ".join(
-                        f"{f.params['tree']} k={f.params['k']}: {f.detail}"
-                        for f in fails[:5]
-                    ),
+                            f"({tree.label()}, k={k})",
+                    detail="; ".join(fails[:5]),
                 )
             )
     return verdicts

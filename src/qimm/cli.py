@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -165,15 +165,11 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(
-            ["claim", "params", "holds", "degenerate", "asserted",
-             "witness", "detail"]
-        )
+        w.writerow(f.name for f in fields(InequalityVerdict))
         for v in verdicts:
-            w.writerow(
-                [v.claim, json.dumps(v.params, sort_keys=True), v.holds,
-                 v.degenerate, v.asserted, v.witness, v.detail]
-            )
+            row = v.to_json()
+            row["params"] = json.dumps(v.params, sort_keys=True)
+            w.writerow(row.values())
         return buf.getvalue()
     lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
     lines.append(json.dumps({"summary": summarize(verdicts)}, sort_keys=True))
@@ -257,8 +253,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             verdicts = check_hook_chain(tree, grid)
     else:
         sweep = SweepConfig(**caps)
-        sweep = replace(sweep, exhaustive_tree_max=min(
-            sweep.exhaustive_tree_max, sweep.n_max))
         if args.deep:
             sweep = sweep.deepen()
         verdicts = run_claims(args.which, sweep)

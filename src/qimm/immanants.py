@@ -23,17 +23,18 @@ gap rows f_k chi_{k-1} - f_{k-1} chi_k are tables cached per (n, nu+1).  The
 oracle expands the q-Laplacian's integer q-coefficient lists directly.
 RatPoly appears only where a polynomial leaves the module.
 
-Verifier results are InequalityVerdict records.  `holds` is the honest
-outcome of the exact check; `degenerate` marks instances whose ratio form
-divides by zero; `asserted` marks instances inside the range this artifact
-vouches for.  The stated ranges of the last-row ratio lemmas contain a few
-small counterexamples refuted by the published triangle itself (see
+Verifier results are InequalityVerdict records (sweeps read the gaps
+from hook_margins and two_row_gaps).  `holds` is the honest outcome of
+the exact check; `degenerate` marks instances whose ratio form divides by
+zero; `asserted` marks instances inside the range this artifact vouches
+for.  The stated ranges of the last-row ratio lemmas contain a few small
+counterexamples refuted by the published triangle itself (see
 LEMMA9_ERRATA); those are reported, not asserted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -72,29 +73,19 @@ REM12_ERRATA = frozenset({(1, 1, 2, 1)})  # (s, r, l, k)
 
 @dataclass
 class InequalityVerdict:
-    """One exact check.  `margin` is the structured form of a grid
-    witness, (smallest gap, q where it occurs); it is not serialized."""
+    """One exact check.  The fields, in order, are the serialized form:
+    the keys of to_json() and the verify CSV header."""
 
     claim: str
     params: dict
     holds: bool
-    witness: str = ""
     degenerate: bool = False
     asserted: bool = True
+    witness: str = ""
     detail: str = ""
-    margin: tuple[Fraction, Fraction] | None = field(
-        default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "holds": self.holds,
-            "witness": self.witness,
-            "degenerate": self.degenerate,
-            "asserted": self.asserted,
-            "detail": self.detail,
-        }
+        return dict(vars(self))
 
 
 def default_q_grid() -> tuple[Fraction, ...]:
@@ -206,6 +197,15 @@ def _nonzero_prefix(weights: Sequence[Sequence[int]]
     return weights[:nu + 1]
 
 
+def _matching_sum(n: int, weights: Sequence[Sequence[int]],
+                  shape: tuple[int, ...]) -> list[int]:
+    """sum_j chi_shape(2^j 1^(n-2j)) c_j in t: the matching route, shared
+    by immanant_tree and the oracle that checks it."""
+    weights = _nonzero_prefix(weights)
+    return _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
+                                   for j in range(len(weights))])
+
+
 def immanant_tree(tree: Tree, shape: Sequence[int],
                   normalized: bool = False) -> RatPoly:
     """Matching-involution route: sum_j chi_shape(2^j 1^(n-2j)) c_j(q)."""
@@ -213,9 +213,7 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
     n = tree.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != tree size {n}")
-    weights = _nonzero_prefix(matching_weight_arrays(tree))
-    total = _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
-                                    for j in range(len(weights))])
+    total = _matching_sum(n, matching_weight_arrays(tree), shape)
     return from_t(total, syt_count(shape) if normalized else 1)
 
 
@@ -360,26 +358,26 @@ def _grid_table(grid: tuple[Fraction, ...], degree: int
     return tuple(firsts.values()), tuple(rows), denom
 
 
-def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
-                     ) -> list[InequalityVerdict]:
-    """Weak and strong hook inequalities on an exact rational grid.
+def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
+                 ) -> list[tuple[str, int, Fraction, Fraction]]:
+    """(claim, k, smallest gap, q where it occurs) of the weak hook
+    inequalities for k = 2..n, then the strong ones, on an exact grid.
 
     Weak: imm_{k-1} <= imm_k.  Strong, cleared of denominators:
     (k-1) imm_{k-1} + (q^2 - 1) <= (k-2) imm_k.
 
     Both gaps are integer t-polynomials once multiplied by the hook
     degrees f_{k-1} f_k > 0.  Each is evaluated once per distinct t = q^2
-    of the grid; the grid is scanned in order with strict <, so the first
-    grid point wins ties.  The margin of each verdict is (gap, q).
+    of the grid; the grid is scanned in order, so the first grid point
+    wins ties.
     """
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
-    label = tree.label()
     weights = _nonzero_prefix(matching_weight_arrays(tree))
     chars = _hook_char_data(n, len(weights))
     hooks = [_weighted_sum(weights, ch) for ch in chars]
     qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)
-    verdicts = []
+    margins = []
     for claim in ("thm1-weak", "thm1-strong"):
         for k in range(2, n + 1):
             lo, hi = hooks[k - 2], hooks[k - 1]
@@ -393,20 +391,25 @@ def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
                 gap[1] -= f_lo * f_hi
             values = [sum(map(mul, gap, row)) for row in rows]
             low = min(values)
-            at = qs[values.index(low)]
-            value = Fraction(low, denom * f_lo * f_hi)
-            verdicts.append(
-                InequalityVerdict(
-                    claim=claim,
-                    params={"n": n, "tree": label, "k": k},
-                    holds=low >= 0,
-                    witness=f"min gap {value} at q={at}",
-                    detail="" if low >= 0
-                    else f"negative gap {value} at q={at}",
-                    margin=(value, at),
-                )
-            )
-    return verdicts
+            margins.append((claim, k, Fraction(low, denom * f_lo * f_hi),
+                            qs[values.index(low)]))
+    return margins
+
+
+def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
+                     ) -> list[InequalityVerdict]:
+    """One verdict per hook_margins entry, holding when its gap is >= 0."""
+    n, label = tree.n, tree.label()
+    return [
+        InequalityVerdict(
+            claim=claim,
+            params={"n": n, "tree": label, "k": k},
+            holds=gap >= 0,
+            witness=f"min gap {gap} at q={q}",
+            detail="" if gap >= 0 else f"negative gap {gap} at q={q}",
+        )
+        for claim, k, gap, q in hook_margins(tree, q_grid)
+    ]
 
 
 # -- alpha ratio inequalities -----------------------------------------------
@@ -453,16 +456,8 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
             )
             verdicts.append(v)
             if i < half:
-                verdicts.append(
-                    InequalityVerdict(
-                        claim="lem6",
-                        params={"n": n, "k": k, "i": i},
-                        holds=v.holds,
-                        witness=v.witness,
-                        degenerate=v.degenerate,
-                        asserted=not v.degenerate,
-                    )
-                )
+                verdicts.append(replace(v, claim="lem6", detail="",
+                                        asserted=not v.degenerate))
     return verdicts
 
 
@@ -580,11 +575,10 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
     compared as integer q-coefficient lists."""
     n = tree.n
     buckets = _bruteforce_buckets(q_laplacian(tree))
-    weights = _nonzero_prefix(matching_weight_arrays(tree))
+    weights = matching_weight_arrays(tree)
     results = []
     for shape in partitions(n):
-        in_t = _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
-                                       for j in range(len(weights))])
+        in_t = _matching_sum(n, weights, shape)
         lhs = [0] * (2 * len(in_t))
         lhs[::2] = in_t
         rhs = _combine_buckets(buckets, shape)

@@ -77,6 +77,21 @@ def test_deepen_field_by_field():
     assert SweepConfig().deepen().exhaustive_tree_max == 8
 
 
+def test_sweep_config_checked_when_built():
+    # the exhaustive cap is cut to n_max, deepened configs included
+    assert SweepConfig(n_max=6).exhaustive_tree_max == 6
+    assert SweepConfig(n_max=6).deepen().exhaustive_tree_max == 7
+    for field, caps in (
+            ("hook_n_max", {"hook_n_max": 10}),
+            ("oracle_n_max", {"oracle_n_max": 10}),
+            ("exhaustive_tree_max", {"n_max": 12, "exhaustive_tree_max": 10}),
+            ("random_count", {"random_count": 0})):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**caps)
+    with pytest.raises(ValueError, match="hook_n_max"):
+        SweepConfig(hook_n_max=9).deepen()
+
+
 def test_deep_paths_and_probability_streams_unchanged(capsys):
     for which, want in GOLDEN_DEEP.items():
         assert main(["verify", which, "--deep", "--format", "json"]) == 0

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import time
+from dataclasses import fields
 
 import pytest
 
 from qimm import immanants
+from qimm.immanants import InequalityVerdict, check_two_row_chain
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import all_labeled_trees, path_tree, star_tree
@@ -302,6 +305,31 @@ def test_verify_hook_large_star_output_unchanged(capsys):
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f20cd4c653383b7570e8ff2e8dd6c221941162290d00794703927dbbd72c2e93")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("hook", "--hook-n-max", "10"), "hook_n_max"),
+    (("all", "--oracle-n-max", "10"), "oracle_n_max"),
+    (("hook", "--hook-n-max", "9", "--deep"), "hook_n_max"),
+    (("two-row", "--random-trees", "0"), "random_count"),
+], ids=" ".join)
+def test_sweep_caps_refused_before_any_sweep(capsys, argv, field):
+    # a cap past the exhaustive tree cap (n <= 9), --deep included, or an
+    # empty random sample fails at once instead of sweeping first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 2
+    assert_usage_error(code, out, err)
+    assert field in err
+
+
+def test_verdict_fields_are_its_serialized_form(capsys):
+    names = [f.name for f in fields(InequalityVerdict)]
+    assert list(check_two_row_chain(star_tree(6))[0].to_json()) == names
+    code, out, _ = run_cli(capsys, "verify", "two-row", "--tree", "star:6",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0].split(",") == names
 
 
 def test_verify_tree_flag_rejected_elsewhere(capsys):

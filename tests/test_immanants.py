@@ -22,6 +22,7 @@ from qimm.immanants import (
     check_two_row_chain,
     eq5_reconstruction_ok,
     extract_a_coeffs,
+    hook_margins,
     immanant_bruteforce,
     immanant_tree,
     normalized_two_row_immanants,
@@ -123,6 +124,19 @@ def test_oracle_equivalence_small():
     for n in range(2, 6):
         for tree in all_labeled_trees(n):
             assert all(ok for _, ok in oracle_equivalence_report(tree))
+
+
+def test_oracle_checks_the_matching_route(monkeypatch):
+    # immanant_tree and the oracle share one matching-route sum, so a
+    # fault in it shows as an oracle mismatch
+    tree = path_tree(5)
+    route = immanants._matching_sum
+    monkeypatch.setattr(
+        immanants, "_matching_sum",
+        lambda *args: [c + 1 for c in route(*args)])
+    assert immanant_tree(tree, (3, 2)) != immanant_bruteforce(
+        q_laplacian(tree), (3, 2))
+    assert not any(ok for _, ok in oracle_equivalence_report(tree))
 
 
 def test_normalized_at_zero_is_one():
@@ -251,10 +265,11 @@ def test_hook_chain_matches_immanant_evaluation(grid):
                 tree, grid if grid is not None else default_q_grid())
             verdicts = check_hook_chain(tree, grid)
             assert len(verdicts) == len(expected)
-            for v in verdicts:
+            margins = hook_margins(tree, grid)
+            for v, (claim, k, gap, q) in zip(verdicts, margins, strict=True):
+                assert (claim, k) == (v.claim, v.params["k"])
                 want = expected[v.claim, v.params["k"]]
                 assert v.witness == want, (tree.label(), v.claim)
-                gap, q = v.margin
                 assert want == f"min gap {gap} at q={q}"
                 assert v.holds == (gap >= 0)
 
