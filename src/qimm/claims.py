@@ -9,9 +9,10 @@ lem22, rem20, a0-identity, oracle-equivalence.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .characters import (
     alpha_table,
@@ -19,6 +20,7 @@ from .characters import (
     poly_power_coeffs,
 )
 from .immanants import (
+    THEOREM_MIN_N,
     InequalityVerdict,
     a_coeff_arrays,
     check_alpha_ratios,
@@ -58,6 +60,11 @@ from .trees import (
 RIORDAN_L_MAX = 12
 CONV_L_MAX = 8
 
+SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
+                   oracle_n_max=2, alpha_n_max=2, last_l_max=2, count_n_max=2,
+                   prob_n_max=2, sr_max=1, sr_l_max=1, callan_l_max=1,
+                   double_l_max=1)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -65,7 +72,7 @@ class SweepConfig:
     raises the tree caps and the path caps; the CLI's cap flags take
     these fields as their destinations and defaults.  A config, deepened
     or not, is checked when built, so no sweep starts on a cap it cannot
-    reach; exhaustive_tree_max is cut to n_max."""
+    reach or below its SWEEP_START; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -91,6 +98,10 @@ class SweepConfig:
                                  f"the tree cap n <= {ALL_TREES_MAX_N}")
         if self.random_count < 1:
             raise ValueError("random_count must be at least 1")
+        for name, start in SWEEP_START.items():
+            if getattr(self, name) < start:
+                raise ValueError(f"{name} = {getattr(self, name)} checks "
+                                 f"nothing: its sweep starts at {start}")
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -106,38 +117,47 @@ class SweepConfig:
             prob_n_max=self.prob_n_max + 2,
         )
 
+    def span(self, cap: str) -> range:
+        """The values a capped sweep visits: SWEEP_START[cap] to the cap."""
+        return range(SWEEP_START[cap], getattr(self, cap) + 1)
+
+
+def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
+    """Run `check`, which yields (claim, what failed), on every tree: the
+    tree count and each claim's failures, prefixed by the tree's label."""
+    checked, failures = 0, defaultdict(list)
+    for checked, tree in enumerate(trees, 1):
+        for claim, what in check(tree):
+            failures[claim].append(f"{tree.label()} {what}")
+    return checked, failures
+
+
+def _tree_verdict(claim, params, fails, witness) -> InequalityVerdict:
+    """Holds when no tree failed; detail names the first five failures."""
+    return InequalityVerdict(claim=claim, params=params, holds=not fails,
+                             witness=witness, detail="; ".join(fails[:5]))
+
 
 def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
     """Theorem 2 sweep: exhaustive over labeled trees for small n, seeded
     random sampling above the exhaustive cap."""
+    def check(tree):
+        gaps = two_row_gaps(tree.n, matching_weight_arrays(tree))
+        for k, gap in enumerate(gaps, 1):
+            if any(c < 0 for c in gap):
+                yield "thm2", f"k={k}: {gap}"
     verdicts = []
-    for n in range(5, config.n_max + 1):
-        exhaustive = n <= config.exhaustive_tree_max
-        if exhaustive:
-            source: Iterable[Tree] = all_labeled_trees(n)
-            src_label = "all"
+    for n in config.span("n_max"):
+        if n <= config.exhaustive_tree_max:
+            source, src_label = all_labeled_trees(n), "all"
         else:
             source = random_trees(n, config.random_count, config.seed)
             src_label = f"random:{config.random_count}:seed={config.seed}"
-        checked = 0
-        failures = []
-        for tree in source:
-            checked += 1
-            gaps = two_row_gaps(n, matching_weight_arrays(tree))
-            for k, gap in enumerate(gaps, 1):
-                if any(c < 0 for c in gap):
-                    failures.append((tree.label(), k, gap))
-        verdicts.append(
-            InequalityVerdict(
-                claim="thm2",
-                params={"n": n, "trees": src_label, "k": f"1..{n // 2}"},
-                holds=not failures,
-                witness=f"{checked} trees, {len(failures)} violations",
-                detail="; ".join(
-                    f"{lbl} k={k}: {w}" for lbl, k, w in failures[:5]
-                ),
-            )
-        )
+        checked, failures = _walk(source, check)
+        fails = failures["thm2"]
+        verdicts.append(_tree_verdict(
+            "thm2", {"n": n, "trees": src_label, "k": f"1..{n // 2}"}, fails,
+            f"{checked} trees, {len(fails)} violations"))
     return verdicts
 
 
@@ -147,52 +167,38 @@ def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
     sweep order."""
     grid = default_q_grid()
     verdicts = []
-    for n in range(5, config.hook_n_max + 1):
-        checked = 0
-        worst: dict[str, tuple[Fraction, Tree, int]] = {}
-        failures: dict[str, list[str]] = {"thm1-weak": [], "thm1-strong": []}
-        for tree in all_labeled_trees(n):
-            checked += 1
+    for n in config.span("hook_n_max"):
+        worst: dict[str, tuple[Fraction, Tree, int]] = {}  # weak, strong
+
+        def check(tree):
             for claim, k, gap, q in hook_margins(tree, grid):
                 if claim not in worst or gap < worst[claim][0]:
                     worst[claim] = (gap, tree, k)
                 if gap < 0:
-                    failures[claim].append(
-                        f"{tree.label()} k={k}: negative gap {gap} at q={q}")
-        for claim, fails in failures.items():
-            gap, tree, k = worst[claim]
-            verdicts.append(
-                InequalityVerdict(
-                    claim=claim,
-                    params={"n": n, "trees": "all",
-                            "grid": f"{len(grid)} points"},
-                    holds=not fails,
-                    witness=f"{checked} trees; min gap {gap} "
-                            f"({tree.label()}, k={k})",
-                    detail="; ".join(fails[:5]),
-                )
-            )
+                    yield claim, f"k={k}: negative gap {gap} at q={q}"
+
+        checked, failures = _walk(all_labeled_trees(n), check)
+        for claim, (gap, tree, k) in worst.items():
+            verdicts.append(_tree_verdict(
+                claim, {"n": n, "trees": "all", "grid": f"{len(grid)} points"},
+                failures[claim],
+                f"{checked} trees; min gap {gap} ({tree.label()}, k={k})"))
     return verdicts
 
 
 def verify_alpha_ratios(config: SweepConfig) -> list[InequalityVerdict]:
     """lem6 and lem13 for n up to alpha_n_max; lem9, cor10, lem11 for rows
     of the last-row triangle up to last_l_max."""
-    verdicts = []
-    for n in range(2, config.alpha_n_max + 1):
-        verdicts.extend(check_alpha_ratios(n))
-    for l in range(2, config.last_l_max + 1):
-        verdicts.extend(check_last_row_ratios(l))
-    return verdicts
+    return ([v for n in config.span("alpha_n_max")
+             for v in check_alpha_ratios(n)]
+            + [v for l in config.span("last_l_max")
+               for v in check_last_row_ratios(l)])
 
 
 def verify_general_sr(config: SweepConfig) -> list[InequalityVerdict]:
-    verdicts = []
-    for s in range(1, config.sr_max + 1):
-        for r in range(1, config.sr_max + 1):
-            for l in range(1, config.sr_l_max + 1):
-                verdicts.extend(check_general_sr(l, s, r))
-    return verdicts
+    return [v for s in config.span("sr_max") for r in config.span("sr_max")
+            for l in config.span("sr_l_max")
+            for v in check_general_sr(l, s, r)]
 
 
 # -- path claims ---------------------------------------------------------------
@@ -213,7 +219,7 @@ def verify_callan(config: SweepConfig) -> list[InequalityVerdict]:
             witness="f(UDDUUUUH), f^-1(UDDHDUUU)",
         )
     )
-    for l in range(1, config.callan_l_max + 1):
+    for l in config.span("callan_l_max"):
         table = last_table(l)
         for k in range(l + 1):
             u_here = enumerate_paths("UHD", l, l - k)
@@ -244,7 +250,7 @@ def verify_callan(config: SweepConfig) -> list[InequalityVerdict]:
 def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
     """lem16-bij: the doubled image is exactly the odd-peak-free slice."""
     verdicts = []
-    for l in range(1, config.double_l_max + 1):
+    for l in config.span("double_l_max"):
         table = last_table(l)
         for k in range(l + 1):
             grp = enumerate_paths("GRP", l, l - k)
@@ -279,7 +285,7 @@ def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
     """lem18 (even n) and lem19 (odd n): restricted path counts equal the
     alpha table entrywise."""
     verdicts = []
-    for n in range(2, config.count_n_max + 1):
+    for n in config.span("count_n_max"):
         claim = "lem18" if n % 2 == 0 else "lem19"
         half = n // 2
         table = alpha_table(n)
@@ -304,7 +310,7 @@ def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
     path class and tableau shape is listed once per n; every i reads a
     prefix of its histogram."""
     verdicts = []
-    for n in range(2, config.prob_n_max + 1):
+    for n in config.span("prob_n_max"):
         path_seqs = probability_sequences(n)
         for i, seq in enumerate(path_seqs):
             verdicts.append(
@@ -358,7 +364,7 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
                 witness=f"alpha={lhs}, sum={rhs}",
             )
         )
-    for n in range(2, config.count_n_max + 1):
+    for n in config.span("count_n_max"):
         half = n // 2
         table = alpha_table(n)
         for i in range(half + 1):
@@ -384,24 +390,17 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
 def verify_oracle(config: SweepConfig) -> list[InequalityVerdict]:
     """oracle-equivalence: matching route equals brute force for every
     labeled tree and every shape, n <= oracle_n_max."""
+    def check(tree):
+        for shape, ok in oracle_equivalence_report(tree):
+            if not ok:
+                yield "oracle-equivalence", str(shape)
     verdicts = []
-    for n in range(2, config.oracle_n_max + 1):
-        checked = 0
-        bad = []
-        for tree in all_labeled_trees(n):
-            checked += 1
-            for shape, ok in oracle_equivalence_report(tree):
-                if not ok:
-                    bad.append((tree.label(), shape))
-        verdicts.append(
-            InequalityVerdict(
-                claim="oracle-equivalence",
-                params={"n": n, "trees": "all", "shapes": "all partitions"},
-                holds=not bad,
-                witness=f"{checked} trees",
-                detail="; ".join(f"{t} {s}" for t, s in bad[:5]),
-            )
-        )
+    for n in config.span("oracle_n_max"):
+        checked, failures = _walk(all_labeled_trees(n), check)
+        verdicts.append(_tree_verdict(
+            "oracle-equivalence",
+            {"n": n, "trees": "all", "shapes": "all partitions"},
+            failures["oracle-equivalence"], f"{checked} trees"))
     return verdicts
 
 
@@ -409,31 +408,23 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
     """a0-identity: a_0 = 1 - q^2; a_i even with nonnegative coefficients
     for i >= 1; reconstruction through the alpha table is exact.  On t =
     q^2 arrays a_i is even by construction and a_0 reads [1, -1]."""
+    def check(tree):
+        weights = matching_weight_arrays(tree)
+        a = a_coeff_arrays(weights)
+        if a[0] != [1, -1]:  # then only a0 is reported
+            yield "a0-identity", "a0"
+            return
+        for i in range(1, len(a)):
+            if any(c < 0 for c in a[i]):
+                yield "a0-identity", f"a{i}"
+        if not eq5_holds(tree.n, weights, a):
+            yield "a0-identity", "reconstruction"
     verdicts = []
-    for n in range(2, config.oracle_n_max + 1):
-        checked = 0
-        bad = []
-        for tree in all_labeled_trees(n):
-            checked += 1
-            weights = matching_weight_arrays(tree)
-            a = a_coeff_arrays(weights)
-            if a[0] != [1, -1]:
-                bad.append((tree.label(), "a0"))
-                continue
-            for i in range(1, len(a)):
-                if any(c < 0 for c in a[i]):
-                    bad.append((tree.label(), f"a{i}"))
-            if not eq5_holds(n, weights, a):
-                bad.append((tree.label(), "reconstruction"))
-        verdicts.append(
-            InequalityVerdict(
-                claim="a0-identity",
-                params={"n": n, "trees": "all"},
-                holds=not bad,
-                witness=f"{checked} trees",
-                detail="; ".join(f"{t} {w}" for t, w in bad[:5]),
-            )
-        )
+    for n in config.span("oracle_n_max"):
+        checked, failures = _walk(all_labeled_trees(n), check)
+        verdicts.append(_tree_verdict(
+            "a0-identity", {"n": n, "trees": "all"}, failures["a0-identity"],
+            f"{checked} trees"))
     return verdicts
 
 

@@ -66,6 +66,8 @@ CAP_FLAGS = (
 
 
 def parse_tree_spec(spec: str) -> Tree:
+    if spec == "n1":  # the label of the one-vertex tree
+        return Tree(1, ())
     kind, _, rest = spec.partition(":")
     if kind == "path":
         return path_tree(int(rest))
@@ -246,6 +248,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--tree checks one tree and takes no sweep "
                              f"flag: {', '.join(ignored)}")
         tree = parse_tree_spec(args.tree)
+        if tree.n < 2:
+            raise ValueError("--tree needs a tree on at least 2 vertices")
         if args.which == "two-row":
             verdicts = check_two_row_chain(tree)
         else:

@@ -60,6 +60,10 @@ from .trees import PolyMatrix, Tree, matching_weight_arrays, q_laplacian
 
 BRUTEFORCE_MAX_N = 9
 
+# Theorems 1 and 2 hold for trees on n >= 5 vertices (P_4 fails thm2 at
+# k = 2): their sweeps start here; thm2 and lem13 below it are unasserted.
+THEOREM_MIN_N = 5
+
 # (l, k) pairs where the stated range of the last-row ratio lemma is
 # contradicted by the published triangle (checked exhaustively to l=120).
 LEMMA9_ERRATA = frozenset({(3, 1), (4, 3), (6, 5)})
@@ -289,8 +293,8 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
     That certificate is sufficient for the inequality at every real q and
     is what the term-by-term proof produces.  On t = q^2 arrays evenness
     holds by construction, so the check is coefficientwise nonnegativity.
-    Instances with n < 5 are reported but not asserted (the path on four
-    vertices genuinely fails at k = 2 for large |q|).
+    Instances with n < THEOREM_MIN_N are reported but not asserted (the
+    path on four vertices genuinely fails at k = 2 for large |q|).
     """
     n = tree.n
     dims = [two_row_dimension(n, k) for k in range(n // 2 + 1)]
@@ -308,7 +312,7 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
                 params={"n": n, "tree": label, "k": k},
                 holds=holds,
                 witness=witness,
-                asserted=n >= 5,
+                asserted=n >= THEOREM_MIN_N,
                 detail=detail,
             )
         )
@@ -452,7 +456,7 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
                 {"n": n, "k": k, "i": i},
                 table.get(k + 1, i), table.get(k + 1, 0),
                 table.get(k, i), table.get(k, 0),
-                asserted=n >= 5,
+                asserted=n >= THEOREM_MIN_N,
             )
             verdicts.append(v)
             if i < half:

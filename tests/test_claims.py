@@ -1,11 +1,12 @@
 import contextlib
 import hashlib
 import io
+import json
 from dataclasses import fields
 
 import pytest
 
-from qimm import characters, cli
+from qimm import characters, claims, cli
 from qimm.claims import SweepConfig
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
@@ -42,6 +43,13 @@ GOLDEN_DEFAULT = (
     "3df2a954fd22a1f7b59b799805ceeb2b43864dfadd09839754ea4fb471708380")
 
 
+# SHA-256 of the JSON lines of the four labeled-tree sweeps with every
+# per-tree check forced to fail on some trees (see `failing_tree_sweeps`),
+# recorded before the four sweeps shared one walk.
+GOLDEN_FORCED_FAILURES = (
+    "60a4ea9df21758b894c53f570d8dd074f73899dd8d87deff028bb14a8874e6dc")
+
+
 def explicit_deepen(c: SweepConfig) -> SweepConfig:
     """Every cap of `deepen`, written out by hand."""
     return SweepConfig(
@@ -64,7 +72,7 @@ def explicit_deepen(c: SweepConfig) -> SweepConfig:
 
 def test_deepen_field_by_field():
     custom = SweepConfig(
-        n_max=5, exhaustive_tree_max=7, hook_n_max=3, oracle_n_max=6,
+        n_max=5, exhaustive_tree_max=7, hook_n_max=5, oracle_n_max=6,
         random_count=7, seed=11, alpha_n_max=9, last_l_max=10, sr_l_max=4,
         sr_max=2, callan_l_max=3, double_l_max=2, count_n_max=6,
         prob_n_max=5,
@@ -90,6 +98,18 @@ def test_sweep_config_checked_when_built():
             SweepConfig(**caps)
     with pytest.raises(ValueError, match="hook_n_max"):
         SweepConfig(hook_n_max=9).deepen()
+    # a cap below its sweep's first value checks nothing and is refused;
+    # at its first value every sweep yields a verdict
+    assert len(claims.SWEEP_START) == 11
+    for field, start in claims.SWEEP_START.items():
+        with pytest.raises(ValueError, match=f"{field} = {start - 1} checks "
+                                             f"nothing"):
+            SweepConfig(**{field: start - 1})
+    lowest = SweepConfig(**claims.SWEEP_START)
+    for which in ("two_row", "hook", "alpha_ratios", "general_sr", "callan",
+                  "doubling", "counting", "probability", "identities",
+                  "oracle", "a_coeffs"):
+        assert getattr(claims, f"verify_{which}")(lowest), which
 
 
 def test_deep_paths_and_probability_streams_unchanged(capsys):
@@ -157,3 +177,68 @@ def test_cap_flag_defaults_are_sweep_config_defaults(monkeypatch, capsys):
         changed = {f.name for f in fields(SweepConfig)
                    if getattr(sweep, f.name) != getattr(SweepConfig(), f.name)}
         assert changed == {name}, flag
+
+
+def _spread(weights):
+    # a deterministic number per weight table, to pick the trees that fail
+    return sum(j * c for j, arr in enumerate(weights) for c in arr)
+
+
+def failing_tree_sweeps(monkeypatch):
+    """The thm2, thm1, oracle and a0-identity sweeps on a small config,
+    with each per-tree check patched to fail on some trees: negative
+    two-row and hook gaps, oracle mismatches, and a0, a<i> and
+    reconstruction failures."""
+    two_row_gaps, hook_margins = claims.two_row_gaps, claims.hook_margins
+    oracle, a_coeffs = claims.oracle_equivalence_report, claims.a_coeff_arrays
+    eq5 = claims.eq5_holds
+
+    def gaps(n, weights):
+        out = two_row_gaps(n, weights)
+        return [[-1, *g] if (_spread(weights) + k) % 5 == 0 else g
+                for k, g in enumerate(out, 1)]
+
+    def margins(tree, grid):
+        shift = sum(map(sum, tree.edges)) % 7
+        return [(claim, k, gap - (shift * k if claim == "thm1-weak"
+                                  else (shift == 3) * k * k), q)
+                for claim, k, gap, q in hook_margins(tree, grid)]
+
+    def oracle_report(tree):
+        pick = tree.n + tree.edges[0][1]
+        return [(shape, ok and (pick + len(shape)) % 4 > 0)
+                for shape, ok in oracle(tree)]
+
+    def a_arrays(weights):
+        a = a_coeffs(weights)
+        pick = _spread(weights) % 6
+        if pick == 1:
+            a[0], a[-1] = [1, 0], [-1]
+        elif pick == 2 and len(a) > 1:
+            a[-1] = [-3, *a[-1]]
+        return a
+
+    def eq5_ok(n, weights, a):
+        return eq5(n, weights, a) and _spread(weights) % 4 != 3
+
+    for name, fake in (("two_row_gaps", gaps), ("hook_margins", margins),
+                       ("oracle_equivalence_report", oracle_report),
+                       ("a_coeff_arrays", a_arrays), ("eq5_holds", eq5_ok)):
+        monkeypatch.setattr(claims, name, fake)
+    config = SweepConfig(n_max=7, exhaustive_tree_max=6, random_count=7,
+                         seed=3, hook_n_max=6, oracle_n_max=5)
+    return [v for sweep in (claims.verify_two_row, claims.verify_hook,
+                            claims.verify_oracle, claims.verify_a_coeffs)
+            for v in sweep(config)]
+
+
+def test_failing_tree_sweeps_report_unchanged(monkeypatch):
+    verdicts = failing_tree_sweeps(monkeypatch)
+    failed = {v.claim for v in verdicts if not v.holds}
+    assert failed == {"thm2", "thm1-weak", "thm1-strong",
+                      "oracle-equivalence", "a0-identity"}
+    details = " ".join(v.detail for v in verdicts)
+    assert all(f" {w}" in details for w in ("a0", "a2", "reconstruction"))
+    out = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
+                  for v in verdicts)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FORCED_FAILURES

@@ -9,7 +9,7 @@ from qimm import immanants
 from qimm.immanants import InequalityVerdict, check_two_row_chain
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
-from qimm.trees import all_labeled_trees, path_tree, star_tree
+from qimm.trees import Tree, all_labeled_trees, path_tree, star_tree
 
 # SHA-256 of the stdout of every command `edge_argvs` yields for one
 # subcommand and tree, concatenated in order; recorded before q_laplacian
@@ -69,6 +69,8 @@ def test_tree_labels_read_back():
         for tree in all_labeled_trees(n):
             assert parse_tree_spec(tree.label()) == tree
     assert path_tree(2).label() == "pruefer:@n=2"
+    one = Tree(1, ())
+    assert one.label() == "n1" and parse_tree_spec("n1") == one
 
 
 def test_tree_label_with_wrong_n_is_a_usage_error(capsys):
@@ -78,6 +80,20 @@ def test_tree_label_with_wrong_n_is_a_usage_error(capsys):
     for spec in ("pruefer:1,1@n=5", "pruefer:1,1@n=3", "pruefer:@n=1"):
         assert_usage_error(*run_cli(capsys, "verify", "two-row", "--tree",
                                     spec))
+
+
+def test_verify_tree_needs_two_vertices(capsys, tmp_path):
+    # a one-vertex tree has no chain to check: refused, not an empty pass
+    f = tmp_path / "one.txt"
+    f.write_text("1\n")
+    for spec in (f"file:{f}", "n1"):
+        for which in ("two-row", "hook"):
+            code, out, err = run_cli(capsys, "verify", which, "--tree", spec)
+            assert_usage_error(code, out, err)
+            assert "--tree" in err and "2 vertices" in err
+    code, out, _ = run_cli(capsys, "a-coeffs", "--tree", f"file:{f}",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["tree"] == "n1"
 
 
 def test_q_grid_parsing():
@@ -312,10 +328,19 @@ def test_verify_hook_large_star_output_unchanged(capsys):
     (("all", "--oracle-n-max", "10"), "oracle_n_max"),
     (("hook", "--hook-n-max", "9", "--deep"), "hook_n_max"),
     (("two-row", "--random-trees", "0"), "random_count"),
+    (("two-row", "--n-max", "4"), "n_max"),
+    (("hook", "--hook-n-max", "4"), "hook_n_max"),
+    (("all", "--oracle-n-max", "1"), "oracle_n_max"),
+    (("alpha-ratios", "--alpha-n-max", "1"), "alpha_n_max"),
+    (("alpha-ratios", "--l-max", "1"), "last_l_max"),
+    (("general-sr", "--sr-max", "0"), "sr_max"),
+    (("general-sr", "--sr-l-max", "0"), "sr_l_max"),
+    (("hook", "--hook-n-max", "4", "--deep"), "hook_n_max"),
 ], ids=" ".join)
 def test_sweep_caps_refused_before_any_sweep(capsys, argv, field):
-    # a cap past the exhaustive tree cap (n <= 9), --deep included, or an
-    # empty random sample fails at once instead of sweeping first
+    # a cap past the exhaustive tree cap (n <= 9), --deep included, an
+    # empty random sample, or a cap below its sweep's first value (which
+    # would check nothing) fails at once instead of sweeping first
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
     assert time.perf_counter() - start < 2
