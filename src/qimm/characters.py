@@ -240,11 +240,6 @@ class LastTable:
     l_max: int
     rows: tuple[tuple[int, ...], ...]
 
-    def get(self, l: int, k: int) -> int:
-        if 0 <= l <= self.l_max and 0 <= k <= l:
-            return self.rows[l][k]
-        return 0
-
 
 def last_table_trinomial(l_max: int) -> LastTable:
     rows = tuple(
@@ -298,9 +293,6 @@ class AlphaTable:
         if 0 <= k <= half and 0 <= i <= half:
             return self.rows[i][k]
         return 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
 
 @lru_cache(maxsize=None)

@@ -124,9 +124,6 @@ def enumerate_paths(path_class: str, length: int, end_height: int
             and not (riordan and s == "H" and h == 0)
         ]
     return [LatticePath(word) for word, _ in prefixes]
-def nlp_count(n: int, k: int) -> int:
-    """|NLP(n, n-2k)| = C(n,k) - C(n,k-1)."""
-    return two_row_dimension(n, k)
 
 
 # -- the end-height bijection on UHD paths -----------------------------------
@@ -294,14 +291,6 @@ class TwoRowSYT:
         both rows increase, so each count is a bisection."""
         return bisect_right(self.row1, i) - bisect_right(self.row2, i)
 
-    def to_json(self) -> dict:
-        """Wire form: the two rows as JSON arrays of integers."""
-        return {"row1": list(self.row1), "row2": list(self.row2)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwoRowSYT":
-        return cls(tuple(data["row1"]), tuple(data["row2"]))
-
 
 def syt_to_path(tableau: TwoRowSYT) -> LatticePath:
     """Step i is U when i sits in the first row, D otherwise."""
@@ -368,7 +357,7 @@ def probability_sequences(n: int) -> list[list[tuple[int, Fraction]]]:
     NLP(n, n-2k) is listed once; every i reads a prefix of its histogram."""
     hists = [restricted_count_histogram(n, k) for k in range(n // 2 + 1)]
     return [
-        [(k, Fraction(allowed_count(h, n, i), nlp_count(n, k)))
+        [(k, Fraction(allowed_count(h, n, i), two_row_dimension(n, k)))
          for k, h in enumerate(hists)]
         for i in range((n - 1) // 2 + 1)
     ]

@@ -5,8 +5,8 @@ Inside the library every polynomial is a plain integer coefficient list
 the type a polynomial leaves the library as: a canonical tuple of
 Fraction coefficients in ascending power order, trailing zeros stripped,
 so the zero polynomial is the empty tuple.  It renders (`format`) and
-serializes (`to_json_list`/`from_json_list`), and keeps exact `+`, `-`,
-`*`, `scale` and evaluation, which tests use as an independent route and
+serializes (`to_json_list`, "num/den" strings that `Fraction` parses
+back), and keeps exact `+`, `-`, `*`, `scale` and evaluation, which tests use as an independent route and
 `perfbench/tracing.py` traces by name.  Nothing here touches a float.
 Degrees stay small (at most twice the number of tree vertices), so the
 representation is dense.
@@ -80,10 +80,6 @@ class RatPoly:
     def to_json_list(self) -> list[str]:
         """Coefficients as "num/den" strings, ascending power order."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_json_list(cls, items: Sequence[str]) -> "RatPoly":
-        return cls(tuple(Fraction(s) for s in items))
 
     def format(self, var: str = "q") -> str:
         if not self.coeffs:

@@ -228,7 +228,7 @@ def test_last_value_boundaries():
 def test_last_row_equals_alpha_last_row():
     for l in range(1, 8):
         table = alpha_table(2 * l)
-        assert table.row(l) == tuple(last_value(l, k) for k in range(l + 1))
+        assert table.rows[l] == tuple(last_value(l, k) for k in range(l + 1))
 
 
 def test_trinomial_row():

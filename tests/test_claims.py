@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
-from qimm import characters, claims, cli
+from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
@@ -48,6 +49,14 @@ GOLDEN_DEFAULT = (
 # recorded before the four sweeps shared one walk.
 GOLDEN_FORCED_FAILURES = (
     "60a4ea9df21758b894c53f570d8dd074f73899dd8d87deff028bb14a8874e6dc")
+
+
+# SHA-256 of the JSON lines of the lem15-bij and lem16-bij sweeps with
+# colliding forward maps and shortened listings (see
+# `failing_bijection_sweeps`), recorded before each sweep read every path
+# class from one listing.
+GOLDEN_BIJECTION_FAILURES = (
+    "166af7d0bb5fe7cc17fb168ad1a359b791b803b501abdab51992c3fe73dde2b6")
 
 
 def explicit_deepen(c: SweepConfig) -> SweepConfig:
@@ -242,3 +251,82 @@ def test_failing_tree_sweeps_report_unchanged(monkeypatch):
     out = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
                   for v in verdicts)
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FORCED_FAILURES
+
+
+def _steps_spread(path):
+    # a deterministic number per path, to pick the paths that collide
+    return sum(i * "UHD".index(s) for i, s in enumerate(path.steps, 1))
+
+
+def failing_bijection_sweeps(monkeypatch):
+    """The lem15-bij and lem16-bij sweeps with both forward maps patched
+    to send some paths to the true image of the first path of their
+    slice, so each image stays a valid path and nothing raises, and with
+    one path dropped from some UHD and GRP listings."""
+    callan_fwd, double_fwd = claims.callan_fwd, claims.riordan_double_fwd
+    listing = claims.enumerate_paths
+
+    def colliding(fwd, first):
+        def fake(path):
+            if (len(path) + path.end_height()) % 2 or _steps_spread(path) % 3:
+                return fwd(path)
+            return fwd(first(len(path), path.end_height()))
+        return fake
+
+    def first_callan(l, h):
+        return next(p for p in paths.enumerate_paths("UHD", l, h)
+                    if not p.is_grp())
+
+    def first_grp(l, h):
+        return paths.enumerate_paths("GRP", l, h)[0]
+
+    def dropping(path_class, length, end_height):
+        out = list(listing(path_class, length, end_height))
+        if path_class != "NLP" and (length + end_height) % 3 == 0 and out:
+            del out[length * end_height % len(out)]
+        return out
+
+    monkeypatch.setattr(claims, "callan_fwd",
+                        colliding(callan_fwd, first_callan))
+    monkeypatch.setattr(claims, "riordan_double_fwd",
+                        colliding(double_fwd, first_grp))
+    monkeypatch.setattr(claims, "enumerate_paths", dropping)
+    config = SweepConfig(callan_l_max=6, double_l_max=7)
+    return claims.verify_callan(config) + claims.verify_doubling(config)
+
+
+def test_failing_bijection_sweeps_report_unchanged(monkeypatch):
+    verdicts = failing_bijection_sweeps(monkeypatch)
+    failed = {v.claim for v in verdicts if not v.holds}
+    assert failed == {"lem15-bij", "lem16-bij"}
+    out = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
+                  for v in verdicts)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_BIJECTION_FAILURES
+
+
+def test_each_bijection_slice_listed_once(monkeypatch):
+    # lem16-bij counts its target from the NLP histograms and maps each
+    # path forward once; lem15-bij lists each UHD row once
+    asked, mapped = Counter(), Counter()
+    listing, double_fwd = claims.enumerate_paths, claims.riordan_double_fwd
+
+    def counted(*key):
+        asked[key] += 1
+        return listing(*key)
+
+    def double_counted(path):
+        mapped[path] += 1
+        return double_fwd(path)
+
+    monkeypatch.setattr(claims, "enumerate_paths", counted)
+    monkeypatch.setattr(claims, "riordan_double_fwd", double_counted)
+    config = SweepConfig(callan_l_max=6, double_l_max=7)
+    claims.verify_doubling(config)
+    assert {key[0] for key in asked} == {"GRP"}
+    grp = sum(len(listing(*key)) for key in asked)
+    assert len(mapped) == grp and set(mapped.values()) == {1}
+    asked.clear()
+    claims.verify_callan(config)
+    assert asked == Counter(("UHD", l, l - k) for l in config.span(
+        "callan_l_max") for k in range(l + 1))

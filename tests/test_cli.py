@@ -323,7 +323,8 @@ def test_verify_hook_large_star_output_unchanged(capsys):
         "f20cd4c653383b7570e8ff2e8dd6c221941162290d00794703927dbbd72c2e93")
 
 
-@pytest.mark.parametrize("argv, field", [
+# each case is named by its argv alone
+REFUSED_CAPS = [
     (("hook", "--hook-n-max", "10"), "hook_n_max"),
     (("all", "--oracle-n-max", "10"), "oracle_n_max"),
     (("hook", "--hook-n-max", "9", "--deep"), "hook_n_max"),
@@ -336,7 +337,11 @@ def test_verify_hook_large_star_output_unchanged(capsys):
     (("general-sr", "--sr-max", "0"), "sr_max"),
     (("general-sr", "--sr-l-max", "0"), "sr_l_max"),
     (("hook", "--hook-n-max", "4", "--deep"), "hook_n_max"),
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv, field", REFUSED_CAPS,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_CAPS])
 def test_sweep_caps_refused_before_any_sweep(capsys, argv, field):
     # a cap past the exhaustive tree cap (n <= 9), --deep included, an
     # empty random sample, or a cap below its sweep's first value (which

@@ -4,7 +4,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from qimm.characters import alpha_table, last_value, trinomial_coeffs
+from qimm.characters import (
+    alpha_table,
+    last_value,
+    trinomial_coeffs,
+    two_row_dimension,
+)
 from qimm.paths import (
     LatticePath,
     TwoRowSYT,
@@ -16,7 +21,6 @@ from qimm.paths import (
     enumerate_two_row_syt,
     max_odd_descent_interval,
     max_odd_peak_interval,
-    nlp_count,
     path_to_syt,
     peak_profile,
     probability_monotonicity,
@@ -116,7 +120,8 @@ def test_enumeration_needs_no_recursion():
 def test_nlp_counts_are_ballot_numbers():
     for n in range(1, 11):
         for k in range(n // 2 + 1):
-            assert len(enumerate_paths("NLP", n, n - 2 * k)) == nlp_count(n, k)
+            assert len(enumerate_paths("NLP", n, n - 2 * k)) == (
+                two_row_dimension(n, k))
 
 
 def test_uhd_counts_are_trinomial():
@@ -294,12 +299,6 @@ def test_syt_codec_golden():
     assert path_to_syt(LatticePath("UDUD")) == TwoRowSYT((1, 3), (2, 4))
 
 
-def test_syt_json_round_trip():
-    t = TwoRowSYT((1, 3), (2, 4))
-    assert t.to_json() == {"row1": [1, 3], "row2": [2, 4]}
-    assert TwoRowSYT.from_json(t.to_json()) == t
-
-
 def test_syt_codec_rejects_negative_path():
     with pytest.raises(ValueError):
         path_to_syt(LatticePath("DU"))
@@ -311,9 +310,8 @@ def test_syt_counts():
     assert sum(1 for _ in enumerate_two_row_syt(6, 2)) == 9
     for n in range(1, 11):
         for k in range(n // 2 + 1):
-            assert sum(1 for _ in enumerate_two_row_syt(n, k)) == nlp_count(
-                n, k
-            )
+            assert sum(1 for _ in enumerate_two_row_syt(n, k)) == (
+                two_row_dimension(n, k))
 
 
 def test_syt_round_trip_and_descent_peak_match():
@@ -381,7 +379,7 @@ def test_probability_sequences_match_per_i_enumeration():
                 (k, Fraction(
                     sum(1 for p in enumerate_paths("NLP", n, n - 2 * k)
                         if max_odd_peak_interval(p) <= n // 2 - i),
-                    nlp_count(n, k)))
+                    two_row_dimension(n, k)))
                 for k in range(n // 2 + 1)
             ]
             assert seq == direct, (n, i)
