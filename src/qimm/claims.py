@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .characters import alpha_table, last_value, poly_power_coeffs
@@ -47,6 +48,7 @@ from .trees import (
     ALL_TREES_MAX_N,
     Tree,
     all_labeled_trees,
+    free_trees,
     matching_weight_arrays,
     random_trees,
 )
@@ -127,6 +129,21 @@ def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
     return checked, failures
 
 
+def _class_walk(n: int, check: Callable) -> tuple[int, dict]:
+    """`_walk` over every labeled tree on n vertices, for a `check` that
+    reads a tree only through n and its matching weights: relabeling
+    leaves the weights as they are, so `check` runs once per isomorphism
+    class of `free_trees(n)`, which covers its n!/|Aut T| labeled trees.
+    If any class fails, n is walked labeled, so failures name labeled
+    trees in Pruefer order."""
+    covered = 0
+    for tree, aut in free_trees(n):
+        if any(check(tree)):
+            return _walk(all_labeled_trees(n), check)
+        covered += factorial(n) // aut
+    return covered, defaultdict(list)
+
+
 def _tree_verdict(claim, params, fails, witness) -> InequalityVerdict:
     """Holds when no tree failed; detail names the first five failures."""
     return InequalityVerdict(claim=claim, params=params, holds=not fails,
@@ -134,8 +151,9 @@ def _tree_verdict(claim, params, fails, witness) -> InequalityVerdict:
 
 
 def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
-    """Theorem 2 sweep: exhaustive over labeled trees for small n, seeded
-    random sampling above the exhaustive cap."""
+    """Theorem 2 sweep: exhaustive for small n, over one tree per
+    isomorphism class (`_class_walk`), and seeded random sampling of
+    labeled trees above the exhaustive cap."""
     def check(tree):
         gaps = two_row_gaps(tree.n, matching_weight_arrays(tree))
         for k, gap in enumerate(gaps, 1):
@@ -144,11 +162,12 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
     verdicts = []
     for n in config.span("n_max"):
         if n <= config.exhaustive_tree_max:
-            source, src_label = all_labeled_trees(n), "all"
+            src_label = "all"
+            checked, failures = _class_walk(n, check)
         else:
-            source = random_trees(n, config.random_count, config.seed)
             src_label = f"random:{config.random_count}:seed={config.seed}"
-        checked, failures = _walk(source, check)
+            checked, failures = _walk(
+                random_trees(n, config.random_count, config.seed), check)
         fails = failures["thm2"]
         verdicts.append(_tree_verdict(
             "thm2", {"n": n, "trees": src_label, "k": f"1..{n // 2}"}, fails,
@@ -411,7 +430,7 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
             yield "a0-identity", "reconstruction"
     verdicts = []
     for n in config.span("oracle_n_max"):
-        checked, failures = _walk(all_labeled_trees(n), check)
+        checked, failures = _class_walk(n, check)
         verdicts.append(_tree_verdict(
             "a0-identity", {"n": n, "trees": "all"}, failures["a0-identity"],
             f"{checked} trees"))

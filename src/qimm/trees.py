@@ -6,6 +6,13 @@ The q-Laplacian of a graph is I + (D - I) q^2 - q A: diagonal entry
 holds each entry as an integer q-coefficient tuple, the form the
 immanant oracle expands.
 
+Isomorphism classes: free_trees(n) lists one tree per class, each with
+its automorphism count |Aut T|.  The classes grow by leaf augmentation
+and are told apart by center-rooted AHU codes, and every call checks
+Cayley's count sum n!/|Aut T| = n^(n-2), the coverage check Wright,
+Richmond, Odlyzko and McKay use for free-tree generation (SIAM J.
+Comput., 1986).
+
 Matching weights: only permutations that are involutions along a matching
 of the tree contribute to an immanant of a tree matrix (any longer
 permutation cycle would need a cycle in the tree), so the entry-product
@@ -30,8 +37,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from math import factorial
 from typing import Iterator, Sequence
 
 from .ratpoly import RatPoly, from_t
@@ -200,6 +209,94 @@ def all_labeled_trees(n: int) -> Iterator[Tree]:
         )
     for seq in product(range(1, n + 1), repeat=n - 2):
         yield pruefer_decode(seq, n)
+
+
+def _center_code(parent: Sequence[int], codes: dict) -> tuple[tuple, int]:
+    """Isomorphism code and automorphism count of the tree on 1..m whose
+    vertex v >= 2 hangs from parent[v] < v.
+
+    The code is the AHU code (Aho, Hopcroft, Ullman, 1974) rooted at the
+    center: leaves are peeled layer by layer down to one or two center
+    vertices, and the tree is folded toward them in reverse BFS order.  A
+    vertex's code is the id `codes` interns for the sorted codes of its
+    children, and its automorphism count is the product of its
+    children's counts and of k! for each child code repeated k times.
+    Two centers are joined by the edge between them: the code is the
+    sorted pair of the two halves' codes, and the counts multiply, twice
+    over when the halves are alike.
+    """
+    m = len(parent) - 1
+    adj: list[list[int]] = [[] for _ in range(m + 1)]
+    for v in range(2, m + 1):
+        adj[v].append(parent[v])
+        adj[parent[v]].append(v)
+    deg = [len(ws) for ws in adj]
+    layer = [v for v in range(1, m + 1) if deg[v] == 1]
+    left = m
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    up = [0] * (m + 1)
+    for c in layer:
+        up[c] = -1
+    order = list(layer)
+    for v in order:
+        for w in adj[v]:
+            if not up[w]:
+                up[w] = v
+                order.append(w)
+    kids: list[list[int]] = [[] for _ in range(m + 1)]
+    aut = [1] * (m + 1)
+    code = [0] * (m + 1)
+    for v in reversed(order):
+        key = tuple(sorted(kids[v]))
+        code[v] = codes.setdefault(key, len(codes))
+        for k in Counter(key).values():
+            aut[v] *= factorial(k)
+        p = up[v]
+        if p > 0:
+            kids[p].append(code[v])
+            aut[p] *= aut[v]
+    if len(layer) == 1:
+        return (code[layer[0]],), aut[layer[0]]
+    a, b = layer
+    return (tuple(sorted((code[a], code[b]))),
+            aut[a] * aut[b] * (1 + (code[a] == code[b])))
+
+
+def free_trees(n: int) -> list[tuple[Tree, int]]:
+    """One tree per isomorphism class on n vertices, with |Aut T|.
+
+    The classes on m vertices come from those on m - 1 by adding leaf m
+    to every vertex, deduplicated by `_center_code`; no step recurses.
+    Every call certifies the list by Cayley's count: the classes cover
+    sum n!/|Aut T| = n^(n-2) labeled trees, each labeled tree once.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    classes = [((0, 0, 1), 2)]  # the one tree on 2 vertices: parent, |Aut|
+    for m in range(3, n + 1):
+        codes: dict[tuple[int, ...], int] = {}
+        grown: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for parent, _ in classes:
+            for v in range(1, m):
+                key, aut = _center_code(parent + (v,), codes)
+                grown.setdefault(key, (parent + (v,), aut))
+        classes = list(grown.values())
+    out = [(Tree(n, tuple((parent[v], v) for v in range(2, n + 1))), aut)
+           for parent, aut in classes]
+    covered = sum(factorial(n) // aut for _, aut in out)
+    if covered != n ** (n - 2):
+        raise ArithmeticError(f"{len(out)} tree classes on {n} vertices "
+                              f"cover {covered} labeled trees, not "
+                              f"{n}^{n - 2}")
+    return out
 
 
 def random_trees(n: int, count: int, seed: int) -> Iterator[Tree]:

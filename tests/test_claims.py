@@ -11,15 +11,25 @@ from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
+from qimm.trees import (
+    all_labeled_trees,
+    free_trees,
+    matching_weight_arrays,
+    star_tree,
+)
 
 # SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
 # json`, recorded before the probability sweep read every i from one
-# histogram per (n, k); the verdict stream must not change.
+# histogram per (n, k), and, for two-row (exhaustive up to n = 8), before
+# the exhaustive tree sweeps visited one tree per isomorphism class; the
+# verdict stream must not change.
 GOLDEN_DEEP = {
     "paths":
         "3c90a5ff0c4cf4b5498c9a37b1eeb0e5cdbfbae8d22446f95728417828d5aded",
     "probability":
         "bfdfe514af8c2af1b9616813e2ab3988cfc13d4d3819ffa995b4251591f4b4c2",
+    "two-row":
+        "e8c09c24f5f8e0432befd79b25342b0b6d8637c4da05e4a0a10deca77e905094",
 }
 
 # SHA-256 of stdout of `python -m qimm.cli verify ...` for two flag sets,
@@ -330,3 +340,62 @@ def test_each_bijection_slice_listed_once(monkeypatch):
     claims.verify_callan(config)
     assert asked == Counter(("UHD", l, l - k) for l in config.span(
         "callan_l_max") for k in range(l + 1))
+
+
+def _first_stars(n, what):
+    # the failure details of the labeled walk when only the stars fail:
+    # the first five stars in Pruefer order
+    stars = [t for t in all_labeled_trees(n) if max(t.degrees()) == n - 1]
+    return "; ".join(f"{t.label()} {what}" for t in stars[:5])
+
+
+def test_class_walk_falls_back_to_labeled_trees(monkeypatch):
+    # a failing class re-runs its n labeled: 7!/|Aut(star)| = 7 stars fail,
+    # named as the labeled walk names them
+    star = matching_weight_arrays(star_tree(7))
+    two_row_gaps, a_coeffs = claims.two_row_gaps, claims.a_coeff_arrays
+    bad_gap = [-1, *two_row_gaps(7, star)[0]]
+
+    def gaps(n, weights):
+        out = two_row_gaps(n, weights)
+        return [bad_gap, *out[1:]] if weights == star else out
+
+    def a_arrays(weights):
+        a = a_coeffs(weights)
+        if weights == star:
+            a[0] = [1, 0]
+        return a
+
+    monkeypatch.setattr(claims, "two_row_gaps", gaps)
+    monkeypatch.setattr(claims, "a_coeff_arrays", a_arrays)
+    config = SweepConfig(n_max=7, oracle_n_max=7)
+    thm2 = claims.verify_two_row(config)
+    assert [(v.holds, v.witness) for v in thm2] == [
+        (True, "125 trees, 0 violations"), (True, "1296 trees, 0 violations"),
+        (False, "16807 trees, 7 violations")]
+    assert thm2[-1].detail == _first_stars(7, f"k=1: {bad_gap}")
+    a0 = claims.verify_a_coeffs(config)
+    assert [v.holds for v in a0] == [True] * 5 + [False]
+    assert a0[-1].witness == "16807 trees"
+    assert a0[-1].detail == _first_stars(7, "a0")
+
+
+def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):
+    # thm2 and a0-identity read one tree per isomorphism class; only the
+    # random sample above the exhaustive cap is labeled
+    calls = Counter()
+    weights = claims.matching_weight_arrays
+
+    def counted(tree):
+        calls[tree.n] += 1
+        return weights(tree)
+
+    monkeypatch.setattr(claims, "matching_weight_arrays", counted)
+    config = SweepConfig()
+    claims.verify_two_row(config)
+    claims.verify_a_coeffs(config)
+    exhaustive = range(claims.SWEEP_START["n_max"],
+                       config.exhaustive_tree_max + 1)
+    classes = sum(len(free_trees(n)) for n in (*exhaustive,
+                                               *config.span("oracle_n_max")))
+    assert sum(calls.values()) <= classes + config.random_count

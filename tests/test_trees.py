@@ -1,15 +1,18 @@
 import random
 import tracemalloc
-from itertools import combinations, product
-from math import comb
+from collections import Counter
+from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qimm import trees
 from qimm.ratpoly import RatPoly
 from qimm.trees import (
     Tree,
     all_labeled_trees,
+    free_trees,
     matching_weight_arrays,
     matching_weights,
     parse_tree_file,
@@ -301,3 +304,54 @@ def test_weights_invariant_under_relabeling():
             moved = Tree(tree.n, tuple((perm[u - 1], perm[v - 1])
                                        for u, v in tree.edges))
             assert matching_weight_arrays(moved) == want
+
+
+def test_free_trees_class_counts():
+    # OEIS A000055, and Cayley's count from the classes' automorphisms
+    counts = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    for n, want in zip(range(2, 13), counts):
+        classes = free_trees(n)
+        assert len(classes) == want, n
+        assert sum(factorial(n) // aut for _, aut in classes) == n ** (n - 2)
+        assert all(tree.n == n for tree, _ in classes)
+    with pytest.raises(ValueError):
+        free_trees(1)
+
+
+def test_free_trees_automorphisms_by_brute_force():
+    for n in range(2, 8):
+        for tree, aut in free_trees(n):
+            edges = set(tree.edges)
+            assert aut == sum(
+                all((min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1]))
+                    in edges for u, v in edges)
+                for p in permutations(range(1, n + 1))), tree.edges
+
+
+def test_free_trees_weights_match_labeled_trees():
+    # the second route behind the relabeling argument: each class stands
+    # for n!/|Aut T| labeled trees with its matching weights
+    def key(weights):
+        return tuple(map(tuple, weights))
+    for n in range(2, 8):
+        labeled = Counter(key(matching_weight_arrays(t))
+                          for t in all_labeled_trees(n))
+        classes = Counter()
+        for tree, aut in free_trees(n):
+            classes[key(matching_weight_arrays(tree))] += factorial(n) // aut
+        assert classes == labeled, n
+
+
+@pytest.mark.parametrize("merge", [True, False],
+                         ids=["too-coarse", "too-fine"])
+def test_free_trees_certified_on_every_call(monkeypatch, merge):
+    # a code that merges classes, or splits one, breaks Cayley's count
+    real = trees._center_code
+
+    def code(parent, codes):
+        aut = real(parent, codes)[1]
+        return ((), aut) if merge else (tuple(parent), aut)
+
+    monkeypatch.setattr(trees, "_center_code", code)
+    with pytest.raises(ArithmeticError, match=r"not 6\^4"):
+        free_trees(6)
