@@ -43,7 +43,7 @@ from .paths import (
     syt_descent_histogram,
     weakly_decreasing,
 )
-from .ratpoly import conv
+from .ratpoly import conv, successive_differences
 from .trees import (
     ALL_TREES_MAX_N,
     Tree,
@@ -241,6 +241,8 @@ def verify_callan(config: SweepConfig) -> list[InequalityVerdict]:
             grp = [p for p in u_here if p.is_grp()]
             domain = [p for p in u_here if not p.is_grp()]
             images = [callan_fwd(p) for p in domain]
+            # the images are matched against UHD(l, l-k+1) before any is
+            # inverted, since callan_inv raises on a path outside that set
             ok = (
                 len(set(images)) == len(domain)
                 and set(images) == set(u_up)
@@ -269,12 +271,17 @@ def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
             grp = enumerate_paths("GRP", l, l - k)
             images = [riordan_double_fwd(p) for p in grp]
             # riordan_double_inv accepts exactly the NLP(2l, 2l-2k) paths
-            # with no odd-height peak (an aligned UD pair is one), so once
-            # every image round-trips, every image lies in that target;
-            # distinct images as many as its paths (entry 0 of the slice's
-            # histogram) then fill it
+            # with no odd-height peak (an aligned UD pair is one) and raises
+            # on the rest, a failed round trip; once every image round-trips
+            # it lies in that target, and distinct images as many as its
+            # paths (entry 0 of the slice's histogram) fill it
+            try:
+                round_trips = all(riordan_double_inv(q) == p
+                                  for p, q in zip(grp, images))
+            except ValueError:
+                round_trips = False
             ok = (
-                all(riordan_double_inv(q) == p for p, q in zip(grp, images))
+                round_trips
                 and len(set(images)) == len(grp)
                 == restricted_count_histogram(2 * l, k)[0]
                 and len(grp) == last_value(l, k)
@@ -379,9 +386,8 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
         for i in range(half + 1):
             coeffs = poly_power_coeffs((1, 1), n - 2 * i)
             tri = poly_power_coeffs((1, 1, 1), i)
-            prod = conv(coeffs, tri)
-            for k in range(half + 1):
-                diff = prod[k] - (prod[k - 1] if k >= 1 else 0)
+            diffs = successive_differences(conv(coeffs, tri))
+            for k, diff in enumerate(diffs[:half + 1]):
                 verdicts.append(
                     InequalityVerdict(
                         claim="lem22",

@@ -13,15 +13,16 @@ The normalized immanant divides by chi_lambda(id).
 
 All tree-side data are integer polynomials in t = q^2 until the last
 division by a character degree, so the per-tree checks run on integer
-t-coefficient lists: the matching weights c_j, the character sums
-sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5), and the Theorem 1 and
-Theorem 2 gaps, each cleared of its (positive) character-degree
-denominators.  A tree's c_j vanish above its matching number nu, so each
-sum runs over c_0..c_nu (_nonzero_prefix) and asks for character values
-at j <= nu only; the hook characters (a closed form) and the Theorem 2
-gap rows f_k chi_{k-1} - f_{k-1} chi_k are tables cached per (n, nu+1).  The
-oracle expands the q-Laplacian's integer q-coefficient lists directly.
-RatPoly appears only where a polynomial leaves the module.
+t-coefficient lists, cleared of (positive) character-degree denominators.
+Every combination of such lists is one _weighted_sum: the character sums
+sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5) by signed binomial rows,
+the Theorem 2 gap rows and gaps, and the eq. (5) comparison.  Both
+Theorem 1 gaps are one integer form in the grid values of the n hook sums
+and 1 - t (hook_margins).  A tree's c_j vanish above its matching number
+nu, so each sum runs over c_0..c_nu (_nonzero_prefix); the hook
+characters and the Theorem 2 gap rows are tables cached per (n, nu + 1).
+The oracle expands the q-Laplacian's integer q-coefficient lists
+directly.  RatPoly appears only where a polynomial leaves the module.
 
 Verifier results are InequalityVerdict records (sweeps read the gaps
 from hook_margins and two_row_gaps).  `holds` is the honest outcome of
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -55,7 +56,7 @@ from .characters import (
     two_row_char,
     two_row_dimension,
 )
-from .ratpoly import RatPoly, conv, from_t
+from .ratpoly import RatPoly, conv, from_t, successive_differences
 from .trees import PolyMatrix, Tree, matching_weight_arrays, q_laplacian
 
 BRUTEFORCE_MAX_N = 9
@@ -224,20 +225,13 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
 def a_coeff_arrays(weights: Sequence[Sequence[int]]) -> list[list[int]]:
     """a_i in t = q^2 from the c_j t-arrays by binomial inversion.
 
-    c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j.
-    Each c_j, j <= nu, is spread over a_j, a_{j-1}, ..., a_0 with the
-    binomials of row j taken in turn; a_i is [] for i > nu.
+    c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j
+    over c_0..c_nu; a_i is [] for i > nu.
     """
-    width = max(map(len, weights), default=0)
-    out = [[0] * width for _ in weights]
-    for j, arr in enumerate(_nonzero_prefix(weights)):
-        factor = 1  # (-1)^(j-i) C(j, i), from i = j down
-        for i in range(j, -1, -1):
-            row = out[i]
-            for p, c in enumerate(arr):
-                row[p] += factor * c
-            factor = -factor * i // (j - i + 1)
-    return [_trim(row) for row in out]
+    c = _nonzero_prefix(weights)
+    return [_trim(_weighted_sum(c[i:], [(-1) ** m * comb(i + m, i)
+                                        for m in range(len(c) - i)]))
+            for i in range(len(weights))]
 
 
 def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
@@ -273,7 +267,7 @@ def _two_row_gap_table(n: int, width: int) -> tuple[tuple[int, ...], ...]:
     its j = 0 value is the degree f_k."""
     chi = [[two_row_char(n, k, j) for j in range(width)]
            for k in range(n // 2 + 1)]
-    return tuple(tuple(hi[0] * a - lo[0] * b for a, b in zip(lo, hi))
+    return tuple(tuple(_weighted_sum((lo, hi), (hi[0], -lo[0])))
                  for lo, hi in zip(chi, chi[1:]))
 
 
@@ -327,13 +321,13 @@ def _hook_char_data(n: int, width: int) -> tuple[tuple[int, ...], ...]:
     """chi_{hook_k}(2^j 1^(n-2j)) for k = 1..n, j < width; the j = 0
     column is the degree of hook_k.  By the hook generating function at
     -y, chi^(k,1^(n-k))(2^j 1^(n-2j)) = [y^(n-k)] (1+y)^(n-j-1) (1-y)^j,
-    so column j + 1 is column j times (1-y)/(1+y): a shifted subtract,
-    then an alternating prefix sum."""
+    so column j + 1 is column j times (1-y)/(1+y): successive
+    differences, then an alternating prefix sum."""
     column = list(accumulate(range(1, n), lambda c, m: c * (n - m) // m,
                              initial=1))
     columns = [column]
     for _ in range(1, width):
-        column = list(accumulate(map(sub, column, [0] + column[:-1]),
+        column = list(accumulate(successive_differences(column),
                                  lambda s, c: c - s))
         columns.append(column)
     return tuple(zip(*columns))[::-1]
@@ -370,10 +364,10 @@ def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
     Weak: imm_{k-1} <= imm_k.  Strong, cleared of denominators:
     (k-1) imm_{k-1} + (q^2 - 1) <= (k-2) imm_k.
 
-    Both gaps are integer t-polynomials once multiplied by the hook
-    degrees f_{k-1} f_k > 0.  Each is evaluated once per distinct t = q^2
-    of the grid; the grid is scanned in order, so the first grid point
-    wins ties.
+    Times the hook degrees f_{k-1} f_k > 0, both gaps take one integer
+    form in the hook sums H_k and in 1 - t; those n + 1 polynomials are
+    evaluated once per distinct t = q^2 of the grid.  The grid is scanned
+    in order, so the first grid point wins ties.
     """
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
@@ -381,19 +375,21 @@ def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
     chars = _hook_char_data(n, len(weights))
     hooks = [_weighted_sum(weights, ch) for ch in chars]
     qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)
+    # denom times H_k(t) and 1 - t, per distinct t of the grid
+    at = [[sum(map(mul, h, row)) for row in rows] for h in hooks]
+    one_minus_t = [row[0] - row[1] for row in rows]
+    # gap times f_{k-1} f_k: b H_k(t) - a H_{k-1}(t) + c (1 - t), with
+    # (a, b, c) from k and the hook degrees lo = f_{k-1}, hi = f_k
+    forms = (("thm1-weak", lambda k, lo, hi: (hi, lo, 0)),
+             ("thm1-strong",
+              lambda k, lo, hi: ((k - 1) * hi, (k - 2) * lo, lo * hi)))
     margins = []
-    for claim in ("thm1-weak", "thm1-strong"):
+    for claim, form in forms:
         for k in range(2, n + 1):
-            lo, hi = hooks[k - 2], hooks[k - 1]
             f_lo, f_hi = chars[k - 2][0], chars[k - 1][0]
-            if claim == "thm1-weak":
-                gap = [f_lo * h - f_hi * l for l, h in zip(lo, hi)]
-            else:
-                gap = [(k - 2) * f_lo * h - (k - 1) * f_hi * l
-                       for l, h in zip(lo, hi)]
-                gap[0] += f_lo * f_hi
-                gap[1] -= f_lo * f_hi
-            values = [sum(map(mul, gap, row)) for row in rows]
+            a, b, c = form(k, f_lo, f_hi)
+            values = [b * h - a * l + c * u for l, h, u
+                      in zip(at[k - 2], at[k - 1], one_minus_t)]
             low = min(values)
             margins.append((claim, k, Fraction(low, denom * f_lo * f_hi),
                             qs[values.index(low)]))
@@ -533,22 +529,14 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
     """
     if l < 1 or s < 1 or r < 1:
         raise ValueError("need l, s, r >= 1")
-    a = poly_power_coeffs((1, s, 1), l)
-    b = poly_power_coeffs((1, r + s, 1), l)
-
-    def diff(coeffs, k):
-        hi = coeffs[k] if 0 <= k < len(coeffs) else 0
-        lo = coeffs[k - 1] if 0 <= k - 1 < len(coeffs) else 0
-        return hi - lo
-
+    da = successive_differences(poly_power_coeffs((1, s, 1), l))
+    db = successive_differences(poly_power_coeffs((1, r + s, 1), l))
     verdicts = []
     for k in range(l):
-        da0, da1 = diff(a, k), diff(a, k + 1)
-        db0, db1 = diff(b, k), diff(b, k + 1)
         # D_{r+s}(k+1) * D_s(k) >= D_{r+s}(k) * D_s(k+1)
-        lhs = db1 * da0
-        rhs = db0 * da1
-        degenerate = da0 == 0 or da1 == 0
+        lhs = db[k + 1] * da[k]
+        rhs = db[k] * da[k + 1]
+        degenerate = da[k] == 0 or da[k + 1] == 0
         erratum = (s, r, l, k) in REM12_ERRATA
         if degenerate:
             detail = "zero successive difference on the s side"
@@ -607,8 +595,7 @@ def eq5_holds(n: int, weights: Sequence[Sequence[int]],
     for k, imm in enumerate(_two_row_sums(n, weights)):
         recon = _weighted_sum(
             a, [(1 << i) * table.get(k, i) for i in range(len(a))])
-        f_k, alpha_0 = two_row_dimension(n, k), table.get(k, 0)
-        if (_trim([f_k * c for c in recon])
-                != _trim([alpha_0 * c for c in imm])):
+        if any(_weighted_sum((recon, imm), (two_row_dimension(n, k),
+                                            -table.get(k, 0)))):
             return False
     return True

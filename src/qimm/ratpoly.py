@@ -4,21 +4,23 @@ Inside the library every polynomial is a plain integer coefficient list
 (most of them in t = q^2, the q-Laplacian's entries in q).  RatPoly is
 the type a polynomial leaves the library as: a canonical tuple of
 Fraction coefficients in ascending power order, trailing zeros stripped,
-so the zero polynomial is the empty tuple.  It renders (`format`) and
-serializes (`to_json_list`, "num/den" strings that `Fraction` parses
-back), and keeps exact `+`, `-`, `*`, `scale` and evaluation, which tests use as an independent route and
-`perfbench/tracing.py` traces by name.  Nothing here touches a float.
-Degrees stay small (at most twice the number of tree vertices), so the
-representation is dense.
+so the zero polynomial is the empty tuple.  It renders in q (`format`)
+and serializes (`to_json_list`, "num/den" strings that `Fraction` parses
+back), and keeps exact `+`, `-`, `*`, `scale` and evaluation, which tests
+use as an independent route and `perfbench/tracing.py` traces by name.
+Nothing here touches a float.  Degrees stay small (at most twice the
+number of tree vertices), so the representation is dense.
 
-`conv` is the one dense convolution of integer lists; `from_t` is the
-one conversion from an integer t-list over a common denominator.
+`conv` is the one dense convolution of integer lists and
+`successive_differences` the one product with 1 - x; `from_t` is the one
+conversion from an integer t-list over a common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -81,7 +83,7 @@ class RatPoly:
         """Coefficients as "num/den" strings, ascending power order."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
-    def format(self, var: str = "q") -> str:
+    def format(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -92,20 +94,17 @@ class RatPoly:
             if power == 0:
                 term = str(mag)
             else:
-                v = var if power == 1 else f"{var}^{power}"
+                v = "q" if power == 1 else f"q^{power}"
                 if mag == 1:
                     term = v
                 elif mag.denominator == 1:
                     term = f"{mag}{v}"
                 else:
                     term = f"{mag} {v}"
-            parts.append(("-" if c < 0 else "+", term))
-        # first term carries its own sign; later terms join with spaced signs
-        sign, term = parts[0]
-        text = ("-" if sign == "-" else "") + term
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+            parts.append(("- " if c < 0 else "+ ") + term)
+        # later terms join with spaced signs; the first carries its own
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __str__(self) -> str:
         return self.format()
@@ -121,6 +120,12 @@ def conv(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def successive_differences(coeffs: Sequence[int]) -> list[int]:
+    """c_k - c_(k-1) for k < len(coeffs), with c_(-1) = 0: the first
+    len(coeffs) coefficients of (1 - x) times the polynomial."""
+    return list(map(sub, coeffs, [0, *coeffs]))
 
 
 def from_t(coeffs: Iterable[int], denom: int = 1) -> RatPoly:

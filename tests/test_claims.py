@@ -315,6 +315,34 @@ def test_failing_bijection_sweeps_report_unchanged(monkeypatch):
     assert digest == GOLDEN_BIJECTION_FAILURES
 
 
+def test_doubling_image_outside_target_fails_the_verdict(monkeypatch,
+                                                        capsys):
+    # the first aligned DU pair of an image (a doubled H step) turned into
+    # UD, an odd-height peak: the inverse refuses that image, which must
+    # fail lem16-bij, not end the run with a usage error
+    double_fwd = claims.riordan_double_fwd
+
+    def stray(path):
+        steps = double_fwd(path).steps
+        t = next((t for t in range(0, len(steps), 2)
+                  if steps[t:t + 2] == "DU"), None)
+        if t is None:
+            return double_fwd(path)
+        return paths.LatticePath(steps[:t] + "UD" + steps[t + 2:])
+
+    monkeypatch.setattr(claims, "riordan_double_fwd", stray)
+    verdicts = claims.verify_doubling(SweepConfig(double_l_max=4))
+    failed = [v for v in verdicts if not v.holds]
+    assert failed and {v.claim for v in failed} == {"lem16-bij"}
+    # a slice with no H step in any path is left as it was
+    assert {"l": 2, "k": 2} not in [v.params for v in failed]
+    assert main(["verify", "paths"]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert any(r.get("claim") == "lem16-bij" and not r["holds"]
+               for r in records)
+
+
 def test_each_bijection_slice_listed_once(monkeypatch):
     # lem16-bij counts its target from the NLP histograms and maps each
     # path forward once; lem15-bij lists each UHD row once

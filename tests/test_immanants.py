@@ -259,19 +259,23 @@ def _hook_witnesses_by_eval(tree, grid):
      Fraction(-3, 2), Fraction(0), Fraction(-1, 3), Fraction(5, 2)),
 ])
 def test_hook_chain_matches_immanant_evaluation(grid):
-    for n in range(2, 6):
-        for tree in all_labeled_trees(n):
-            expected = _hook_witnesses_by_eval(
-                tree, grid if grid is not None else default_q_grid())
-            verdicts = check_hook_chain(tree, grid)
-            assert len(verdicts) == len(expected)
-            margins = hook_margins(tree, grid)
-            for v, (claim, k, gap, q) in zip(verdicts, margins, strict=True):
-                assert (claim, k) == (v.claim, v.params["k"])
-                want = expected[v.claim, v.params["k"]]
-                assert v.witness == want, (tree.label(), v.claim)
-                assert want == f"min gap {gap} at q={q}"
-                assert v.holds == (gap >= 0)
+    # every labeled tree up to n = 5 has matching number nu <= 2; the
+    # larger trees reach nu = 4
+    trees = [tree for n in range(2, 6) for tree in all_labeled_trees(n)]
+    trees += [path_tree(9), star_tree(9), *random_trees(6, 2, seed=3),
+              *random_trees(8, 2, seed=3)]
+    for tree in trees:
+        expected = _hook_witnesses_by_eval(
+            tree, grid if grid is not None else default_q_grid())
+        verdicts = check_hook_chain(tree, grid)
+        assert len(verdicts) == len(expected)
+        margins = hook_margins(tree, grid)
+        for v, (claim, k, gap, q) in zip(verdicts, margins, strict=True):
+            assert (claim, k) == (v.claim, v.params["k"])
+            want = expected[v.claim, v.params["k"]]
+            assert v.witness == want, (tree.label(), v.claim)
+            assert want == f"min gap {gap} at q={q}"
+            assert v.holds == (gap >= 0)
 
 
 def test_hook_chain_asks_characters_up_to_matching_number(monkeypatch):

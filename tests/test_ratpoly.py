@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from qimm.ratpoly import RatPoly
+from qimm.ratpoly import RatPoly, conv, successive_differences
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -71,6 +71,13 @@ def test_format():
     assert str(RatPoly((1, 0, -1))) == "1 - q^2"
     assert str(RatPoly()) == "0"
     assert str(RatPoly((0, -2))) == "-2q"
+
+
+@given(st.lists(st.integers(-50, 50), max_size=8))
+def test_successive_differences_multiply_by_one_minus_x(coeffs):
+    # c_k - c_(k-1) is the x^k coefficient of (1 - x) times the polynomial
+    assert (successive_differences(coeffs)
+            == conv(coeffs, [1, -1])[:len(coeffs)])
 
 
 @given(polys, polys, rationals)
