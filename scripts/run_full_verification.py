@@ -6,7 +6,9 @@ Usage:
     python scripts/run_full_verification.py [OUTDIR] [--deep]
 
 OUTDIR defaults to ./verification-out (or $QIMM_OUT_DIR when set).
-Exit status 0 iff every asserted verdict holds.
+Exit status 0 iff every asserted verdict holds, 1 when one fails, and 2
+with one `error:` line when the output cannot be written (a closed pipe
+on stdout included).
 """
 
 import csv
@@ -69,4 +71,13 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        # exit 1 is kept for a failed verdict; stdout goes to devnull so
+        # the interpreter's own flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    sys.exit(status)

@@ -135,7 +135,10 @@ def _class_walk(n: int, check: Callable) -> tuple[int, dict]:
     leaves the weights as they are, so `check` runs once per isomorphism
     class of `free_trees(n)`, which covers its n!/|Aut T| labeled trees.
     If any class fails, n is walked labeled, so failures name labeled
-    trees in Pruefer order."""
+    trees in Pruefer order.  Whatever else `check` records comes from
+    class representatives, which are labeled trees but not the first in
+    Pruefer order: `verify_hook` keeps only gap values and finds the
+    labeled tree that attains each by a walk of its own."""
     covered = 0
     for tree, aut in free_trees(n):
         if any(check(tree)):
@@ -176,23 +179,35 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
 
 
 def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
-    """Theorem 1 weak and strong hook chains on the default exact q grid;
-    the smallest margin per claim is the first minimum of hook_margins in
-    sweep order."""
+    """Theorem 1 weak and strong hook chains on the default exact q grid,
+    over one tree per isomorphism class (`_class_walk`).  The smallest
+    margin per claim is named by the first labeled tree in Pruefer order,
+    at its first k, whose hook_margins gap attains it; that walk stops as
+    soon as every claim has one."""
     grid = default_q_grid()
     verdicts = []
     for n in config.span("hook_n_max"):
-        worst: dict[str, tuple[Fraction, Tree, int]] = {}  # weak, strong
+        low: dict[str, Fraction] = {}  # weak, strong
 
+        # no restart when _class_walk falls back to labeled trees: a class
+        # representative is itself a labeled tree, so every gap seen is
+        # attained by one, and the witness walk below names the first
         def check(tree):
             for claim, k, gap, q in hook_margins(tree, grid):
-                if claim not in worst or gap < worst[claim][0]:
-                    worst[claim] = (gap, tree, k)
+                low[claim] = min(low.get(claim, gap), gap)
                 if gap < 0:
                     yield claim, f"k={k}: negative gap {gap} at q={q}"
 
-        checked, failures = _walk(all_labeled_trees(n), check)
-        for claim, (gap, tree, k) in worst.items():
+        checked, failures = _class_walk(n, check)
+        witness: dict[str, tuple[Tree, int]] = {}
+        for tree in all_labeled_trees(n):
+            for claim, k, gap, _ in hook_margins(tree, grid):
+                if gap == low[claim]:
+                    witness.setdefault(claim, (tree, k))
+            if len(witness) == len(low):
+                break
+        for claim, gap in low.items():
+            tree, k = witness[claim]
             verdicts.append(_tree_verdict(
                 claim, {"n": n, "trees": "all", "grid": f"{len(grid)} points"},
                 failures[claim],

@@ -2,7 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 from dataclasses import fields
 
 import pytest
@@ -20,9 +21,9 @@ from qimm.trees import (
 
 # SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
 # json`, recorded before the probability sweep read every i from one
-# histogram per (n, k), and, for two-row (exhaustive up to n = 8), before
-# the exhaustive tree sweeps visited one tree per isomorphism class; the
-# verdict stream must not change.
+# histogram per (n, k), and, for two-row (exhaustive up to n = 8) and hook
+# (exhaustive up to n = 7), before those sweeps visited one tree per
+# isomorphism class; the verdict stream must not change.
 GOLDEN_DEEP = {
     "paths":
         "3c90a5ff0c4cf4b5498c9a37b1eeb0e5cdbfbae8d22446f95728417828d5aded",
@@ -30,6 +31,8 @@ GOLDEN_DEEP = {
         "bfdfe514af8c2af1b9616813e2ab3988cfc13d4d3819ffa995b4251591f4b4c2",
     "two-row":
         "e8c09c24f5f8e0432befd79b25342b0b6d8637c4da05e4a0a10deca77e905094",
+    "hook":
+        "fc8210cf395f3d47c332cd64560c777b2c4413305bfd386c203bad81631532fe",
 }
 
 # SHA-256 of stdout of `python -m qimm.cli verify ...` for two flag sets,
@@ -427,3 +430,82 @@ def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):
     classes = sum(len(free_trees(n)) for n in (*exhaustive,
                                                *config.span("oracle_n_max")))
     assert sum(calls.values()) <= classes + config.random_count
+
+
+def _labeled_hook_reference(n, margins):
+    # (claim, holds, witness, detail) of the Theorem 1 verdicts for n, from
+    # one walk over every labeled tree in Pruefer order: the witness is a
+    # strict-< running minimum, the detail the first five negative gaps
+    grid = claims.default_q_grid()
+    worst, fails = {}, defaultdict(list)
+    for checked, tree in enumerate(all_labeled_trees(n), 1):
+        for claim, k, gap, q in margins(tree, grid):
+            if claim not in worst or gap < worst[claim][0]:
+                worst[claim] = (gap, tree, k)
+            if gap < 0:
+                fails[claim].append(
+                    f"{tree.label()} k={k}: negative gap {gap} at q={q}")
+    return [(claim, not fails[claim],
+             f"{checked} trees; min gap {gap} ({tree.label()}, k={k})",
+             "; ".join(fails[claim][:5]))
+            for claim, (gap, tree, k) in worst.items()]
+
+
+def test_hook_sweep_visits_classes(monkeypatch):
+    # thm1 reads one tree per isomorphism class, then labeled trees in
+    # Pruefer order only up to the last witness it names
+    calls = []
+    margins = claims.hook_margins
+
+    def counted(tree, grid):
+        calls.append(tree)
+        return margins(tree, grid)
+
+    monkeypatch.setattr(claims, "hook_margins", counted)
+    config = SweepConfig()
+    verdicts = claims.verify_hook(config)
+    read = 0
+    for n in config.span("hook_n_max"):
+        labels = [t.label() for t in all_labeled_trees(n)]
+        read += max(labels.index(re.search(r"\((\S+), k=", v.witness)[1]) + 1
+                    for v in verdicts if v.params["n"] == n)
+    classes = sum(len(free_trees(n)) for n in config.span("hook_n_max"))
+    assert len(calls) <= classes + read
+
+
+@pytest.mark.parametrize("case", ["stars-fail-at-6", "paths-lowest"])
+def test_hook_witness_matches_labeled_walk(monkeypatch, case):
+    # stars-fail-at-6: only the star class at n = 6 has a negative gap (at
+    # k = 2), so n = 6 falls back to its labeled trees; paths-lowest: every
+    # gap off the path class, and every gap at k = 2, is raised by 1, so
+    # the minimum sits on paths at k = 3
+    margins = claims.hook_margins
+
+    def shifted(tree, grid):
+        degree = max(tree.degrees())
+
+        def shift(k):
+            if case == "stars-fail-at-6":
+                return -(tree.n == 6 and degree == 5 and k == 2)
+            return (degree > 2) + (k == 2)
+
+        return [(claim, k, gap + shift(k), q)
+                for claim, k, gap, q in margins(tree, grid)]
+
+    monkeypatch.setattr(claims, "hook_margins", shifted)
+    config = SweepConfig()
+    verdicts = claims.verify_hook(config)
+    assert [(v.claim, v.holds, v.witness, v.detail) for v in verdicts] == [
+        row for n in config.span("hook_n_max")
+        for row in _labeled_hook_reference(n, shifted)]
+    for v in verdicts:
+        n = v.params["n"]
+        named = [fail.split()[0] for fail in v.detail.split("; ") if fail]
+        if case == "stars-fail-at-6":
+            assert v.holds == (n != 6)
+            assert named == ([t.label() for t in all_labeled_trees(6)
+                              if max(t.degrees()) == 5][:5] if n == 6 else [])
+        else:
+            path = next(t for t in all_labeled_trees(n)
+                        if max(t.degrees()) == 2)
+            assert f"({path.label()}, k=3)" in v.witness

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -415,6 +418,21 @@ def test_verify_all_covers_every_claim(capsys):
         "a0-identity", "oracle-equivalence",
     }
     assert lines[-1]["summary"]["all_ok"]
+
+
+def test_full_verification_script_reader_gone(tmp_path):
+    # the reader closes before the summary is printed: exit 2, not the 1
+    # of a failed verdict, with one error line and no traceback
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "run_full_verification.py")
+    proc = subprocess.Popen([sys.executable, str(script), str(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.communicate(timeout=300)[1].decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "verdicts.jsonl").exists()
 
 
 def test_usage_errors(capsys):

@@ -318,6 +318,16 @@ def test_free_trees_class_counts():
         free_trees(1)
 
 
+def test_free_trees_refused_above_cap_before_growth(monkeypatch):
+    # n = 16 alone would take about 12 s; past the cap no class is grown
+    def grow(parent, codes):
+        raise AssertionError("a class was grown past the cap")
+
+    monkeypatch.setattr(trees, "_center_code", grow)
+    with pytest.raises(ValueError, match=f"n <= {trees.FREE_TREES_MAX_N}"):
+        free_trees(trees.FREE_TREES_MAX_N + 1)
+
+
 def test_free_trees_automorphisms_by_brute_force():
     for n in range(2, 8):
         for tree, aut in free_trees(n):
