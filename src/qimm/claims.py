@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .characters import alpha_table, last_value, poly_power_coeffs
 from .immanants import (
+    BRUTEFORCE_MAX_N,
     THEOREM_MIN_N,
     InequalityVerdict,
     a_coeff_arrays,
@@ -62,14 +63,27 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
                    prob_n_max=2, sr_max=1, sr_l_max=1, callan_l_max=1,
                    double_l_max=1)
 
+# Upper caps on the alpha and last tables, for `qimm alpha-table N` /
+# `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
+# user, the verify alpha-ratios sweep, takes about 10 s (n^4 to n^5 growth).
+ALPHA_TABLE_MAX_N = 200
+LAST_TABLE_MAX_L = 150
+
+# the last value of each sweep with an upper cap: labeled walks for the
+# tree caps, the brute force for the oracle, and the tables
+SWEEP_MAX = dict(hook_n_max=ALL_TREES_MAX_N,
+                 exhaustive_tree_max=ALL_TREES_MAX_N,
+                 oracle_n_max=BRUTEFORCE_MAX_N,
+                 alpha_n_max=ALPHA_TABLE_MAX_N, last_l_max=LAST_TABLE_MAX_L)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Caps for the verification sweeps.  `deepen` (the CLI's --deep)
     raises the tree caps and the path caps; the CLI's cap flags take
     these fields as their destinations and defaults.  A config, deepened
-    or not, is checked when built, so no sweep starts on a cap it cannot
-    reach or below its SWEEP_START; exhaustive_tree_max is cut to n_max."""
+    or not, is checked when built, so no sweep starts above its SWEEP_MAX
+    or below its SWEEP_START; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -89,10 +103,10 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "exhaustive_tree_max",
                            min(self.exhaustive_tree_max, self.n_max))
-        for name in ("hook_n_max", "oracle_n_max", "exhaustive_tree_max"):
-            if getattr(self, name) > ALL_TREES_MAX_N:
+        for name, cap in SWEEP_MAX.items():
+            if getattr(self, name) > cap:
                 raise ValueError(f"{name} = {getattr(self, name)} is above "
-                                 f"the tree cap n <= {ALL_TREES_MAX_N}")
+                                 f"its cap {cap}")
         if self.random_count < 1:
             raise ValueError("random_count must be at least 1")
         for name, start in SWEEP_START.items():
@@ -130,10 +144,12 @@ def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
 
 
 def _class_walk(n: int, check: Callable) -> tuple[int, dict]:
-    """`_walk` over every labeled tree on n vertices, for a `check` that
-    reads a tree only through n and its matching weights: relabeling
-    leaves the weights as they are, so `check` runs once per isomorphism
-    class of `free_trees(n)`, which covers its n!/|Aut T| labeled trees.
+    """`_walk` over every labeled tree on n vertices, for a `check` whose
+    outcome relabeling does not change (one that reads a tree only
+    through n and its matching weights, or through an expansion of its
+    q-Laplacian by permutation cycle type), so `check` runs once per
+    isomorphism class of `free_trees(n)`, which covers its n!/|Aut T|
+    labeled trees.
     If any class fails, n is walked labeled, so failures name labeled
     trees in Pruefer order.  Whatever else `check` records comes from
     class representatives, which are labeled trees but not the first in
@@ -419,14 +435,18 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
 
 def verify_oracle(config: SweepConfig) -> list[InequalityVerdict]:
     """oracle-equivalence: matching route equals brute force for every
-    labeled tree and every shape, n <= oracle_n_max."""
+    labeled tree and every shape, n <= oracle_n_max, over one tree per
+    isomorphism class (`_class_walk`).  Relabeling conjugates the
+    q-Laplacian by a permutation matrix and chi is a class function, so
+    the brute-force immanant is the same on every labeling; the matching
+    route reads only the c_j.  Both routes still run on the same tree."""
     def check(tree):
         for shape, ok in oracle_equivalence_report(tree):
             if not ok:
                 yield "oracle-equivalence", str(shape)
     verdicts = []
     for n in config.span("oracle_n_max"):
-        checked, failures = _walk(all_labeled_trees(n), check)
+        checked, failures = _class_walk(n, check)
         verdicts.append(_tree_verdict(
             "oracle-equivalence",
             {"n": n, "trees": "all", "shapes": "all partitions"},

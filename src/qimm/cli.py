@@ -28,7 +28,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .characters import alpha_table, as_partition, last_table, mn_character
-from .claims import SweepConfig, run_claims, summarize
+from .claims import (
+    ALPHA_TABLE_MAX_N,
+    LAST_TABLE_MAX_L,
+    SweepConfig,
+    run_claims,
+    summarize,
+)
 from .immanants import (
     InequalityVerdict,
     check_hook_chain,
@@ -48,6 +54,10 @@ from .trees import (
 
 USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
+
+# one encoder for every sorted-key JSON line: json.dumps builds a new
+# JSONEncoder per call when given sort_keys
+_JSON = json.JSONEncoder(sort_keys=True)
 
 # The verify sweep-cap flags: flag, the SweepConfig field it sets (its
 # default lives there only), help.
@@ -123,7 +133,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
     """Emit `record` as sorted-key JSON under --format json, else `text`."""
-    _emit(json.dumps(record, sort_keys=True) if args.format == "json"
+    _emit(_JSON.encode(record) if args.format == "json"
           else text, args.out)
 
 
@@ -170,24 +180,32 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str) -> str:
         w.writerow(f.name for f in fields(InequalityVerdict))
         for v in verdicts:
             row = v.to_json()
-            row["params"] = json.dumps(v.params, sort_keys=True)
+            row["params"] = _JSON.encode(v.params)
             w.writerow(row.values())
         return buf.getvalue()
-    lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
-    lines.append(json.dumps({"summary": summarize(verdicts)}, sort_keys=True))
+    lines = [_JSON.encode(v.to_json()) for v in verdicts]
+    lines.append(_JSON.encode({"summary": summarize(verdicts)}))
     return "\n".join(lines) + "\n"
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 
+def _check_table_cap(name: str, value: int, cap: int) -> None:
+    """Refuse a table size past its cap before any of it is computed."""
+    if value > cap:
+        raise ValueError(f"{name} = {value} is above its cap {cap}")
+
+
 def cmd_alpha_table(args: argparse.Namespace) -> int:
+    _check_table_cap("alpha-table N", args.n, ALPHA_TABLE_MAX_N)
     table = alpha_table(args.n)
     _emit(render_int_table(table.rows, "i", "k", args.format), args.out)
     return 0
 
 
 def cmd_last_table(args: argparse.Namespace) -> int:
+    _check_table_cap("last-table L", args.l, LAST_TABLE_MAX_L)
     table = last_table(args.l)
     _emit(render_int_table(table.rows, "l", "k", args.format), args.out)
     return 0

@@ -115,11 +115,16 @@ def test_sweep_config_checked_when_built():
             ("hook_n_max", {"hook_n_max": 10}),
             ("oracle_n_max", {"oracle_n_max": 10}),
             ("exhaustive_tree_max", {"n_max": 12, "exhaustive_tree_max": 10}),
+            ("alpha_n_max", {"alpha_n_max": claims.ALPHA_TABLE_MAX_N + 1}),
+            ("last_l_max", {"last_l_max": claims.LAST_TABLE_MAX_L + 1}),
             ("random_count", {"random_count": 0})):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**caps)
     with pytest.raises(ValueError, match="hook_n_max"):
         SweepConfig(hook_n_max=9).deepen()
+    # every upper cap is itself accepted
+    at_caps = SweepConfig(n_max=9, **claims.SWEEP_MAX)
+    assert vars(at_caps).items() >= claims.SWEEP_MAX.items()
     # a cap below its sweep's first value checks nothing and is refused;
     # at its first value every sweep yields a verdict
     assert len(claims.SWEEP_START) == 11
@@ -430,6 +435,26 @@ def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):
     classes = sum(len(free_trees(n)) for n in (*exhaustive,
                                                *config.span("oracle_n_max")))
     assert sum(calls.values()) <= classes + config.random_count
+
+
+def test_oracle_sweep_visits_classes(monkeypatch):
+    # oracle-equivalence runs once per isomorphism class: 13 calls for
+    # n = 2..6, where a labeled walk makes 1,441; each class still counts
+    # its labeled trees
+    calls = Counter()
+    report = claims.oracle_equivalence_report
+
+    def counted(tree):
+        calls[tree.n] += 1
+        return report(tree)
+
+    monkeypatch.setattr(claims, "oracle_equivalence_report", counted)
+    config = SweepConfig()
+    verdicts = claims.verify_oracle(config)
+    assert sum(calls.values()) <= 13
+    assert calls == {n: len(free_trees(n)) for n in config.span("oracle_n_max")}
+    assert [(v.holds, v.witness) for v in verdicts] == [
+        (True, f"{n ** (n - 2)} trees") for n in config.span("oracle_n_max")]
 
 
 def _labeled_hook_reference(n, margins):

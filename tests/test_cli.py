@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qimm import immanants
+from qimm import claims, cli, immanants
 from qimm.immanants import InequalityVerdict, check_two_row_chain
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
@@ -354,6 +354,41 @@ def test_sweep_caps_refused_before_any_sweep(capsys, argv, field):
     assert time.perf_counter() - start < 2
     assert_usage_error(code, out, err)
     assert field in err
+
+
+class Computed(Exception):
+    """Raised by a patched table computation once it is reached."""
+
+
+# argv with {} for the size, the table cap, and the name the refusal gives
+TABLE_CAPS = [
+    (("alpha-table", "{}"), claims.ALPHA_TABLE_MAX_N, "alpha-table N"),
+    (("last-table", "{}"), claims.LAST_TABLE_MAX_L, "last-table L"),
+    (("verify", "alpha-ratios", "--alpha-n-max", "{}"),
+     claims.ALPHA_TABLE_MAX_N, "alpha_n_max"),
+    (("verify", "alpha-ratios", "--l-max", "{}"),
+     claims.LAST_TABLE_MAX_L, "last_l_max"),
+]
+
+
+@pytest.mark.parametrize("argv, cap, name", TABLE_CAPS,
+                         ids=[" ".join(argv[:-1]) for argv, _, _ in TABLE_CAPS])
+def test_table_sizes_refused_above_cap_before_work(monkeypatch, capsys, argv,
+                                                   cap, name):
+    # past its cap a table command or sweep flag exits 2 with one line and
+    # computes nothing; the cap itself reaches the computation
+    def work(*args):
+        raise Computed(args)
+
+    for module, attr in ((cli, "alpha_table"), (cli, "last_table"),
+                         (claims, "check_alpha_ratios"),
+                         (claims, "check_last_row_ratios")):
+        monkeypatch.setattr(module, attr, work)
+    with pytest.raises(Computed):
+        main([a.format(cap) for a in argv])
+    code, out, err = run_cli(capsys, *(a.format(cap + 1) for a in argv))
+    assert_usage_error(code, out, err)
+    assert f"{name} = {cap + 1}" in err
 
 
 def test_verdict_fields_are_its_serialized_form(capsys):

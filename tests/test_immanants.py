@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -32,6 +33,7 @@ from qimm.trees import matching_weights
 from qimm.ratpoly import RatPoly
 from qimm.trees import (
     PolyMatrix,
+    Tree,
     all_labeled_trees,
     path_tree,
     q_laplacian,
@@ -124,6 +126,29 @@ def test_oracle_equivalence_small():
     for n in range(2, 6):
         for tree in all_labeled_trees(n):
             assert all(ok for _, ok in oracle_equivalence_report(tree))
+
+
+def test_bruteforce_invariant_under_relabeling():
+    # the oracle sweep runs once per isomorphism class: relabeling
+    # conjugates q_laplacian by a permutation matrix, so the brute-force
+    # sum per cycle type, and with it the oracle report, stays the same
+    rng = random.Random(16)
+    trees = [tree for n in range(2, 9) for tree in random_trees(n, 3, seed=n)]
+    moved_any = False
+    for tree in trees + [path_tree(8), star_tree(8)]:
+        buckets = immanants._bruteforce_buckets(q_laplacian(tree))
+        report = oracle_equivalence_report(tree)
+        assert all(ok for _, ok in report)
+        for _ in range(3):
+            perm = list(range(1, tree.n + 1))
+            rng.shuffle(perm)
+            moved = Tree(tree.n, tuple((perm[u - 1], perm[v - 1])
+                                       for u, v in tree.edges))
+            moved_any |= q_laplacian(moved) != q_laplacian(tree)
+            assert immanants._bruteforce_buckets(
+                q_laplacian(moved)) == buckets, tree.label()
+            assert oracle_equivalence_report(moved) == report, tree.label()
+    assert moved_any
 
 
 def test_oracle_checks_the_matching_route(monkeypatch):
