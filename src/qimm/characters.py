@@ -100,41 +100,60 @@ def centralizer_size(cycle_type: Sequence[int]) -> int:
 
 
 @cache
-def _mn(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Border-strip removal, one cycle per level, longest cycle first;
-    once only 1-cycles are left, chi(1^m) = f^shape ends the descent."""
-    if not shape:
-        return 1
-    t = cycles[0]
-    if t == 1:
-        return syt_count(shape)
-    rest = cycles[1:]
+def _beads(shape: tuple[int, ...]) -> int:
+    """The beta-set of a partition as a bitmask (its abacus): part i of m
+    puts a bead at shape[i] + m - 1 - i, so position 0 stays empty."""
     m = len(shape)
-    beta = [shape[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
+    return sum(1 << (p + m - 1 - i) for i, p in enumerate(shape))
+
+
+@cache
+def _mn(beads: int, cycles: tuple[int, ...]) -> int:
+    """Border-strip removal on the abacus, longest cycle first: a t-strip
+    moves a bead from b to an empty b - t, signed by the beads between,
+    and the filled low positions are shifted out for a canonical key.
+    Once only 1-cycles are left, chi(1^m) = f^shape ends the descent."""
+    if not cycles or cycles[0] == 1:
+        parts = []  # each bead's position less the beads below it
+        while beads:
+            low = beads & -beads
+            parts.append(low.bit_length() - 1 - len(parts))
+            beads ^= low
+        return syt_count(parts[::-1])
+    t, rest = cycles[0], cycles[1:]
+    # the beads at b >= t whose slot b - t is empty
+    movable = beads & ~(beads << t) & -(1 << t)
     total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        leg = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_shape = tuple(c - (m - 1 - i) for i, c in enumerate(new_beta))
-        new_shape = tuple(p for p in new_shape if p > 0)
-        total += (-1) ** leg * _mn(new_shape, rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        dest = low >> t
+        new = beads ^ low ^ dest
+        while new & 1:
+            new >>= 1
+        value = _mn(new, rest)
+        # the leg: beads strictly between, as slot b - t is empty
+        odd_leg = (beads & (low - dest)).bit_count() & 1
+        total += -value if odd_leg else value
     return total
 
 
+@cache
+def _checked(parts: tuple, cycle_type: bool) -> tuple[tuple[int, ...], int]:
+    """A validated shape, or a cycle type sorted after conversion, with its
+    size; cached on the input as given (a refusal raises, uncached)."""
+    t = as_partition(sorted(map(int, parts), reverse=True) if cycle_type
+                     else parts)
+    return t, sum(t)
+
+
 def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
-    """chi_lambda(rho) by border-strip removal on first-column hook lengths."""
-    shape = as_partition(shape)
-    # sorted after conversion, so only positivity is left to check
-    rho = tuple(sorted(map(int, cycle_type), reverse=True))
-    if rho and rho[-1] < 1:
-        raise ValueError(f"partition parts must be positive: {rho}")
-    if sum(shape) != sum(rho):
-        raise ValueError(f"|shape|={sum(shape)} != |cycle type|={sum(rho)}")
-    return _mn(shape, rho)
+    """chi_lambda(rho) by border-strip removal on the bead mask of lambda."""
+    shape, size = _checked(tuple(shape), False)
+    rho, rho_size = _checked(tuple(cycle_type), True)
+    if size != rho_size:
+        raise ValueError(f"|shape|={size} != |cycle type|={rho_size}")
+    return _mn(_beads(shape), rho)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +194,8 @@ def alpha(n: int, shape: Sequence[int], i: int) -> int:
         raise ValueError(f"shape {shape} is not a partition of {n}")
     if not 0 <= i <= n // 2:
         raise ValueError(f"need 0 <= i <= n//2, got i={i}")
-    total = sum(comb(i, j) * _mn(shape, two_cycle_type(n, j)) for j in range(i + 1))
+    total = sum(comb(i, j) * _mn(_beads(shape), two_cycle_type(n, j))
+                for j in range(i + 1))
     q, r = divmod(total, 1 << i)
     if r:
         raise ArithmeticError(

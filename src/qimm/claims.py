@@ -68,13 +68,18 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 # user, the verify alpha-ratios sweep, takes about 10 s (n^4 to n^5 growth).
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
+# The general-sr sweep's caps: either alone takes about 10 s at its cap
+# with the other at its default (their costs multiply).
+SR_MAX = 50
+SR_L_MAX = 100
 
 # the last value of each sweep with an upper cap: labeled walks for the
 # tree caps, the brute force for the oracle, and the tables
 SWEEP_MAX = dict(hook_n_max=ALL_TREES_MAX_N,
                  exhaustive_tree_max=ALL_TREES_MAX_N,
                  oracle_n_max=BRUTEFORCE_MAX_N,
-                 alpha_n_max=ALPHA_TABLE_MAX_N, last_l_max=LAST_TABLE_MAX_L)
+                 alpha_n_max=ALPHA_TABLE_MAX_N, last_l_max=LAST_TABLE_MAX_L,
+                 sr_max=SR_MAX, sr_l_max=SR_L_MAX)
 
 
 @dataclass(frozen=True)

@@ -212,14 +212,11 @@ def cmd_last_table(args: argparse.Namespace) -> int:
 
 
 def cmd_char(args: argparse.Namespace) -> int:
-    shape = as_partition(tuple(int(x) for x in args.shape.split(",")))
-    rho = as_partition(
-        tuple(sorted((int(x) for x in args.cycle_type.split(",")),
-                     reverse=True))
-    )
+    # mn_character checks both, the shape first
+    shape = [int(x) for x in args.shape.split(",")]
+    rho = sorted((int(x) for x in args.cycle_type.split(",")), reverse=True)
     value = mn_character(shape, rho)
-    _emit_record(args, str(value), {"shape": list(shape),
-                                    "cycle_type": list(rho),
+    _emit_record(args, str(value), {"shape": shape, "cycle_type": rho,
                                     "value": str(value)})
     return 0
 
@@ -250,6 +247,22 @@ def cmd_a_coeffs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_config(caps: dict, deep: bool) -> SweepConfig:
+    """The SweepConfig of the typed cap flags, deepened under --deep.  A
+    refusal, which SweepConfig words as "<field> ...", names the flag,
+    and says so when --deep raised the value past its cap."""
+    typed = None
+    try:
+        typed = SweepConfig(**caps)
+        return typed.deepen() if deep else typed
+    except ValueError as err:
+        field, _, rest = str(err).partition(" ")
+        flag = {name: flag for flag, name, _ in CAP_FLAGS}.get(field, field)
+        raised = (f" (--deep raised it from {getattr(typed, field)})"
+                  if typed is not None else "")
+        raise ValueError(f"{flag} {rest}{raised}") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     # a cap flag is in the namespace only when typed (default SUPPRESS)
     caps = {name: getattr(args, name) for _, name, _ in CAP_FLAGS
@@ -274,10 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             grid = parse_q_grid(args.q_grid) if args.q_grid else None
             verdicts = check_hook_chain(tree, grid)
     else:
-        sweep = SweepConfig(**caps)
-        if args.deep:
-            sweep = sweep.deepen()
-        verdicts = run_claims(args.which, sweep)
+        verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
     fmt = args.format if args.format != "text" else "json"
     _emit(render_verdicts(verdicts, fmt), args.out)
     return 0 if summarize(verdicts)["all_ok"] else 1

@@ -44,6 +44,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import (
+    _beads,
     _mn,
     alpha_table,
     as_partition,
@@ -176,7 +177,7 @@ def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
     shape is a validated partition of n and the keys are canonical cycle
     types of n, so the character engine is called unchecked."""
     return _weighted_sum(list(buckets.values()),
-                         [_mn(shape, rho) for rho in buckets])
+                         [_mn(_beads(shape), rho) for rho in buckets])
 
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
@@ -207,7 +208,7 @@ def _matching_sum(n: int, weights: Sequence[Sequence[int]],
     """sum_j chi_shape(2^j 1^(n-2j)) c_j in t: the matching route, shared
     by immanant_tree and the oracle that checks it."""
     weights = _nonzero_prefix(weights)
-    return _weighted_sum(weights, [_mn(shape, two_cycle_type(n, j))
+    return _weighted_sum(weights, [_mn(_beads(shape), two_cycle_type(n, j))
                                    for j in range(len(weights))])
 
 

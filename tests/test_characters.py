@@ -1,4 +1,6 @@
-from math import comb
+import hashlib
+import json
+from math import comb, factorial
 
 import pytest
 
@@ -105,7 +107,7 @@ def test_first_column_counts_tableaux():
 
 def test_column_orthogonality():
     # sum over shapes of chi(rho) chi(sigma) is z_rho on the diagonal, 0 off
-    for n in range(2, 7):
+    for n in range(2, 9):
         rhos = list(partitions(n))
         for rho in rhos:
             for sigma in rhos:
@@ -115,6 +117,37 @@ def test_column_orthogonality():
                 )
                 expect = centralizer_size(rho) if rho == sigma else 0
                 assert total == expect
+
+
+def test_row_orthogonality():
+    # sum over cycle types of chi_lambda(rho) chi_mu(rho) / z_rho is
+    # delta_{lambda mu}; times n!, which every z_rho divides
+    for n in range(1, 9):
+        rhos = list(partitions(n))
+        z = [centralizer_size(rho) for rho in rhos]
+        scale = factorial(n)
+        for lam in rhos:
+            for mu in rhos:
+                total = sum(mn_character(lam, rho) * mn_character(mu, rho)
+                            * (scale // z_rho) for rho, z_rho in zip(rhos, z))
+                assert total == (scale if lam == mu else 0), (lam, mu)
+
+
+def test_s12_character_table_pinned():
+    # SHA-256 of json.dumps of the rows chi_lambda(rho), lambda and rho over
+    # partitions(12), recorded from the shape-tuple recursion
+    parts = list(partitions(12))
+    rows = [[mn_character(lam, rho) for rho in parts] for lam in parts]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "3b5f82d4905713ff4964a97cad29c11a502c8b807f282193455830bf09d06b69")
+
+
+def test_murnaghan_nakayama_edge_values():
+    # a 10 x 10 square at 3^33 1: a 34-level descent
+    assert mn_character((10,) * 10, (3,) * 33 + (1,)) == (
+        934936182295920604800)
+    # two beads far apart: f^(2999,1) = 2999
+    assert mn_character((2999, 1), (1,) * 3000) == 2999
 
 
 def test_two_row_char_trivial_row():

@@ -117,6 +117,8 @@ def test_sweep_config_checked_when_built():
             ("exhaustive_tree_max", {"n_max": 12, "exhaustive_tree_max": 10}),
             ("alpha_n_max", {"alpha_n_max": claims.ALPHA_TABLE_MAX_N + 1}),
             ("last_l_max", {"last_l_max": claims.LAST_TABLE_MAX_L + 1}),
+            ("sr_max", {"sr_max": claims.SR_MAX + 1}),
+            ("sr_l_max", {"sr_l_max": claims.SR_L_MAX + 1}),
             ("random_count", {"random_count": 0})):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**caps)

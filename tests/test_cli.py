@@ -326,34 +326,41 @@ def test_verify_hook_large_star_output_unchanged(capsys):
         "f20cd4c653383b7570e8ff2e8dd6c221941162290d00794703927dbbd72c2e93")
 
 
-# each case is named by its argv alone
+# each case is named by its argv alone; the refusal names the flag, and
+# says when --deep raised the value
 REFUSED_CAPS = [
-    (("hook", "--hook-n-max", "10"), "hook_n_max"),
-    (("all", "--oracle-n-max", "10"), "oracle_n_max"),
-    (("hook", "--hook-n-max", "9", "--deep"), "hook_n_max"),
-    (("two-row", "--random-trees", "0"), "random_count"),
-    (("two-row", "--n-max", "4"), "n_max"),
-    (("hook", "--hook-n-max", "4"), "hook_n_max"),
-    (("all", "--oracle-n-max", "1"), "oracle_n_max"),
-    (("alpha-ratios", "--alpha-n-max", "1"), "alpha_n_max"),
-    (("alpha-ratios", "--l-max", "1"), "last_l_max"),
-    (("general-sr", "--sr-max", "0"), "sr_max"),
-    (("general-sr", "--sr-l-max", "0"), "sr_l_max"),
-    (("hook", "--hook-n-max", "4", "--deep"), "hook_n_max"),
+    (("hook", "--hook-n-max", "10"), "--hook-n-max = 10 is above its cap 9"),
+    (("all", "--oracle-n-max", "10"), "--oracle-n-max = 10 is above"),
+    (("hook", "--hook-n-max", "9", "--deep"),
+     "--hook-n-max = 10 is above its cap 9 (--deep raised it from 9)"),
+    (("two-row", "--random-trees", "0"), "--random-trees must be at least 1"),
+    (("two-row", "--n-max", "4"), "--n-max = 4 checks nothing"),
+    (("hook", "--hook-n-max", "4"), "--hook-n-max = 4 checks nothing"),
+    (("all", "--oracle-n-max", "1"), "--oracle-n-max = 1 checks nothing"),
+    (("alpha-ratios", "--alpha-n-max", "1"), "--alpha-n-max = 1 checks"),
+    (("alpha-ratios", "--l-max", "1"), "--l-max = 1 checks nothing"),
+    (("general-sr", "--sr-max", "0"), "--sr-max = 0 checks nothing"),
+    (("general-sr", "--sr-max", "51"), "--sr-max = 51 is above its cap 50"),
+    (("general-sr", "--sr-l-max", "0"), "--sr-l-max = 0 checks nothing"),
+    (("general-sr", "--sr-l-max", "101"),
+     "--sr-l-max = 101 is above its cap 100"),
+    (("hook", "--hook-n-max", "4", "--deep"), "--hook-n-max = 4 checks"),
 ]
 
 
-@pytest.mark.parametrize("argv, field", REFUSED_CAPS,
+@pytest.mark.parametrize("argv, message", REFUSED_CAPS,
                          ids=[" ".join(argv) for argv, _ in REFUSED_CAPS])
-def test_sweep_caps_refused_before_any_sweep(capsys, argv, field):
-    # a cap past the exhaustive tree cap (n <= 9), --deep included, an
-    # empty random sample, or a cap below its sweep's first value (which
-    # would check nothing) fails at once instead of sweeping first
+def test_sweep_caps_refused_before_any_sweep(capsys, argv, message):
+    # a cap past its upper cap (the exhaustive tree cap n <= 9, the
+    # general-sr caps), --deep included, an empty random sample, or a cap
+    # below its sweep's first value (which would check nothing) fails at
+    # once instead of sweeping first
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
     assert time.perf_counter() - start < 2
     assert_usage_error(code, out, err)
-    assert field in err
+    assert message in err
+    assert "deep" not in err or "--deep" in argv
 
 
 class Computed(Exception):
@@ -365,9 +372,9 @@ TABLE_CAPS = [
     (("alpha-table", "{}"), claims.ALPHA_TABLE_MAX_N, "alpha-table N"),
     (("last-table", "{}"), claims.LAST_TABLE_MAX_L, "last-table L"),
     (("verify", "alpha-ratios", "--alpha-n-max", "{}"),
-     claims.ALPHA_TABLE_MAX_N, "alpha_n_max"),
+     claims.ALPHA_TABLE_MAX_N, "--alpha-n-max"),
     (("verify", "alpha-ratios", "--l-max", "{}"),
-     claims.LAST_TABLE_MAX_L, "last_l_max"),
+     claims.LAST_TABLE_MAX_L, "--l-max"),
 ]
 
 
