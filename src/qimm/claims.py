@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from typing import Callable, Iterable, Sequence
 
 from .characters import alpha_table, last_value, poly_power_coeffs
@@ -69,17 +69,31 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps: either alone takes about 10 s at its cap
-# with the other at its default (their costs multiply).
+# with the other at its default.
 SR_MAX = 50
 SR_L_MAX = 100
+# The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
+RANDOM_TREES_MAX = 100_000
+
+
+def _sr_l_cost(sr_l_max: int) -> int:
+    """Work of the general-sr sweep per (s, r) pair, up to l = sr_l_max:
+    for each l, two l-th powers of a trinomial by l convolutions each
+    (about l^2 steps) and l verdicts, so sum_l l(l + 27) = L(L+1)(L+41)/3.
+    The weight 27 of a verdict against a step was fitted to timed runs of
+    `verify general-sr`."""
+    return sr_l_max * (sr_l_max + 1) * (sr_l_max + 41) // 3
+
 
 # the last value of each sweep with an upper cap: labeled walks for the
-# tree caps, the brute force for the oracle, and the tables
+# tree caps, the brute force for the oracle, the tables, and the sizes of
+# the general-sr sweep and the random sample
 SWEEP_MAX = dict(hook_n_max=ALL_TREES_MAX_N,
                  exhaustive_tree_max=ALL_TREES_MAX_N,
                  oracle_n_max=BRUTEFORCE_MAX_N,
                  alpha_n_max=ALPHA_TABLE_MAX_N, last_l_max=LAST_TABLE_MAX_L,
-                 sr_max=SR_MAX, sr_l_max=SR_L_MAX)
+                 sr_max=SR_MAX, sr_l_max=SR_L_MAX,
+                 random_count=RANDOM_TREES_MAX)
 
 
 @dataclass(frozen=True)
@@ -88,7 +102,8 @@ class SweepConfig:
     raises the tree caps and the path caps; the CLI's cap flags take
     these fields as their destinations and defaults.  A config, deepened
     or not, is checked when built, so no sweep starts above its SWEEP_MAX
-    or below its SWEEP_START; exhaustive_tree_max is cut to n_max."""
+    or below its SWEEP_START, and sr_max and sr_l_max together stay
+    within SR_COST_MAX; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -118,6 +133,10 @@ class SweepConfig:
             if getattr(self, name) < start:
                 raise ValueError(f"{name} = {getattr(self, name)} checks "
                                  f"nothing: its sweep starts at {start}")
+        sr_cap = isqrt(SR_COST_MAX // _sr_l_cost(self.sr_l_max))
+        if self.sr_max > sr_cap:
+            raise ValueError(f"sr_max = {self.sr_max} is above its cap "
+                             f"{sr_cap} at sr_l_max = {self.sr_l_max}")
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -136,6 +155,11 @@ class SweepConfig:
     def span(self, cap: str) -> range:
         """The values a capped sweep visits: SWEEP_START[cap] to the cap."""
         return range(SWEEP_START[cap], getattr(self, cap) + 1)
+
+
+# the two general-sr caps together: the work of --sr-l-max at its cap
+# with --sr-max at its default, the costlier of the two single-flag caps
+SR_COST_MAX = SweepConfig.sr_max ** 2 * _sr_l_cost(SR_L_MAX)
 
 
 def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
@@ -359,8 +383,10 @@ def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
 
 def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
     """lem20 on paths and lem21 on tableaux, with exact rationals.  Each
-    path class and tableau shape is listed once per n; every i reads a
-    prefix of its histogram."""
+    path class and tableau shape has its histogram counted once per n, by
+    two separately written state transfers (restricted_count_histogram,
+    syt_descent_histogram), so no path or tableau is listed; every i
+    reads a prefix of a histogram."""
     verdicts = []
     for n in config.span("prob_n_max"):
         path_seqs = probability_sequences(n)

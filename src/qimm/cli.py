@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -249,18 +250,20 @@ def cmd_a_coeffs(args: argparse.Namespace) -> int:
 
 def _sweep_config(caps: dict, deep: bool) -> SweepConfig:
     """The SweepConfig of the typed cap flags, deepened under --deep.  A
-    refusal, which SweepConfig words as "<field> ...", names the flag,
-    and says so when --deep raised the value past its cap."""
+    refusal, which SweepConfig words as "<field> ...", names the flag of
+    every field it names, and says so when --deep raised the value past
+    its cap."""
     typed = None
     try:
         typed = SweepConfig(**caps)
         return typed.deepen() if deep else typed
     except ValueError as err:
-        field, _, rest = str(err).partition(" ")
-        flag = {name: flag for flag, name, _ in CAP_FLAGS}.get(field, field)
+        field = str(err).partition(" ")[0]
         raised = (f" (--deep raised it from {getattr(typed, field)})"
                   if typed is not None else "")
-        raise ValueError(f"{flag} {rest}{raised}") from None
+        flags = {name: flag for flag, name, _ in CAP_FLAGS}
+        message = re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(err))
+        raise ValueError(message + raised) from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -17,12 +17,16 @@ one occupies exactly one of the intervals s_d = (2d-2, 2d); a peak at
 Each path is walked once: the pass that checks its alphabet also stores
 its running heights, and every height query reads them.  Paths and
 tableaux are listed one step (or entry) at a time with no recursion, so
-their size is bounded by memory, not by the recursion limit.
+their size is bounded by memory, not by the recursion limit.  The
+odd-peak and odd-descent histograms are counted by the same growth with
+prefixes merged by state, not by listing; the listings stay the
+bijection sweeps' input and the tests' independent route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -240,11 +244,32 @@ def count_restricted(n: int, k: int, i: int) -> int:
 @lru_cache(maxsize=None)
 def restricted_count_histogram(n: int, k: int) -> tuple[int, ...]:
     """hist[d] = number of NLP(n, n-2k) paths whose largest odd-peak
-    interval index is exactly d; built once per (n, k) and shared by the
-    counting and probability sweeps."""
+    interval index (max_odd_peak_interval) is exactly d; built once per
+    (n, k) and shared by the counting and probability sweeps.
+
+    Counted, not listed: prefixes grow one step per round under the
+    growth rules of enumerate_paths("NLP", n, n-2k), and prefixes with
+    the same (height, last step was U, largest odd-peak interval so far)
+    are merged into one count, so the work is polynomial in n."""
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"need 0 <= k <= n//2, got k={k}")
+    end = n - 2 * k
+    states = {(0, False, 0): 1}
+    for x in range(n):  # every prefix ends at point x
+        rem = n - x - 1
+        grown: dict[tuple[int, bool, int], int] = defaultdict(int)
+        for (h, up, d), count in states.items():
+            if abs(end - h - 1) <= rem:
+                grown[h + 1, True, d] += count
+            if h and abs(end - h + 1) <= rem:
+                # U then D: a peak at (x, h), in interval (x+1)//2
+                if up and h % 2:
+                    d = max(d, (x + 1) // 2)
+                grown[h - 1, False, d] += count
+        states = grown
     hist = [0] * (n // 2 + 1)
-    for p in enumerate_paths("NLP", n, n - 2 * k):
-        hist[max_odd_peak_interval(p)] += 1
+    for (_, _, d), count in states.items():
+        hist[d] += count
     return tuple(hist)
 
 
@@ -321,10 +346,30 @@ def max_odd_descent_interval(tableau: TwoRowSYT) -> int:
 
 def syt_descent_histogram(n: int, k: int) -> list[int]:
     """hist[d] = number of standard tableaux of shape (n-k, k) whose
-    max_odd_descent_interval is exactly d."""
+    max_odd_descent_interval is exactly d.
+
+    Counted, not listed: entries 1..n are placed one per round under the
+    growth rules of enumerate_two_row_syt, and partial tableaux with the
+    same (row 1 length, row 2 length, last entry in row 1, largest
+    odd-RowDiff descent interval so far) are merged into one count."""
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"need 0 <= k <= n//2, got k={k}")
+    states = {(0, 0, False, 0): 1}
+    for entry in range(1, n + 1):
+        grown: dict[tuple[int, int, bool, int], int] = defaultdict(int)
+        for (len1, len2, last_in_row1, d), count in states.items():
+            if len1 < n - k:
+                grown[len1 + 1, len2, True, d] += count
+            if len2 < min(k, len1):
+                # entry-1 in row 1 and entry in row 2: a descent at
+                # entry-1, where RowDiff is len1 - len2
+                if last_in_row1 and (len1 - len2) % 2:
+                    d = max(d, entry // 2)
+                grown[len1, len2 + 1, False, d] += count
+        states = grown
     hist = [0] * (n // 2 + 1)
-    for tab in enumerate_two_row_syt(n, k):
-        hist[max_odd_descent_interval(tab)] += 1
+    for (_, _, _, d), count in states.items():
+        hist[d] += count
     return hist
 
 
@@ -354,7 +399,7 @@ def probability_sequences(n: int) -> list[list[tuple[int, Fraction]]]:
     """seqs[i] = [(k, P_k)] for i = 0..floor((n-1)/2), k = 0..floor(n/2),
     with P_k the probability that a uniform NLP(n, n-2k) path keeps its
     odd-height peaks inside the first floor(n/2)-i intervals.  Each
-    NLP(n, n-2k) is listed once; every i reads a prefix of its histogram."""
+    NLP(n, n-2k) histogram is counted once; every i reads a prefix of it."""
     hists = [restricted_count_histogram(n, k) for k in range(n // 2 + 1)]
     return [
         [(k, Fraction(allowed_count(h, n, i), two_row_dimension(n, k)))

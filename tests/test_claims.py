@@ -124,9 +124,17 @@ def test_sweep_config_checked_when_built():
             SweepConfig(**caps)
     with pytest.raises(ValueError, match="hook_n_max"):
         SweepConfig(hook_n_max=9).deepen()
-    # every upper cap is itself accepted
-    at_caps = SweepConfig(n_max=9, **claims.SWEEP_MAX)
-    assert vars(at_caps).items() >= claims.SWEEP_MAX.items()
+    # every upper cap is itself accepted, all at once but for the two
+    # general-sr caps, which are bounded together: each is accepted with
+    # the other at its default, and the pair is refused
+    at_caps = SweepConfig(n_max=9, **{**claims.SWEEP_MAX,
+                                      "sr_max": SweepConfig.sr_max})
+    assert (vars(at_caps).items()
+            >= claims.SWEEP_MAX.items() - {("sr_max", claims.SR_MAX)})
+    assert SweepConfig(sr_max=claims.SR_MAX).sr_max == claims.SR_MAX
+    with pytest.raises(ValueError, match="sr_max = 50 is above its cap 4 at "
+                                         "sr_l_max = 100"):
+        SweepConfig(sr_max=claims.SR_MAX, sr_l_max=claims.SR_L_MAX)
     # a cap below its sweep's first value checks nothing and is refused;
     # at its first value every sweep yields a verdict
     assert len(claims.SWEEP_START) == 11
@@ -148,18 +156,42 @@ def test_deep_paths_and_probability_streams_unchanged(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, which
 
 
+def count_listings(mp):
+    """From here on, count the paths enumerate_paths lists, by class, and
+    the calls to enumerate_two_row_syt, under "SYT"."""
+    listed = Counter()
+    list_paths = paths.enumerate_paths
+    list_tableaux = paths.enumerate_two_row_syt
+
+    def counted_paths(path_class, length, end_height):
+        result = list_paths(path_class, length, end_height)
+        listed[path_class] += len(result)
+        return result
+
+    def counted_tableaux(n, k):
+        listed["SYT"] += 1
+        return list_tableaux(n, k)
+
+    for module in (paths, claims):
+        mp.setattr(module, "enumerate_paths", counted_paths)
+    mp.setattr(paths, "enumerate_two_row_syt", counted_tableaux)
+    return listed
+
+
 @pytest.fixture(scope="module")
 def default_sweep():
-    # one default sweep serves the digest and the cache checks
+    # one default sweep serves the digest, the cache and the listing checks
     restricted_count_histogram.cache_clear()
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        listed = count_listings(mp)
         status = main(["verify", "all"])
-    return status, out.getvalue(), restricted_count_histogram.cache_info()
+    return (status, out.getvalue(), restricted_count_histogram.cache_info(),
+            listed)
 
 
 def test_default_verify_all_stream_unchanged(default_sweep):
-    status, out, _ = default_sweep
+    status, out = default_sweep[:2]
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEFAULT
 
@@ -174,6 +206,19 @@ def test_one_cache_entry_per_key_in_a_full_run(default_sweep):
     assert info.misses == len(keys) and info.hits > 0
     # two-row characters are cached once, under both names
     assert characters._two_row_rec is characters.two_row_char
+
+
+def test_histograms_list_no_path_or_tableau(default_sweep, monkeypatch):
+    # lem16-bij's target, lem18-lem21 count their histograms by state
+    # transfer: neither a default run nor the --deep probability sweep
+    # lists an NLP path or calls enumerate_two_row_syt; the bijection
+    # sweeps still list their GRP and UHD paths
+    assert set(default_sweep[3]) == {"GRP", "UHD"}
+    restricted_count_histogram.cache_clear()
+    listed = count_listings(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "probability", "--deep"]) == 0
+    assert not listed
 
 
 def test_cap_flags_streams_unchanged(capsys):

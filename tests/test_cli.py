@@ -334,6 +334,11 @@ REFUSED_CAPS = [
     (("hook", "--hook-n-max", "9", "--deep"),
      "--hook-n-max = 10 is above its cap 9 (--deep raised it from 9)"),
     (("two-row", "--random-trees", "0"), "--random-trees must be at least 1"),
+    (("two-row", "--random-trees", "100001"),
+     "--random-trees = 100001 is above its cap 100000"),
+    (("two-row", "--random-trees", "20001", "--deep"),
+     "--random-trees = 100005 is above its cap 100000 "
+     "(--deep raised it from 20001)"),
     (("two-row", "--n-max", "4"), "--n-max = 4 checks nothing"),
     (("hook", "--hook-n-max", "4"), "--hook-n-max = 4 checks nothing"),
     (("all", "--oracle-n-max", "1"), "--oracle-n-max = 1 checks nothing"),
@@ -344,6 +349,8 @@ REFUSED_CAPS = [
     (("general-sr", "--sr-l-max", "0"), "--sr-l-max = 0 checks nothing"),
     (("general-sr", "--sr-l-max", "101"),
      "--sr-l-max = 101 is above its cap 100"),
+    (("general-sr", "--sr-max", "50", "--sr-l-max", "100"),
+     "--sr-max = 50 is above its cap 4 at --sr-l-max = 100"),
     (("hook", "--hook-n-max", "4", "--deep"), "--hook-n-max = 4 checks"),
 ]
 
@@ -352,9 +359,10 @@ REFUSED_CAPS = [
                          ids=[" ".join(argv) for argv, _ in REFUSED_CAPS])
 def test_sweep_caps_refused_before_any_sweep(capsys, argv, message):
     # a cap past its upper cap (the exhaustive tree cap n <= 9, the
-    # general-sr caps), --deep included, an empty random sample, or a cap
-    # below its sweep's first value (which would check nothing) fails at
-    # once instead of sweeping first
+    # general-sr caps, alone or together, the random sample size), --deep
+    # included, an empty random sample, or a cap below its sweep's first
+    # value (which would check nothing) fails at once instead of sweeping
+    # first
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
     assert time.perf_counter() - start < 2

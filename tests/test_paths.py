@@ -25,6 +25,7 @@ from qimm.paths import (
     peak_profile,
     probability_monotonicity,
     probability_sequences,
+    restricted_count_histogram,
     riordan_double_fwd,
     riordan_double_inv,
     sequence_identities,
@@ -246,6 +247,43 @@ def test_count_restricted_equals_alpha_small():
         for k in range(n // 2 + 1):
             for i in range(n // 2 + 1):
                 assert count_restricted(n, k, i) == table.get(k, i)
+
+
+def listed_histograms(n, k):
+    # the brute-force route: list NLP(n, n-2k) and the (n-k, k) tableaux,
+    # and read each object's largest odd interval from its own peaks or
+    # descents
+    peak_hist, descent_hist = [0] * (n // 2 + 1), [0] * (n // 2 + 1)
+    for p in enumerate_paths("NLP", n, n - 2 * k):
+        peak_hist[max_odd_peak_interval(p)] += 1
+    for tab in enumerate_two_row_syt(n, k):
+        descent_hist[max_odd_descent_interval(tab)] += 1
+    return peak_hist, descent_hist
+
+
+def test_histograms_match_listings():
+    # every (n, k) the --deep counting and probability sweeps read
+    for n in range(17):
+        for k in range(n // 2 + 1):
+            peak_hist, descent_hist = listed_histograms(n, k)
+            assert list(restricted_count_histogram(n, k)) == peak_hist, (n, k)
+            assert syt_descent_histogram(n, k) == descent_hist, (n, k)
+
+
+def test_histograms_count_every_object_at_n_60():
+    # far past any listing: C(60, 30) ~ 1.2e17 paths at k = 30
+    for k in range(31):
+        assert (sum(restricted_count_histogram(60, k))
+                == sum(syt_descent_histogram(60, k))
+                == two_row_dimension(60, k)), k
+
+
+def test_histograms_refuse_a_shape_out_of_range():
+    for n, k in ((6, 4), (6, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            restricted_count_histogram(n, k)
+        with pytest.raises(ValueError):
+            syt_descent_histogram(n, k)
 
 
 def test_count_restricted_literal_x_reading_fails():
