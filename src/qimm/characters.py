@@ -225,24 +225,30 @@ def poly_power_coeffs(base: Sequence[int], exponent: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def trinomial_coeffs(l: int) -> tuple[int, ...]:
-    """Coefficients p_0..p_{2l} of f = (1 + x + x^2)^l, in O(l) steps.
+def trinomial_power(l: int, c: int) -> list[int]:
+    """Coefficients p_0..p_{2l} of f = (1 + cx + x^2)^l, in O(l) steps.
 
-    Differentiating gives (1 + x + x^2) f' = l (1 + 2x) f; comparing the
+    Differentiating gives (1 + cx + x^2) f' = l (c + 2x) f; comparing the
     coefficients of x^k on both sides,
-    (k+1) p_{k+1} + k p_k + (k-1) p_{k-1} = l p_k + 2l p_{k-1}, so
-    (k+1) p_{k+1} = (l-k) p_k + (2l-k+1) p_{k-1}, from p_0 = 1 (and
+    (k+1) p_{k+1} + ck p_k + (k-1) p_{k-1} = cl p_k + 2l p_{k-1}, so
+    (k+1) p_{k+1} = c(l-k) p_k + (2l-k+1) p_{k-1}, from p_0 = 1 (and
     p_{-1} = 0).  Each division is exact, and is asserted so.
     """
     p = [1]
     prev = 0
     for k in range(2 * l):
-        q, r = divmod((l - k) * p[k] + (2 * l - k + 1) * prev, k + 1)
+        q, r = divmod(c * (l - k) * p[k] + (2 * l - k + 1) * prev, k + 1)
         assert r == 0
         prev = p[k]
         p.append(q)
-    return tuple(p)
+    return p
+
+
+@lru_cache(maxsize=None)
+def trinomial_coeffs(l: int) -> tuple[int, ...]:
+    """Coefficients p_0..p_{2l} of (1 + x + x^2)^l (trinomial_power at
+    c = 1), cached per l."""
+    return tuple(trinomial_power(l, 1))
 
 
 def last_value(l: int, k: int) -> int:

@@ -77,11 +77,13 @@ RANDOM_TREES_MAX = 100_000
 
 
 def _sr_l_cost(sr_l_max: int) -> int:
-    """Work of the general-sr sweep per (s, r) pair, up to l = sr_l_max:
-    for each l, two l-th powers of a trinomial by l convolutions each
-    (about l^2 steps) and l verdicts, so sum_l l(l + 27) = L(L+1)(L+41)/3.
-    The weight 27 of a verdict against a step was fitted to timed runs of
-    `verify general-sr`."""
+    """Modelled work of the general-sr sweep per (s, r) pair, up to l =
+    sr_l_max: for each l, two l-th powers of a trinomial at l^2 steps and
+    l verdicts, so sum_l l(l + 27) = L(L+1)(L+41)/3, with the weight 27
+    of a verdict against a step fitted to timed runs that built each
+    power by l convolutions.  trinomial_power builds it in O(l) steps, so
+    the model over-counts the power term; SR_COST_MAX, built from it, is
+    kept as it is."""
     return sr_l_max * (sr_l_max + 1) * (sr_l_max + 41) // 3
 
 
@@ -512,8 +514,15 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
 # -- dispatcher ------------------------------------------------------------------
 
 
-def _sort_key(v: InequalityVerdict):
-    return (v.claim, sorted((k, str(val)) for k, val in v.params.items()))
+def _sort_key(v: InequalityVerdict) -> str:
+    """One string: the claim, then each parameter name and str(value) in
+    name order, joined by NUL.  NUL sorts below every character a claim,
+    name or value holds, so where one string ends first, here or in the
+    tuple (claim, sorted((name, str(value)), ...)), it sorts first in
+    both: the two keys order verdicts alike."""
+    params = v.params
+    return "\0".join([v.claim,
+                      *(f"{k}\0{params[k]!s}" for k in sorted(params))])
 
 
 def run_claims(which: str, config: SweepConfig) -> list[InequalityVerdict]:

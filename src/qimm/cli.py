@@ -25,6 +25,8 @@ import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +61,27 @@ Q_GRID_MAX_POINTS = 10_000
 # one encoder for every sorted-key JSON line: json.dumps builds a new
 # JSONEncoder per call when given sort_keys
 _JSON = json.JSONEncoder(sort_keys=True)
+
+# A verify JSON line is _JSON.encode(v.to_json()) written from one
+# template: the verdict's fields in name order, each value encoded as
+# _JSON encodes its type (strings by the escaper it uses under
+# ensure_ascii).  A field of a type with no encoder here fails at import.
+_FIELD_ENCODERS = {"bool": {True: "true", False: "false"}.__getitem__,
+                   "str": encode_basestring_ascii, "dict": _JSON.encode}
+
+
+def _field_encoder(field):
+    if field.type not in _FIELD_ENCODERS:
+        raise TypeError(f"InequalityVerdict.{field.name} is of type "
+                        f"{field.type}, which render_verdicts cannot encode")
+    return _FIELD_ENCODERS[field.type]
+
+
+_VERDICT_FIELDS = sorted(fields(InequalityVerdict), key=attrgetter("name"))
+_VERDICT_LINE = "{%s}" % ", ".join(
+    f"{encode_basestring_ascii(f.name)}: %s" for f in _VERDICT_FIELDS)
+_VERDICT_ENCODERS = tuple(map(_field_encoder, _VERDICT_FIELDS))
+_verdict_values = attrgetter(*(f.name for f in _VERDICT_FIELDS))
 
 # The verify sweep-cap flags: flag, the SweepConfig field it sets (its
 # default lives there only), help.
@@ -184,7 +207,10 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str) -> str:
             row["params"] = _JSON.encode(v.params)
             w.writerow(row.values())
         return buf.getvalue()
-    lines = [_JSON.encode(v.to_json()) for v in verdicts]
+    lines = [_VERDICT_LINE % tuple([encode(value) for encode, value
+                                    in zip(_VERDICT_ENCODERS,
+                                           _verdict_values(v))])
+             for v in verdicts]
     lines.append(_JSON.encode({"summary": summarize(verdicts)}))
     return "\n".join(lines) + "\n"
 

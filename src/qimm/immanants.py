@@ -35,7 +35,7 @@ LEMMA9_ERRATA); those are reported, not asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -51,8 +51,8 @@ from .characters import (
     last_value,
     mn_character,
     partitions,
-    poly_power_coeffs,
     syt_count,
+    trinomial_power,
     two_cycle_type,
     two_row_char,
     two_row_dimension,
@@ -457,8 +457,10 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
             )
             verdicts.append(v)
             if i < half:
-                verdicts.append(replace(v, claim="lem6", detail="",
-                                        asserted=not v.degenerate))
+                verdicts.append(InequalityVerdict(
+                    claim="lem6", params=v.params, holds=v.holds,
+                    degenerate=v.degenerate, asserted=not v.degenerate,
+                    witness=v.witness))
     return verdicts
 
 
@@ -478,27 +480,29 @@ def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
     verdicts = []
     for k in range(1, l):
         errata = (l, k) in LEMMA9_ERRATA
+        above, here = last_value(l, k + 1), last_value(l, k)
         verdicts.append(
             _ratio_verdict(
                 "lem9",
                 {"l": l, "k": k},
-                last_value(l, k + 1), last_value(l - 1, k),
-                last_value(l, k), last_value(l - 1, k - 1),
+                above, last_value(l - 1, k),
+                here, last_value(l - 1, k - 1),
                 asserted=l >= 3 and not errata,
                 detail="published triangle refutes the stated range here"
                 if errata else "",
             )
         )
+        # the chain for r is the lem9 instances (l-t, k-t), t < r: one
+        # more than the chain for r - 1
+        broken = False
         for r in range(1, k + 1):
-            chain = [(l - t, k - t) for t in range(r)]
-            broken = any(
-                cl < 3 or (cl, ck) in LEMMA9_ERRATA for cl, ck in chain
-            )
+            cl, ck = l - r + 1, k - r + 1
+            broken = broken or cl < 3 or (cl, ck) in LEMMA9_ERRATA
             verdicts.append(
                 _ratio_verdict(
                     "cor10",
                     {"l": l, "k": k, "r": r},
-                    last_value(l, k + 1), last_value(l, k),
+                    above, here,
                     last_value(l - r, k + 1 - r), last_value(l - r, k - r),
                     asserted=l >= 3 and not broken,
                     detail="derivation chain passes through a refuted or "
@@ -509,8 +513,8 @@ def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
             _ratio_verdict(
                 "lem11",
                 {"l": l, "k": k},
-                last_value(l, k + 1), comb(2 * l, k + 1) - comb(2 * l, k),
-                last_value(l, k), comb(2 * l, k) - comb(2 * l, k - 1),
+                above, comb(2 * l, k + 1) - comb(2 * l, k),
+                here, comb(2 * l, k) - comb(2 * l, k - 1),
                 asserted=l >= 3,
             )
         )
@@ -530,8 +534,8 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
     """
     if l < 1 or s < 1 or r < 1:
         raise ValueError("need l, s, r >= 1")
-    da = successive_differences(poly_power_coeffs((1, s, 1), l))
-    db = successive_differences(poly_power_coeffs((1, r + s, 1), l))
+    da = successive_differences(trinomial_power(l, s))
+    db = successive_differences(trinomial_power(l, r + s))
     verdicts = []
     for k in range(l):
         # D_{r+s}(k+1) * D_s(k) >= D_{r+s}(k) * D_s(k+1)

@@ -16,8 +16,10 @@ from qimm.characters import (
     last_value,
     mn_character,
     partitions,
+    poly_power_coeffs,
     syt_count,
     trinomial_coeffs,
+    trinomial_power,
     two_cycle_type,
     two_row_char,
     two_row_dimension,
@@ -273,6 +275,16 @@ def test_trinomial_coeffs_match_repeated_convolution():
     for l in range(61):
         assert trinomial_coeffs(l) == tuple(row), l
         row = conv(row, (1, 1, 1))
+
+
+def test_trinomial_power_matches_repeated_convolution():
+    # c = 0 included: (1 + x^2)^l, every odd coefficient zero
+    for c in range(12):
+        for l in range(30):
+            assert trinomial_power(l, c) == poly_power_coeffs((1, c, 1), l), \
+                (l, c)
+    assert trinomial_power(0, 5) == [1]
+    assert trinomial_power(3, 0) == [1, 0, 3, 0, 3, 0, 1]
 
 
 def test_trinomial_coeffs_large_row():

@@ -7,9 +7,11 @@ from collections import Counter, defaultdict
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
+from qimm.immanants import InequalityVerdict
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
 from qimm.trees import (
@@ -581,3 +583,25 @@ def test_hook_witness_matches_labeled_walk(monkeypatch, case):
             path = next(t for t in all_labeled_trees(n)
                         if max(t.degrees()) == 2)
             assert f"({path.label()}, k=3)" in v.witness
+
+
+# text without NUL, often from a few low characters so that prefixes and
+# ties are common; ints negative or of many digits
+_KEY_TEXT = st.one_of(st.text("ab\x01", max_size=3),
+                      st.text(st.characters(blacklist_characters="\0"),
+                              max_size=5))
+_VALUES = st.one_of(st.integers(-20, 20), st.integers(-10**40, 10**40),
+                    _KEY_TEXT)
+
+
+@given(st.lists(st.builds(
+    InequalityVerdict, claim=_KEY_TEXT,
+    params=st.dictionaries(_KEY_TEXT, _VALUES, max_size=4),
+    holds=st.booleans()), max_size=12))
+def test_sort_key_orders_as_the_tuple_key(verdicts):
+    def tuple_key(v):
+        return (v.claim, sorted((k, str(val)) for k, val in v.params.items()))
+
+    by_tuple = sorted(verdicts, key=tuple_key)
+    by_string = sorted(verdicts, key=claims._sort_key)
+    assert [id(v) for v in by_string] == [id(v) for v in by_tuple]

@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qimm import claims, cli, immanants
 from qimm.immanants import InequalityVerdict, check_two_row_chain
@@ -413,6 +415,59 @@ def test_verdict_fields_are_its_serialized_form(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.splitlines()[0].split(",") == names
+
+
+# strings JSON must escape, or writes as \uXXXX under ensure_ascii
+AWKWARD = ["", "plain", 'say "hi"', "back\\slash", "two\nlines\r",
+           "tab\tbell\x07 nul\x00 del\x7f", "\u00fcn\u00efc\u00f8d\u00e9 \u2265",
+           "line sep \u2028 astral \U0001d52e"]
+
+
+def expected_json_stream(verdicts):
+    lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
+    lines.append(json.dumps({"summary": claims.summarize(verdicts)},
+                            sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_json_lines_are_json_dumps_of_each_verdict():
+    params = ({}, {"n": 5, "k": -3, "big": -10**30},
+              {"tree": "pruefer:1,2@n=4", "q": "-19/2", "\u00e9\n": "\\"})
+    verdicts = [
+        InequalityVerdict(claim=claim, params=p, holds=holds,
+                          degenerate=degenerate, asserted=asserted,
+                          witness=witness, detail=detail)
+        for holds, degenerate, asserted in product((False, True), repeat=3)
+        for witness, detail in zip(AWKWARD, AWKWARD[::-1])
+        for claim, p in zip(("thm2", "lem6", 'c"l\\aim'), params)
+    ]
+    assert cli.render_verdicts(verdicts, "json") == \
+        expected_json_stream(verdicts)
+
+
+@given(st.lists(st.builds(
+    InequalityVerdict, claim=st.text(max_size=8),
+    params=st.dictionaries(st.text(max_size=4),
+                           st.one_of(st.integers(), st.text(max_size=6)),
+                           max_size=3),
+    holds=st.booleans(), degenerate=st.booleans(), asserted=st.booleans(),
+    witness=st.text(max_size=12), detail=st.text(max_size=12)), max_size=5))
+def test_json_lines_match_json_dumps_on_any_text(verdicts):
+    assert cli.render_verdicts(verdicts, "json") == \
+        expected_json_stream(verdicts)
+
+
+def test_verdict_field_without_encoder_fails_at_import():
+    # every InequalityVerdict field has one; a field of another type is
+    # refused, not dropped from the line
+    assert len(cli._VERDICT_ENCODERS) == len(fields(InequalityVerdict))
+
+    @dataclass
+    class Widened:
+        ratio: "float"  # as InequalityVerdict's annotations read
+
+    with pytest.raises(TypeError, match="ratio is of type float"):
+        cli._field_encoder(fields(Widened)[0])
 
 
 def test_verify_tree_flag_rejected_elsewhere(capsys):
