@@ -19,7 +19,7 @@ from math import comb, factorial
 from operator import lt
 from typing import Iterator, Sequence
 
-from .ratpoly import conv
+from .ratpoly import conv, successive_differences
 
 
 def as_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -158,30 +158,26 @@ def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def two_row_char(n: int, k: int, j: int) -> int:
-    """chi_{(n-k,k)} at cycle type 2^j 1^(n-2j).
-
-    Closed form by Young's rule: for m <= n/2 the permutation character
-    on the m-subsets of {1..n} is the sum of chi_{(n-i,i)} over i <= m,
-    so chi_{(n-k,k)} = F(k) - F(k-1), where F(m) counts the m-subsets
-    fixed by an involution with j 2-cycles (see Sagan, The Symmetric
-    Group).
-    """
+    """chi_{(n-k,k)} at cycle type 2^j 1^(n-2j), from two_row_column."""
     if not 0 <= k <= n // 2:
         raise ValueError(f"need 0 <= k <= n//2, got k={k}, n={n}")
     if not 0 <= j <= n // 2:
         raise ValueError(f"need 0 <= j <= n//2, got j={j}, n={n}")
-    return _fixed_subsets(n, j, k) - _fixed_subsets(n, j, k - 1)
+    return two_row_column(n, j)[k]
 
 
 # one cache under two names: perfbench/tracing.py reads this one by name
 _two_row_rec = two_row_char
 
 
-def _fixed_subsets(n: int, j: int, m: int) -> int:
-    """F(m) = sum_a C(j, a) C(n-2j, m-2a): an m-subset fixed by the
-    involution is a union of a of its 2-cycles and m-2a fixed points."""
-    return sum(comb(j, a) * comb(n - 2 * j, m - 2 * a)
-               for a in range(min(j, m // 2) + 1))
+@lru_cache(maxsize=None)
+def two_row_column(n: int, j: int) -> tuple[int, ...]:
+    """chi_{(n-k,k)}(2^j 1^(n-2j)) for k <= n//2, as F(k) - F(k-1) by
+    Young's rule (Sagan, The Symmetric Group): F(m), the sum of chi_{(n-i,i)}
+    over i <= m, counts the m-subsets an involution with j 2-cycles fixes,
+    the coefficient of x^m in (1 + x^2)^j (1 + x)^(n-2j)."""
+    return tuple(successive_differences(
+        trinomial_power(j, 0, n - 2 * j, top=n // 2)))
 
 
 # -- alpha -----------------------------------------------------------------
@@ -225,30 +221,37 @@ def poly_power_coeffs(base: Sequence[int], exponent: int) -> list[int]:
     return out
 
 
-def trinomial_power(l: int, c: int) -> list[int]:
-    """Coefficients p_0..p_{2l} of f = (1 + cx + x^2)^l, in O(l) steps.
+def trinomial_power(l: int, c: int, b: int = 0,
+                    top: int | None = None) -> list[int]:
+    """Coefficients p_0..p_top of f = (1 + cx + x^2)^l (1 + x)^b in O(top)
+    steps; top defaults to the degree 2l + b (zeros past it).
 
-    Differentiating gives (1 + cx + x^2) f' = l (c + 2x) f; comparing the
-    coefficients of x^k on both sides,
-    (k+1) p_{k+1} + ck p_k + (k-1) p_{k-1} = cl p_k + 2l p_{k-1}, so
-    (k+1) p_{k+1} = c(l-k) p_k + (2l-k+1) p_{k-1}, from p_0 = 1 (and
-    p_{-1} = 0).  Each division is exact, and is asserted so.
+    From (1 + cx + x^2)(1 + x) f' = (l (c + 2x)(1 + x) + b (1 + cx + x^2)) f,
+    (k+1) p_{k+1} = u_k p_k + v_k p_{k-1} + w_k p_{k-2} from p_0 = 1 (and
+    p_{-1} = p_{-2} = 0), with u_k = cl + b - (c+1)k, w_k = 2l + b - k + 2
+    and v_k = cl + 2l + bc - (c+1)(k-1).  Each division is asserted exact.
     """
+    if top is None:
+        top = 2 * l + b
+    s = c + 1
+    u, v, w = c * l + b, c * l + 2 * l + b * c + s, 2 * l + b + 2
     p = [1]
-    prev = 0
-    for k in range(2 * l):
-        q, r = divmod(c * (l - k) * p[k] + (2 * l - k + 1) * prev, k + 1)
+    cur, prev, prev2 = 1, 0, 0  # p_{k-1} .. p_{k-3}, times u_{k-1} .. w_{k-1}
+    for k in range(1, top + 1):
+        q, r = divmod(u * cur + v * prev + w * prev2, k)
         assert r == 0
-        prev = p[k]
+        u, v, w = u - s, v - s, w - 1
+        prev2, prev, cur = prev, cur, q
         p.append(q)
     return p
 
 
 @lru_cache(maxsize=None)
 def trinomial_coeffs(l: int) -> tuple[int, ...]:
-    """Coefficients p_0..p_{2l} of (1 + x + x^2)^l (trinomial_power at
-    c = 1), cached per l."""
-    return tuple(trinomial_power(l, 1))
+    """Coefficients p_0..p_{2l} of (1 + x + x^2)^l, cached per l: the
+    palindrome p_k = p_{2l-k} around trinomial_power(l, 1, top=l)."""
+    half = trinomial_power(l, 1, top=l)
+    return tuple(half + half[-2::-1])
 
 
 def last_value(l: int, k: int) -> int:
@@ -268,9 +271,9 @@ class LastTable:
 
 
 def last_table_trinomial(l_max: int) -> LastTable:
-    rows = tuple(
-        tuple(last_value(l, k) for k in range(l + 1)) for l in range(l_max + 1)
-    )
+    """Row l: successive differences of (1 + x + x^2)^l to x^l."""
+    rows = tuple(tuple(successive_differences(trinomial_coeffs(l)[:l + 1]))
+                 for l in range(l_max + 1))
     return LastTable(l_max, rows)
 
 
@@ -323,21 +326,16 @@ class AlphaTable:
 
 @lru_cache(maxsize=None)
 def alpha_table(n: int) -> AlphaTable:
-    """Build by the box-removal recursion alpha_{n,k,i} =
-    alpha_{n-1,k,i} + alpha_{n-1,k-1,i} (valid for i <= floor((n-1)/2)),
-    filling the extra row of each even n from the trinomial differences.
-    """
+    """Row i: the successive differences of (1 + x + x^2)^i (1 + x)^(n-2i)
+    to x^(n//2), since chi_{(n-k,k)}(j) is the coefficient of x^k in
+    (1 - x)(1 + x^2)^j (1 + x)^(n-2j) (two_row_column) and summing over j
+    with weights C(i,j) gives (2 + 2x + 2x^2)^i (1 + x)^(n-2i) (lem22)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = [[1]]  # n = 1: single entry alpha_{1,0,0}
-    for m in range(2, n + 1):
-        half = m // 2
-        # row i of m - 1 has (m-1)//2 + 1 entries; pad one zero each side
-        rows = [[a + b for a, b in zip(prow + [0], [0] + prow)][: half + 1]
-                for prow in rows]
-        if m % 2 == 0:
-            rows.append([last_value(half, k) for k in range(half + 1)])
-    return AlphaTable(n, tuple(map(tuple, rows)))
+    return AlphaTable(n, tuple(
+        tuple(successive_differences(
+            trinomial_power(i, 1, n - 2 * i, top=n // 2)))
+        for i in range(n // 2 + 1)))
 
 
 def two_row_dimension(n: int, k: int) -> int:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Callable, Iterable, Sequence
 
-from .characters import alpha_table, last_value, poly_power_coeffs
+from .characters import (alpha_table, alpha_two_row, last_value,
+                         poly_power_coeffs)
 from .immanants import (
     BRUTEFORCE_MAX_N,
     THEOREM_MIN_N,
@@ -65,7 +66,7 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 
 # Upper caps on the alpha and last tables, for `qimm alpha-table N` /
 # `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
-# user, the verify alpha-ratios sweep, takes about 10 s (n^4 to n^5 growth).
+# user, verify alpha-ratios, takes about 26 s and 2 GB, mostly its verdicts.
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps: either alone takes about 10 s at its cap
@@ -421,7 +422,8 @@ def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
 
 def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
     """rem20 (Catalan-Riordan), lem17-conv (binomial-Riordan expansion),
-    and lem22 (successive differences of (1+x)^(n-2i) (1+x+x^2)^i)."""
+    and lem22: successive differences of (1+x)^(n-2i) (1+x+x^2)^i by
+    convolution against alpha_two_row (alpha_table is that product)."""
     verdicts = []
     report = sequence_identities(RIORDAN_L_MAX)
     for l, lhs, rhs, ok in report["catalan_riordan"]:
@@ -446,18 +448,18 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
         )
     for n in config.span("count_n_max"):
         half = n // 2
-        table = alpha_table(n)
         for i in range(half + 1):
             coeffs = poly_power_coeffs((1, 1), n - 2 * i)
             tri = poly_power_coeffs((1, 1, 1), i)
             diffs = successive_differences(conv(coeffs, tri))
             for k, diff in enumerate(diffs[:half + 1]):
+                value = alpha_two_row(n, k, i)
                 verdicts.append(
                     InequalityVerdict(
                         claim="lem22",
                         params={"n": n, "k": k, "i": i},
-                        holds=diff == table.get(k, i),
-                        witness=f"diff {diff}, alpha {table.get(k, i)}",
+                        holds=diff == value,
+                        witness=f"diff {diff}, alpha {value}",
                     )
                 )
     return verdicts

@@ -22,12 +22,13 @@ from qimm.characters import (
     trinomial_power,
     two_cycle_type,
     two_row_char,
+    two_row_column,
     two_row_dimension,
     two_row_shape,
 )
 from qimm.ratpoly import conv
 
-# the three tables the recursion must reproduce entry for entry
+# the three printed tables alpha_table must reproduce entry for entry
 TABLE_N6 = ((1, 5, 9, 5), (1, 4, 6, 3), (1, 3, 4, 2), (1, 2, 3, 1))
 TABLE_N7 = ((1, 6, 14, 14), (1, 5, 10, 9), (1, 4, 7, 6), (1, 3, 5, 4))
 TABLE_N8 = (
@@ -152,6 +153,45 @@ def test_murnaghan_nakayama_edge_values():
     assert mn_character((2999, 1), (1,) * 3000) == 2999
 
 
+def fixed_subsets(n, j, m):
+    """F(m) = sum_a C(j, a) C(n-2j, m-2a): an m-subset fixed by an
+    involution with j 2-cycles is a union of a of its 2-cycles and m-2a
+    fixed points (Young's rule, summed term by term)."""
+    return sum(comb(j, a) * comb(n - 2 * j, m - 2 * a)
+               for a in range(min(j, m // 2) + 1))
+
+
+def box_removal_tables(n_max):
+    """alpha rows for n = 1..n_max by the box-removal recursion
+    alpha_{n,k,i} = alpha_{n-1,k,i} + alpha_{n-1,k-1,i} (valid for
+    i <= floor((n-1)/2)), filling the extra row of each even n from the
+    last triangle's three-term recursion; yields (n, rows)."""
+    last = last_table_recursive(n_max // 2).rows
+    rows = [(1,)]  # n = 1: single entry alpha_{1,0,0}
+    yield 1, tuple(rows)
+    for m in range(2, n_max + 1):
+        half = m // 2
+        # row i of m - 1 has (m-1)//2 + 1 entries; pad one zero each side
+        rows = [tuple(a + b for a, b in zip(prow + (0,), (0,) + prow))
+                [: half + 1] for prow in rows]
+        if m % 2 == 0:
+            rows.append(last[half])
+        yield m, tuple(rows)
+
+
+def test_two_row_column_matches_young_rule_sum():
+    for n in range(1, 81):
+        for j in range(n // 2 + 1):
+            assert two_row_column(n, j) == tuple(
+                fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)
+                for k in range(n // 2 + 1)), (n, j)
+    for n in (1000, 1001):
+        for k, j in ((0, 0), (1, 1), (3, 250), (250, 3), (499, 500),
+                     (500, 499), (500, 500)):
+            assert two_row_char(n, k, j) == (
+                fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)), (n, k, j)
+
+
 def test_two_row_char_trivial_row():
     for n in range(2, 10):
         for j in range(n // 2 + 1):
@@ -226,6 +266,16 @@ def test_alpha_table_matches_direct_definition():
                 assert table.get(k, i) == alpha_two_row(n, k, i)
 
 
+def test_alpha_table_matches_box_removal_recursion():
+    for n, rows in box_removal_tables(150):
+        assert alpha_table(n).rows == rows, n
+
+
+def test_alpha_table_middle_row_of_large_table():
+    # row n/2 of alpha_table(2l) is row l of the last triangle
+    assert alpha_table(1000).rows[500] == last_table_recursive(500).rows[500]
+
+
 def test_alpha_row_zero_is_dimension():
     for n in range(1, 17):
         table = alpha_table(n)
@@ -285,6 +335,23 @@ def test_trinomial_power_matches_repeated_convolution():
                 (l, c)
     assert trinomial_power(0, 5) == [1]
     assert trinomial_power(3, 0) == [1, 0, 3, 0, 3, 0, 1]
+
+
+def test_trinomial_power_with_binomial_factor_and_cutoff():
+    # (1 + cx + x^2)^a (1 + x)^b, cut at x^top or padded with zeros to it
+    for c in (0, 1, 2, 5):
+        for a in range(21):
+            tri = poly_power_coeffs((1, c, 1), a)
+            for b in range(21):
+                full = conv(tri, poly_power_coeffs((1, 1), b))
+                degree = 2 * a + b
+                assert trinomial_power(a, c, b) == full, (a, b, c)
+                for top in (0, degree // 2, degree - 1, degree, degree + 3):
+                    if top < 0:
+                        continue
+                    expect = (full + [0] * 3)[: top + 1]
+                    assert trinomial_power(a, c, b, top=top) == expect, \
+                        (a, b, c, top)
 
 
 def test_trinomial_coeffs_large_row():
