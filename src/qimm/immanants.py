@@ -45,6 +45,8 @@ from typing import Iterable, Sequence
 
 from .characters import (
     _beads,
+    _character,
+    _checked,
     _mn,
     alpha_table,
     as_partition,
@@ -175,9 +177,10 @@ def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
                      shape: tuple[int, ...]) -> list[int]:
     """sum over cycle types rho of chi_shape(rho) times the bucket; the
     shape is a validated partition of n and the keys are canonical cycle
-    types of n, so the character engine is called unchecked."""
+    types of n, so the character engine is asked through its selector."""
+    checked = _checked(shape, False)
     return _weighted_sum(list(buckets.values()),
-                         [_mn(_beads(shape), rho) for rho in buckets])
+                         [_character(checked, rho) for rho in buckets])
 
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
@@ -534,8 +537,8 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
     """
     if l < 1 or s < 1 or r < 1:
         raise ValueError("need l, s, r >= 1")
-    da = successive_differences(trinomial_power(l, s))
-    db = successive_differences(trinomial_power(l, r + s))
+    da = successive_differences(trinomial_power(l, s, top=l))
+    db = successive_differences(trinomial_power(l, r + s, top=l))
     verdicts = []
     for k in range(l):
         # D_{r+s}(k+1) * D_s(k) >= D_{r+s}(k) * D_s(k+1)

@@ -1,15 +1,21 @@
 import hashlib
 import json
 from math import comb, factorial
+from operator import mul
 
 import pytest
 
 from qimm.characters import (
+    COLUMN_MAX_N,
+    _beads,
+    _column,
+    _mn,
     alpha,
     alpha_table,
     alpha_two_row,
     as_partition,
     centralizer_size,
+    hook_shape,
     last_table,
     last_table_recursive,
     last_table_trinomial,
@@ -108,32 +114,68 @@ def test_first_column_counts_tableaux():
             assert mn_character(shape, (1,) * n) == syt_count(shape)
 
 
+def character_table(n):
+    rhos = list(partitions(n))
+    return rhos, [[mn_character(lam, rho) for rho in rhos] for lam in rhos]
+
+
 def test_column_orthogonality():
     # sum over shapes of chi(rho) chi(sigma) is z_rho on the diagonal, 0 off
-    for n in range(2, 9):
-        rhos = list(partitions(n))
-        for rho in rhos:
-            for sigma in rhos:
-                total = sum(
-                    mn_character(shape, rho) * mn_character(shape, sigma)
-                    for shape in partitions(n)
-                )
+    for n in range(2, 12):
+        rhos, rows = character_table(n)
+        for a, rho in enumerate(rhos):
+            for b, sigma in enumerate(rhos):
+                total = sum(row[a] * row[b] for row in rows)
                 expect = centralizer_size(rho) if rho == sigma else 0
-                assert total == expect
+                assert total == expect, (rho, sigma)
 
 
 def test_row_orthogonality():
     # sum over cycle types of chi_lambda(rho) chi_mu(rho) / z_rho is
     # delta_{lambda mu}; times n!, which every z_rho divides
-    for n in range(1, 9):
-        rhos = list(partitions(n))
-        z = [centralizer_size(rho) for rho in rhos]
+    for n in range(1, 12):
+        rhos, rows = character_table(n)
         scale = factorial(n)
-        for lam in rhos:
-            for mu in rhos:
-                total = sum(mn_character(lam, rho) * mn_character(mu, rho)
-                            * (scale // z_rho) for rho, z_rho in zip(rhos, z))
+        weights = [scale // centralizer_size(rho) for rho in rhos]
+        for lam, lam_row in zip(rhos, rows):
+            for mu, mu_row in zip(rhos, rows):
+                total = sum(map(mul, map(mul, lam_row, mu_row), weights))
                 assert total == (scale if lam == mu else 0), (lam, mu)
+
+
+def test_column_route_matches_removal_route():
+    # every column holds only nonzero values, and reading it agrees with
+    # border-strip removal on every (lambda, rho) with n <= 12
+    for n in range(13):
+        parts = list(partitions(n))
+        for rho in parts:
+            assert 0 not in _column(n, rho).values()
+            for lam in parts:
+                assert mn_character(lam, rho) == _mn(_beads(lam), rho), (
+                    lam, rho)
+
+
+def test_selector_covers_both_routes():
+    # n = COLUMN_MAX_N reads columns without touching _mn; one more box
+    # reads _mn; on both sides each value is checked against the other
+    # route and, at 1^n and (n), against f^lambda and the hook signs
+    for n in (COLUMN_MAX_N, COLUMN_MAX_N + 1):
+        parts = list(partitions(n))
+        hooks = {hook_shape(n, k): (-1) ** (n - k) for k in range(1, n + 1)}
+        for rho in ((1,) * n, two_cycle_type(n, n // 2), (n,)):
+            before = _mn.cache_info()
+            values = [mn_character(lam, rho) for lam in parts]
+            asked_mn = _mn.cache_info() != before
+            assert asked_mn == (n > COLUMN_MAX_N), (n, rho)
+            column = _column(n, rho)
+            for lam, value in zip(parts, values):
+                pad = n - len(lam)
+                mask = _beads(lam) << pad | (1 << pad) - 1
+                assert value == column.get(mask, 0) == _mn(_beads(lam), rho)
+                if rho == (1,) * n:
+                    assert value == syt_count(lam)
+                elif rho == (n,):
+                    assert value == hooks.get(lam, 0)
 
 
 def test_s12_character_table_pinned():
