@@ -42,7 +42,8 @@ def main(argv):
     summary = summarize(verdicts)
 
     jsonl = outdir / "verdicts.jsonl"
-    jsonl.write_text(render_verdicts(verdicts, "json"))
+    with jsonl.open("w") as fh:
+        render_verdicts(verdicts, "json", fh, summary)
 
     per_claim = {}
     for v in verdicts:

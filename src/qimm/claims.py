@@ -75,6 +75,9 @@ SR_MAX = 50
 SR_L_MAX = 100
 # The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
 RANDOM_TREES_MAX = 100_000
+# distinct c_j arrays the thm2 sweep memoizes per n: every class up to
+# n = 11 (235 free trees); above that most sampled trees have their own
+THM2_MEMO_MAX = 256
 
 
 def _sr_l_cost(sr_l_max: int) -> int:
@@ -201,17 +204,38 @@ def _tree_verdict(claim, params, fails, witness) -> InequalityVerdict:
                              witness=witness, detail="; ".join(fails[:5]))
 
 
+def _two_row_failures(n: int, weights: Sequence[Sequence[int]]
+                      ) -> tuple[str, ...]:
+    """thm2 on an n-vertex tree with c_j t-arrays `weights`: each k whose
+    gap has a negative coefficient, worded as the sweep reports it."""
+    return tuple(f"k={k}: {gap}"
+                 for k, gap in enumerate(two_row_gaps(n, weights), 1)
+                 if any(c < 0 for c in gap))
+
+
 def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
     """Theorem 2 sweep: exhaustive for small n, over one tree per
     isomorphism class (`_class_walk`), and seeded random sampling of
     labeled trees above the exhaustive cap."""
+    # n and the c_j arrays fix a tree's failures, and a random sample
+    # repeats arrays (22 distinct ones among 1,000 trees at n = 8): the
+    # memo keeps each n's first THM2_MEMO_MAX arrays, so it stays small
+    # however many trees are sampled
+    memo: dict[tuple, tuple[str, ...]] = {}
+
     def check(tree):
-        gaps = two_row_gaps(tree.n, matching_weight_arrays(tree))
-        for k, gap in enumerate(gaps, 1):
-            if any(c < 0 for c in gap):
-                yield "thm2", f"k={k}: {gap}"
+        weights = matching_weight_arrays(tree)
+        key = tuple(map(tuple, weights))
+        fails = memo.get(key)
+        if fails is None:
+            fails = _two_row_failures(tree.n, weights)
+            if len(memo) < THM2_MEMO_MAX:
+                memo[key] = fails
+        for what in fails:
+            yield "thm2", what
     verdicts = []
     for n in config.span("n_max"):
+        memo.clear()
         if n <= config.exhaustive_tree_max:
             src_label = "all"
             checked, failures = _class_walk(n, check)

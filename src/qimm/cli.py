@@ -23,12 +23,13 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import (
@@ -78,7 +79,7 @@ def _field_encoder(field):
 
 
 _VERDICT_FIELDS = sorted(fields(InequalityVerdict), key=attrgetter("name"))
-_VERDICT_LINE = "{%s}" % ", ".join(
+_VERDICT_LINE = "{%s}\n" % ", ".join(
     f"{encode_basestring_ascii(f.name)}: %s" for f in _VERDICT_FIELDS)
 _VERDICT_ENCODERS = tuple(map(_field_encoder, _VERDICT_FIELDS))
 _verdict_values = attrgetter(*(f.name for f in _VERDICT_FIELDS))
@@ -133,26 +134,28 @@ def parse_q_grid(spec: str) -> tuple[Fraction, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
-def _resolve_out(out: str | None) -> Path | None:
+@contextmanager
+def _open_out(out: str | None):
+    """The --out file, opened for writing under QIMM_OUT_DIR when
+    relative, or stdout when there is none.  Stdout is flushed on the way
+    out, so a reader that closed it fails inside main."""
     if out is None:
-        return None
-    p = Path(out)
-    if not p.is_absolute():
-        base = os.environ.get("QIMM_OUT_DIR")
-        if base:
-            p = Path(base) / p
-    return p
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    target = Path(out)
+    if not target.is_absolute() and os.environ.get("QIMM_OUT_DIR"):
+        target = Path(os.environ["QIMM_OUT_DIR"]) / target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("w") as fh:
+        yield fh
 
 
 def _emit(text: str, out: str | None) -> None:
-    target = _resolve_out(out)
-    if target is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+    with _open_out(out) as fh:
+        fh.write(text)
+        if out is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
@@ -197,22 +200,31 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
     return "\n".join(lines)
 
 
-def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str) -> str:
+def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
+                    file: TextIO | None = None,
+                    summary: dict | None = None) -> str | None:
+    """The verify stream: one CSV row or JSON line per verdict, JSON
+    closing on the summary line (`summary`, else summarize(verdicts)).
+    Each line is written to `file` as it is made; with no file the joined
+    text is returned."""
+    out = io.StringIO() if file is None else file
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(out)
         w.writerow(f.name for f in fields(InequalityVerdict))
         for v in verdicts:
             row = v.to_json()
             row["params"] = _JSON.encode(v.params)
             w.writerow(row.values())
-        return buf.getvalue()
-    lines = [_VERDICT_LINE % tuple([encode(value) for encode, value
-                                    in zip(_VERDICT_ENCODERS,
-                                           _verdict_values(v))])
-             for v in verdicts]
-    lines.append(_JSON.encode({"summary": summarize(verdicts)}))
-    return "\n".join(lines) + "\n"
+    else:
+        write = out.write
+        for v in verdicts:
+            write(_VERDICT_LINE % tuple([encode(value) for encode, value
+                                         in zip(_VERDICT_ENCODERS,
+                                                _verdict_values(v))]))
+        if summary is None:
+            summary = summarize(verdicts)
+        write(_JSON.encode({"summary": summary}) + "\n")
+    return out.getvalue() if file is None else None
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -318,8 +330,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
     fmt = args.format if args.format != "text" else "json"
-    _emit(render_verdicts(verdicts, fmt), args.out)
-    return 0 if summarize(verdicts)["all_ok"] else 1
+    summary = summarize(verdicts)
+    with _open_out(args.out) as fh:
+        render_verdicts(verdicts, fmt, fh, summary)
+    return 0 if summary["all_ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,6 +402,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # stdout's reader is gone: point stdout at devnull so the
+            # interpreter's own flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:

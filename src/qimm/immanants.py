@@ -35,7 +35,7 @@ LEMMA9_ERRATA); those are reported, not asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -79,7 +79,7 @@ LEMMA9_ERRATA = frozenset({(3, 1), (4, 3), (6, 5)})
 REM12_ERRATA = frozenset({(1, 1, 2, 1)})  # (s, r, l, k)
 
 
-@dataclass
+@dataclass(slots=True)
 class InequalityVerdict:
     """One exact check.  The fields, in order, are the serialized form:
     the keys of to_json() and the verify CSV header."""
@@ -93,7 +93,7 @@ class InequalityVerdict:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def default_q_grid() -> tuple[Fraction, ...]:

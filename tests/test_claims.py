@@ -18,6 +18,7 @@ from qimm.trees import (
     all_labeled_trees,
     free_trees,
     matching_weight_arrays,
+    random_trees,
     star_tree,
 )
 
@@ -463,6 +464,30 @@ def test_class_walk_falls_back_to_labeled_trees(monkeypatch):
     assert [v.holds for v in a0] == [True] * 5 + [False]
     assert a0[-1].witness == "16807 trees"
     assert a0[-1].detail == _first_stars(7, "a0")
+
+
+def test_thm2_memo_past_its_cap(monkeypatch):
+    # each n keeps the failures of its first THM2_MEMO_MAX distinct c_j
+    # arrays; arrays past the cap are checked afresh, and every sampled
+    # tree reports its own failure either way
+    calls = Counter()
+
+    def gaps(n, weights):
+        calls[n] += 1
+        return [[-1]]
+
+    monkeypatch.setattr(claims, "two_row_gaps", gaps)
+    config = SweepConfig(n_max=8, exhaustive_tree_max=0, random_count=200)
+    memoized = claims.verify_two_row(config)
+    assert [v.witness for v in memoized] == \
+        ["200 trees, 200 violations"] * len(config.span("n_max"))
+    distinct = {tuple(map(tuple, matching_weight_arrays(t)))
+                for t in random_trees(8, 200, config.seed)}
+    assert calls[8] == len(distinct)
+    calls.clear()
+    monkeypatch.setattr(claims, "THM2_MEMO_MAX", 1)
+    assert claims.verify_two_row(config) == memoized
+    assert calls[8] > len(distinct)
 
 
 def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):

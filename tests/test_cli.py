@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -410,7 +411,9 @@ def test_table_sizes_refused_above_cap_before_work(monkeypatch, capsys, argv,
 
 def test_verdict_fields_are_its_serialized_form(capsys):
     names = [f.name for f in fields(InequalityVerdict)]
-    assert list(check_two_row_chain(star_tree(6))[0].to_json()) == names
+    verdict = check_two_row_chain(star_tree(6))[0]
+    assert list(verdict.to_json()) == names
+    assert not hasattr(verdict, "__dict__")  # slotted
     code, out, _ = run_cli(capsys, "verify", "two-row", "--tree", "star:6",
                            "--format", "csv")
     assert code == 0
@@ -432,14 +435,16 @@ def expected_json_stream(verdicts):
 
 def test_json_lines_are_json_dumps_of_each_verdict():
     params = ({}, {"n": 5, "k": -3, "big": -10**30},
-              {"tree": "pruefer:1,2@n=4", "q": "-19/2", "\u00e9\n": "\\"})
+              {"tree": "pruefer:1,2@n=4", "q": "-19/2", "\u00e9\n": "\\"},
+              {"50%": 50}, {"%s": "%d", "n": 2}, {"flag": True, "n": 1})
     verdicts = [
         InequalityVerdict(claim=claim, params=p, holds=holds,
                           degenerate=degenerate, asserted=asserted,
                           witness=witness, detail=detail)
         for holds, degenerate, asserted in product((False, True), repeat=3)
         for witness, detail in zip(AWKWARD, AWKWARD[::-1])
-        for claim, p in zip(("thm2", "lem6", 'c"l\\aim'), params)
+        for claim, p in zip(("thm2", "lem6", 'c"l\\aim', "50%", "%s",
+                             "lem9"), params)
     ]
     assert cli.render_verdicts(verdicts, "json") == \
         expected_json_stream(verdicts)
@@ -448,13 +453,88 @@ def test_json_lines_are_json_dumps_of_each_verdict():
 @given(st.lists(st.builds(
     InequalityVerdict, claim=st.text(max_size=8),
     params=st.dictionaries(st.text(max_size=4),
-                           st.one_of(st.integers(), st.text(max_size=6)),
+                           st.one_of(st.integers(), st.text(max_size=6),
+                                     st.booleans()),
                            max_size=3),
     holds=st.booleans(), degenerate=st.booleans(), asserted=st.booleans(),
     witness=st.text(max_size=12), detail=st.text(max_size=12)), max_size=5))
 def test_json_lines_match_json_dumps_on_any_text(verdicts):
     assert cli.render_verdicts(verdicts, "json") == \
         expected_json_stream(verdicts)
+
+
+VERIFY_WHICH = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
+                "probability", "identities", "all")
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The verdict lists that main's run_claims calls return, in order."""
+    lists = []
+
+    def recorded(*args):
+        lists.append(claims.run_claims(*args))
+        return lists[-1]
+
+    monkeypatch.setattr(cli, "run_claims", recorded)
+    return lists
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["default", "deep"])
+@pytest.mark.parametrize("which", VERIFY_WHICH)
+def test_verify_writes_the_rendered_stream(capsysbinary, swept, which, deep):
+    # main writes each line as it is made; the bytes are the joined text
+    # of the verdicts its one sweep returned
+    assert main(["verify", which, *["--deep"] * deep]) == 0
+    assert capsysbinary.readouterr().out == \
+        cli.render_verdicts(swept[0], "json").encode()
+
+
+@pytest.mark.parametrize("which", ["identities", "two-row"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_writes_each_format_to_stdout_and_out(capsysbinary, tmp_path,
+                                                     swept, which, fmt):
+    assert main(["verify", which, "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == \
+        cli.render_verdicts(swept[0], fmt).encode()
+    target = tmp_path / f"{which}.{fmt}"
+    assert main(["verify", which, "--format", fmt, "--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == cli.render_verdicts(swept[1], fmt).encode()
+
+
+def test_verify_summarizes_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(verdicts):
+        calls.append(len(verdicts))
+        return claims.summarize(verdicts)
+
+    monkeypatch.setattr(cli, "summarize", counted)
+    for fmt in ("json", "csv"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "identities", "--format", fmt)
+        assert code == 0 and out
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "alpha-ratios"],
+                                  ["alpha-table", "200"]],
+                         ids=["verify", "table"])
+def test_reader_gone(argv):
+    # a reader that stops after 100 bytes, as `| head -c 100` does: exit 2
+    # with one error line, and no traceback or message from the
+    # interpreter's flush at exit; both streams are past a pipe's buffer
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qimm.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.communicate(timeout=300)[1].decode()
+    assert proc.returncode == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_verdict_field_without_encoder_fails_at_import():
