@@ -399,5 +399,6 @@ def alpha_table(n: int) -> AlphaTable:
 
 
 def two_row_dimension(n: int, k: int) -> int:
-    """dim of the two-row irreducible: C(n,k) - C(n,k-1)."""
-    return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
+    """dim of the two-row irreducible (n-k, k): its character at the
+    identity, the j = 0 column of two_row_char."""
+    return two_row_char(n, k, 0)

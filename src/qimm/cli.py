@@ -201,30 +201,24 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
 
 
 def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
-                    file: TextIO | None = None,
-                    summary: dict | None = None) -> str | None:
+                    file: TextIO, summary: dict) -> None:
     """The verify stream: one CSV row or JSON line per verdict, JSON
-    closing on the summary line (`summary`, else summarize(verdicts)).
-    Each line is written to `file` as it is made; with no file the joined
-    text is returned."""
-    out = io.StringIO() if file is None else file
+    closing on the `summary` line.  Each line is written to `file` as it
+    is made."""
     if fmt == "csv":
-        w = csv.writer(out)
+        w = csv.writer(file)
         w.writerow(f.name for f in fields(InequalityVerdict))
         for v in verdicts:
             row = v.to_json()
             row["params"] = _JSON.encode(v.params)
             w.writerow(row.values())
     else:
-        write = out.write
+        write = file.write
         for v in verdicts:
             write(_VERDICT_LINE % tuple([encode(value) for encode, value
                                          in zip(_VERDICT_ENCODERS,
                                                 _verdict_values(v))]))
-        if summary is None:
-            summary = summarize(verdicts)
         write(_JSON.encode({"summary": summary}) + "\n")
-    return out.getvalue() if file is None else None
 
 
 # -- subcommand handlers ---------------------------------------------------------

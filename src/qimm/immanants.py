@@ -19,8 +19,9 @@ sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5) by signed binomial rows,
 the Theorem 2 gap rows and gaps, and the eq. (5) comparison.  Both
 Theorem 1 gaps are one integer form in the grid values of the n hook sums
 and 1 - t (hook_margins).  A tree's c_j vanish above its matching number
-nu, so each sum runs over c_0..c_nu (_nonzero_prefix); the hook
-characters and the Theorem 2 gap rows are tables cached per (n, nu + 1).
+nu and matching_weight_arrays returns c_0..c_nu, so each sum runs over
+those alone; the hook characters and the Theorem 2 gap rows are tables
+cached per (n, nu + 1).
 The oracle expands the q-Laplacian's integer q-coefficient lists
 directly.  RatPoly appears only where a polynomial leaves the module.
 
@@ -196,21 +197,10 @@ def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
     return RatPoly(tuple(Fraction(c, dim) for c in total))
 
 
-def _nonzero_prefix(weights: Sequence[Sequence[int]]
-                    ) -> Sequence[Sequence[int]]:
-    """c_0..c_nu: a tree's matching weights vanish exactly above its
-    matching number nu, so no character value past j = nu is needed."""
-    nu = len(weights) - 1
-    while nu > 0 and not any(weights[nu]):
-        nu -= 1
-    return weights[:nu + 1]
-
-
 def _matching_sum(n: int, weights: Sequence[Sequence[int]],
                   shape: tuple[int, ...]) -> list[int]:
     """sum_j chi_shape(2^j 1^(n-2j)) c_j in t: the matching route, shared
     by immanant_tree and the oracle that checks it."""
-    weights = _nonzero_prefix(weights)
     return _weighted_sum(weights, [_mn(_beads(shape), two_cycle_type(n, j))
                                    for j in range(len(weights))])
 
@@ -227,27 +217,27 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
 
 
 def a_coeff_arrays(weights: Sequence[Sequence[int]]) -> list[list[int]]:
-    """a_i in t = q^2 from the c_j t-arrays by binomial inversion.
+    """a_i for i <= nu, in t = q^2, from the t-arrays of c_0..c_nu by
+    binomial inversion; the a_i above nu are zero.
 
-    c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j
-    over c_0..c_nu; a_i is [] for i > nu.
+    c_j = sum_{i >= j} C(i,j) a_i, so a_i = sum_{j >= i} (-1)^(j-i) C(j,i) c_j.
     """
-    c = _nonzero_prefix(weights)
-    return [_trim(_weighted_sum(c[i:], [(-1) ** m * comb(i + m, i)
-                                        for m in range(len(c) - i)]))
-            for i in range(len(weights))]
+    rows = len(weights)
+    return [_trim(_weighted_sum(weights[i:], [(-1) ** m * comb(i + m, i)
+                                              for m in range(rows - i)]))
+            for i in range(rows)]
 
 
 def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
-    """Recover a_i(q) from the matching weights by binomial inversion."""
-    return tuple(
-        from_t(a) for a in a_coeff_arrays(matching_weight_arrays(tree)))
+    """Recover a_i(q), i = 0..floor(n/2), from the matching weights by
+    binomial inversion."""
+    a = a_coeff_arrays(matching_weight_arrays(tree))
+    return tuple(from_t(arr) for arr in a + [[]] * (tree.n // 2 + 1 - len(a)))
 
 
 def _two_row_sums(n: int, weights: Sequence[Sequence[int]]
                   ) -> list[list[int]]:
     """sum_j chi_{(n-k,k)}(2^j 1^(n-2j)) c_j in t, k = 0..floor(n/2)."""
-    weights = _nonzero_prefix(weights)
     return [_weighted_sum(weights, [two_row_char(n, k, j)
                                     for j in range(len(weights))])
             for k in range(n // 2 + 1)]
@@ -280,7 +270,6 @@ def two_row_gaps(n: int, weights: Sequence[Sequence[int]]
     """t-arrays of f_k f_{k-1} (imm_{k-1} - imm_k), k = 1..floor(n/2),
     from the c_j t-arrays of an n-vertex tree; the positive scaling keeps
     the coefficient signs."""
-    weights = _nonzero_prefix(weights)
     return [_weighted_sum(weights, row)
             for row in _two_row_gap_table(n, len(weights))]
 
@@ -375,7 +364,7 @@ def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
     """
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
-    weights = _nonzero_prefix(matching_weight_arrays(tree))
+    weights = matching_weight_arrays(tree)
     chars = _hook_char_data(n, len(weights))
     hooks = [_weighted_sum(weights, ch) for ch in chars]
     qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)

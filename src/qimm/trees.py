@@ -23,14 +23,14 @@ data of the whole symmetric group collapses to
 
 These are integer polynomials in t = q^2, nonzero exactly for j <= nu,
 the tree's matching number (for n >= 2 each term is positive at t = 1).
-matching_weight_arrays gets all of them at once, without listing
-matchings, from an iterative rooted-tree DP over a bivariate polynomial
-in (x, t), x marking the matching size, held as one Python int by
-Kronecker substitution (t = 2^b, x = 2^(b(n+1))).  Every coefficient is
-a nonnegative integer bounded by the DP's value at t = x = 1, which
-fixes b; see its docstring.  Time is polynomial in n and no step
-recurses.  The DP folds along the BFS that validated the tree (Tree.order
-and Tree.parent), so each tree is walked once.
+matching_weight_arrays gets c_0..c_nu at once, and no array past c_nu,
+without listing matchings, from an iterative rooted-tree DP over a
+bivariate polynomial in (x, t), x marking the matching size, held as one
+Python int by Kronecker substitution (t = 2^b, x = 2^(b(n+1))).  Every
+coefficient is a nonnegative integer bounded by the DP's value at
+t = x = 1, which fixes b; see its docstring.  Time is polynomial in n
+and no step recurses.  The DP folds along the BFS that validated the
+tree (Tree.order and Tree.parent), so each tree is walked once.
 """
 
 from __future__ import annotations
@@ -361,7 +361,8 @@ def _fold_matchings(order: Sequence[int], parent: Sequence[int],
 
 
 def matching_weight_arrays(tree: Tree) -> list[list[int]]:
-    """Integer coefficient arrays of c_j in t = q^2, j = 0..floor(n/2).
+    """Integer coefficient arrays of c_j in t = q^2, j = 0..nu, where nu
+    is the tree's matching number.
 
     c_j is the coefficient of x^j in the bivariate P(x, t) of
     `_fold_matchings`, an iterative rooted-tree DP (the matchings-
@@ -377,6 +378,8 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     at t = x = 1, so each is below 2^b for b = P(1, 1).bit_length() + 1;
     b is rounded up to whole bytes, and the packed integer decodes slot
     by slot from its little-endian bytes, in time linear in its size.
+    Its top byte lies in the slots of x^nu, so decoding only the bytes
+    it holds ends the rows at c_nu, each row trimmed of trailing zeros.
     n = 1 has the single weight 1 - t, whose negative coefficient the
     packing cannot carry, so it is returned directly.
     """
@@ -389,18 +392,21 @@ def matching_weight_arrays(tree: Tree) -> list[list[int]]:
     b = 8 * width
     packed = _fold_matchings(order, parent, deg, b, b * (n + 2))
     stride = width * (n + 1)
-    data = packed.to_bytes(stride * (n // 2 + 1), "little")
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
     rows = []
     for start in range(0, len(data), stride):
         end = start + len(data[start:start + stride].rstrip(b"\0"))
         rows.append([int.from_bytes(data[i:i + width], "little")
-                     for i in range(start, end, width)] or [0])
+                     for i in range(start, end, width)])
     return rows
 
 
 def matching_weights(tree: Tree) -> tuple[RatPoly, ...]:
-    """c_j(q) for j = 0..floor(n/2), as exact polynomials in q."""
-    return tuple(from_t(arr) for arr in matching_weight_arrays(tree))
+    """c_j(q) for j = 0..floor(n/2), as exact polynomials in q: those
+    above the matching number are zero."""
+    rows = matching_weight_arrays(tree)
+    return tuple(from_t(arr)
+                 for arr in rows + [[]] * (tree.n // 2 + 1 - len(rows)))
 
 
 # -- tree file format -----------------------------------------------------

@@ -203,6 +203,12 @@ def fixed_subsets(n, j, m):
                for a in range(min(j, m // 2) + 1))
 
 
+def binomial_dimension(n, k):
+    """f_k = C(n, k) - C(n, k - 1), the hook-length count of the two-row
+    shape (n-k, k): a route independent of the character product."""
+    return comb(n, k) - (comb(n, k - 1) if k else 0)
+
+
 def box_removal_tables(n_max):
     """alpha rows for n = 1..n_max by the box-removal recursion
     alpha_{n,k,i} = alpha_{n-1,k,i} + alpha_{n-1,k-1,i} (valid for
@@ -222,16 +228,21 @@ def box_removal_tables(n_max):
 
 
 def test_two_row_column_matches_young_rule_sum():
+    # two_row_dimension reads the j = 0 column; the binomial form checks it
     for n in range(1, 81):
         for j in range(n // 2 + 1):
             assert two_row_column(n, j) == tuple(
                 fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)
                 for k in range(n // 2 + 1)), (n, j)
+        for k in range(n // 2 + 1):
+            assert two_row_dimension(n, k) == binomial_dimension(n, k), (n, k)
     for n in (1000, 1001):
         for k, j in ((0, 0), (1, 1), (3, 250), (250, 3), (499, 500),
                      (500, 499), (500, 500)):
             assert two_row_char(n, k, j) == (
                 fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)), (n, k, j)
+        for k in range(n // 2 + 1):
+            assert two_row_dimension(n, k) == binomial_dimension(n, k), (n, k)
 
 
 def test_two_row_char_trivial_row():
@@ -322,8 +333,7 @@ def test_alpha_row_zero_is_dimension():
     for n in range(1, 17):
         table = alpha_table(n)
         for k in range(n // 2 + 1):
-            expect = comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
-            assert table.get(k, 0) == expect
+            assert table.get(k, 0) == binomial_dimension(n, k)
             assert table.get(k, 0) == two_row_dimension(n, k)
 
 

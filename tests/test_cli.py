@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -426,6 +427,13 @@ AWKWARD = ["", "plain", 'say "hi"', "back\\slash", "two\nlines\r",
            "line sep \u2028 astral \U0001d52e"]
 
 
+def rendered(verdicts, fmt="json"):
+    """The stream render_verdicts writes for `verdicts`, as one string."""
+    out = io.StringIO()
+    cli.render_verdicts(verdicts, fmt, out, claims.summarize(verdicts))
+    return out.getvalue()
+
+
 def expected_json_stream(verdicts):
     lines = [json.dumps(v.to_json(), sort_keys=True) for v in verdicts]
     lines.append(json.dumps({"summary": claims.summarize(verdicts)},
@@ -446,8 +454,7 @@ def test_json_lines_are_json_dumps_of_each_verdict():
         for claim, p in zip(("thm2", "lem6", 'c"l\\aim', "50%", "%s",
                              "lem9"), params)
     ]
-    assert cli.render_verdicts(verdicts, "json") == \
-        expected_json_stream(verdicts)
+    assert rendered(verdicts) == expected_json_stream(verdicts)
 
 
 @given(st.lists(st.builds(
@@ -459,8 +466,7 @@ def test_json_lines_are_json_dumps_of_each_verdict():
     holds=st.booleans(), degenerate=st.booleans(), asserted=st.booleans(),
     witness=st.text(max_size=12), detail=st.text(max_size=12)), max_size=5))
 def test_json_lines_match_json_dumps_on_any_text(verdicts):
-    assert cli.render_verdicts(verdicts, "json") == \
-        expected_json_stream(verdicts)
+    assert rendered(verdicts) == expected_json_stream(verdicts)
 
 
 VERIFY_WHICH = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
@@ -486,8 +492,7 @@ def test_verify_writes_the_rendered_stream(capsysbinary, swept, which, deep):
     # main writes each line as it is made; the bytes are the joined text
     # of the verdicts its one sweep returned
     assert main(["verify", which, *["--deep"] * deep]) == 0
-    assert capsysbinary.readouterr().out == \
-        cli.render_verdicts(swept[0], "json").encode()
+    assert capsysbinary.readouterr().out == rendered(swept[0]).encode()
 
 
 @pytest.mark.parametrize("which", ["identities", "two-row"])
@@ -495,12 +500,11 @@ def test_verify_writes_the_rendered_stream(capsysbinary, swept, which, deep):
 def test_verify_writes_each_format_to_stdout_and_out(capsysbinary, tmp_path,
                                                      swept, which, fmt):
     assert main(["verify", which, "--format", fmt]) == 0
-    assert capsysbinary.readouterr().out == \
-        cli.render_verdicts(swept[0], fmt).encode()
+    assert capsysbinary.readouterr().out == rendered(swept[0], fmt).encode()
     target = tmp_path / f"{which}.{fmt}"
     assert main(["verify", which, "--format", fmt, "--out", str(target)]) == 0
     assert capsysbinary.readouterr().out == b""
-    assert target.read_bytes() == cli.render_verdicts(swept[1], fmt).encode()
+    assert target.read_bytes() == rendered(swept[1], fmt).encode()
 
 
 def test_verify_summarizes_once(capsys, monkeypatch):

@@ -176,13 +176,16 @@ def test_a_coeffs_p2():
 
 
 def test_a_coeffs_properties_sampled():
-    for n in range(2, 8):
-        for tree in random_trees(n, 5, seed=n):
-            a = extract_a_coeffs(tree)
-            assert a[0] == RatPoly((1, 0, -1))
-            for p in a[1:]:
-                assert not any(p.coeffs[1::2])
-                assert all(c >= 0 for c in p.coeffs)
+    # a star's a_i vanish above i = 1 and one vertex has a_0 alone; every
+    # tree still gets floor(n/2) + 1 of them
+    trees = [t for n in range(2, 8) for t in random_trees(n, 5, seed=n)]
+    for tree in trees + [star_tree(9), Tree(1, ())]:
+        a = extract_a_coeffs(tree)
+        assert len(a) == tree.n // 2 + 1
+        assert a[0] == RatPoly((1, 0, -1))
+        for p in a[1:]:
+            assert not any(p.coeffs[1::2])
+            assert all(c >= 0 for c in p.coeffs)
 
 
 def test_a_coeffs_rebuild_matching_weights():
@@ -198,7 +201,8 @@ def test_a_coeffs_rebuild_matching_weights():
 
 
 def test_a_coeff_arrays_match_binomial_inversion():
-    # zero rows in the middle and at the end, as a star's c_j have
+    # zero rows in the middle and at the end: the inversion is plain
+    # arithmetic on whatever rows it is given
     weights = [[1, 5, 2], [0, 3], [0], [0, 0, 7, 1], [0], [0]]
     expect = []
     for i in range(len(weights)):

@@ -171,6 +171,8 @@ def brute_weight_arrays(tree):
     for row in rows:
         while len(row) > 1 and row[-1] == 0:
             row.pop()
+    while rows[-1] == [0]:
+        rows.pop()
     return rows
 
 
@@ -184,15 +186,20 @@ def test_matching_weight_arrays_against_edge_subsets():
 def test_matching_weight_arrays_single_vertex():
     # the one vertex has degree 0, so its factor is 1 - t
     assert matching_weight_arrays(Tree(1, ())) == [[1, -1]]
+    assert matching_weights(Tree(1, ())) == (RatPoly((1, 0, -1)),)
 
 
 def test_matching_weight_arrays_large_star():
-    # c_0: hub factor 1 + (N-2) t; c_1: N-1 edges, each t times leaf factors 1
+    # c_0: hub factor 1 + (N-2) t; c_1: N-1 edges, each t times leaf factors 1;
+    # the matching number is 1, so the arrays end there and only
+    # matching_weights pads with zeros to floor(N/2) + 1 entries
     n = 1200
-    rows = matching_weight_arrays(star_tree(n))
-    assert len(rows) == n // 2 + 1
-    assert rows[0] == [1, n - 2] and rows[1] == [0, n - 1]
-    assert all(row == [0] for row in rows[2:])
+    tree = star_tree(n)
+    assert matching_weight_arrays(tree) == [[1, n - 2], [0, n - 1]]
+    c = matching_weights(tree)
+    assert len(c) == n // 2 + 1
+    assert c[1] == RatPoly((0, 0, n - 1))
+    assert all(cj == RatPoly() for cj in c[2:])
 
 
 def test_matching_weight_arrays_large_path():
@@ -205,15 +212,18 @@ def test_matching_weight_arrays_large_path():
 
 def test_matching_weight_dp_releases_folded_vertices():
     # a folded vertex drops its packed integers, so the peak stays near
-    # one frontier of them rather than one per vertex
-    tracemalloc.start()
-    try:
-        rows = matching_weight_arrays(path_tree(150))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rows[75] == [0] * 75 + [1]
-    assert peak < 10_000_000
+    # one frontier of them rather than one per vertex; a star's rows end
+    # at c_1, so no zero slots of c_2..c_(n/2) are decoded
+    for tree, last, bound in ((path_tree(150), [0] * 75 + [1], 10_000_000),
+                              (star_tree(6000), [0, 5999], 8_000_000)):
+        tracemalloc.start()
+        try:
+            rows = matching_weight_arrays(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[-1] == last
+        assert peak < bound, (tree.n, peak)
 
 
 def test_matching_weights_p2():
@@ -233,8 +243,9 @@ def test_matching_weights_p4_counts():
 
 
 def test_matching_weights_at_zero():
-    for tree in all_labeled_trees(5):
+    for tree in [*all_labeled_trees(5), star_tree(9), Tree(1, ())]:
         c = matching_weights(tree)
+        assert len(c) == tree.n // 2 + 1
         assert c[0](0) == 1
         assert all(cj(0) == 0 for cj in c[1:])
 
