@@ -10,18 +10,18 @@ last_{l,k} = alpha_{2l,k,l} equals the difference of successive trinomial
 coefficients p_{l,k} - p_{l,k-1}, with p_{l,k} the coefficient of x^k in
 (1 + x + x^2)^l.
 
-General characters chi_lambda(rho) take one of two Murnaghan-Nakayama
-routes, both on bead bitmasks; `_character` picks by n, and
-`mn_character` and the oracle ask through it.  For n <= COLUMN_MAX_N it
-reads `_column(n, rho)`, which expands p_rho in Schur functions once per
-cycle type and serves every shape: the S17 table (88,209 values) takes
-about 0.2 s cold on a 2-vCPU host (CPython 3.11), where removal took
-about 0.4 s with every (shape, cycle type) pair a new recursion entry.
-Above it, and for callers that ask one shape at the few cycle types
-2^j 1^(n-2j) (`alpha`, the matching route), `_mn` removes border strips
-from that one shape: the columns at those cycle types cost 15-40 ms per
-n at n = 18..20, against under 1 ms pointwise, and grow with the
-partition count past n = 20.  `_mn` is also the tests' independent route.
+This module is the one owner of character lookups: callers ask by public
+name, and the choice of route stays here.  Both Murnaghan-Nakayama routes
+key a shape by one n-bead mask, its beta-set padded to n parts (_checked).
+`_character` picks by n, and `mn_character` asks through it: for
+n <= COLUMN_MAX_N it reads `_column(n, rho)`, which expands p_rho in Schur
+functions once per cycle type and serves every shape (the S17 table,
+88,209 values, takes about 0.2 s cold on a 2-vCPU host with CPython
+3.11); above it `_mn` removes border strips from the one shape.
+`involution_characters` gives one shape's values at the few cycle types
+2^j 1^(n-2j), for `alpha` and the matching route, always by removal (its
+docstring says why).  Two-row characters have closed-form columns,
+`two_row_column`; `_mn` is also the tests' independent route.
 """
 
 from __future__ import annotations
@@ -113,26 +113,20 @@ def centralizer_size(cycle_type: Sequence[int]) -> int:
 
 
 @cache
-def _beads(shape: tuple[int, ...]) -> int:
-    """The beta-set of a partition as a bitmask (its abacus): part i of m
-    puts a bead at shape[i] + m - 1 - i, so position 0 stays empty."""
-    m = len(shape)
-    return sum(1 << (p + m - 1 - i) for i, p in enumerate(shape))
-
-
-@cache
 def _mn(beads: int, cycles: tuple[int, ...]) -> int:
-    """Border-strip removal on the abacus, longest cycle first: a t-strip
-    moves a bead from b to an empty b - t, signed by the beads between,
-    and the filled low positions are shifted out for a canonical key.
-    Once only 1-cycles are left, chi(1^m) = f^shape ends the descent."""
+    """chi(cycles) of the shape whose n-bead mask is beads, n = sum(cycles):
+    border-strip removal on the abacus, longest cycle first.  A t-strip
+    moves a bead from b to an empty b - t, signed by the beads between;
+    the smaller shape then fills the t lowest positions, so shifting them
+    out gives its (n - t)-bead mask.  Once only 1-cycles are left,
+    chi(1^m) = f^shape ends the descent."""
     if not cycles or cycles[0] == 1:
         parts = []  # each bead's position less the beads below it
         while beads:
             low = beads & -beads
             parts.append(low.bit_length() - 1 - len(parts))
             beads ^= low
-        return syt_count(parts[::-1])
+        return syt_count([p for p in reversed(parts) if p])
     t, rest = cycles[0], cycles[1:]
     # the beads at b >= t whose slot b - t is empty
     movable = beads & ~(beads << t) & -(1 << t)
@@ -141,10 +135,7 @@ def _mn(beads: int, cycles: tuple[int, ...]) -> int:
         low = movable & -movable
         movable ^= low
         dest = low >> t
-        new = beads ^ low ^ dest
-        while new & 1:
-            new >>= 1
-        value = _mn(new, rest)
+        value = _mn((beads ^ low ^ dest) >> t, rest)
         # the leg: beads strictly between, as slot b - t is empty
         odd_leg = (beads & (low - dest)).bit_count() & 1
         total += -value if odd_leg else value
@@ -187,13 +178,14 @@ COLUMN_MAX_N = 20
 def _checked(parts: tuple, cycle_type: bool
              ) -> tuple[tuple[int, ...], int, int]:
     """A validated shape, or a cycle type sorted after conversion, with its
-    size n and its n-bead mask (the beta-set padded to n parts, the key of
-    _column); cached on the input as given (a refusal raises, uncached)."""
+    size n and its n-bead mask, the key of both _column and _mn: part i of
+    the shape padded to n parts puts a bead at part + n - 1 - i.  Cached on
+    the input as given (a refusal raises, uncached)."""
     t = as_partition(sorted(map(int, parts), reverse=True) if cycle_type
                      else parts)
     n = sum(t)
-    pad = n - len(t)
-    return t, n, _beads(t) << pad | (1 << pad) - 1
+    return t, n, (sum(1 << (p + n - 1 - i) for i, p in enumerate(t))
+                  | (1 << n - len(t)) - 1)
 
 
 def _character(shape: tuple[tuple[int, ...], int, int],
@@ -201,10 +193,10 @@ def _character(shape: tuple[tuple[int, ...], int, int],
     """chi_shape(rho) for a _checked shape and a canonical cycle type of
     its size: read off the cached column of rho for n <= COLUMN_MAX_N, by
     border-strip removal above it."""
-    parts, n, mask = shape
+    _, n, mask = shape
     if n <= COLUMN_MAX_N:
         return _column(n, rho).get(mask, 0)
-    return _mn(_beads(parts), rho)
+    return _mn(mask, rho)
 
 
 def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
@@ -243,6 +235,14 @@ def two_row_column(n: int, j: int) -> tuple[int, ...]:
 # -- alpha -----------------------------------------------------------------
 
 
+def involution_characters(shape: Sequence[int], width: int) -> list[int]:
+    """chi_shape(2^j 1^(n-2j)) for j < width, by border-strip removal from
+    the one shape: the columns _column builds at these few cycle types cost
+    15-40 ms per n at n = 18..20, against under 1 ms pointwise."""
+    _, n, mask = _checked(tuple(shape), False)
+    return [_mn(mask, two_cycle_type(n, j)) for j in range(width)]
+
+
 def alpha(n: int, shape: Sequence[int], i: int) -> int:
     """(1/2^i) sum_j C(i,j) chi_shape(2^j 1^(n-2j)), asserted integral."""
     shape = as_partition(shape)
@@ -250,23 +250,14 @@ def alpha(n: int, shape: Sequence[int], i: int) -> int:
         raise ValueError(f"shape {shape} is not a partition of {n}")
     if not 0 <= i <= n // 2:
         raise ValueError(f"need 0 <= i <= n//2, got i={i}")
-    total = sum(comb(i, j) * _mn(_beads(shape), two_cycle_type(n, j))
-                for j in range(i + 1))
+    total = sum(comb(i, j) * chi for j, chi
+                in enumerate(involution_characters(shape, i + 1)))
     q, r = divmod(total, 1 << i)
     if r:
         raise ArithmeticError(
             f"alpha({n},{shape},{i}): sum {total} not divisible by 2^{i}; "
             "character bug"
         )
-    return q
-
-
-def alpha_two_row(n: int, k: int, i: int) -> int:
-    """alpha_{n,k,i} through the two-row character fast path."""
-    total = sum(comb(i, j) * two_row_char(n, k, j) for j in range(i + 1))
-    q, r = divmod(total, 1 << i)
-    if r:
-        raise ArithmeticError(f"alpha_two_row({n},{k},{i}): non-integral")
     return q
 
 

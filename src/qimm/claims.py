@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Callable, Iterable, Sequence
 
-from .characters import (alpha_table, alpha_two_row, last_value,
-                         poly_power_coeffs)
+from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
+                         two_row_shape)
 from .immanants import (
     BRUTEFORCE_MAX_N,
     THEOREM_MIN_N,
@@ -447,7 +447,8 @@ def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
 def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
     """rem20 (Catalan-Riordan), lem17-conv (binomial-Riordan expansion),
     and lem22: successive differences of (1+x)^(n-2i) (1+x+x^2)^i by
-    convolution against alpha_two_row (alpha_table is that product)."""
+    convolution against alpha(n, (n-k, k), i), alpha's definition through
+    general Murnaghan-Nakayama (alpha_table is that product)."""
     verdicts = []
     report = sequence_identities(RIORDAN_L_MAX)
     for l, lhs, rhs, ok in report["catalan_riordan"]:
@@ -477,7 +478,7 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
             tri = poly_power_coeffs((1, 1, 1), i)
             diffs = successive_differences(conv(coeffs, tri))
             for k, diff in enumerate(diffs[:half + 1]):
-                value = alpha_two_row(n, k, i)
+                value = alpha(n, two_row_shape(n, k), i)
                 verdicts.append(
                     InequalityVerdict(
                         claim="lem22",

@@ -17,11 +17,14 @@ t-coefficient lists, cleared of (positive) character-degree denominators.
 Every combination of such lists is one _weighted_sum: the character sums
 sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5) by signed binomial rows,
 the Theorem 2 gap rows and gaps, and the eq. (5) comparison.  Both
-Theorem 1 gaps are one integer form in the grid values of the n hook sums
-and 1 - t (hook_margins).  A tree's c_j vanish above its matching number
-nu and matching_weight_arrays returns c_0..c_nu, so each sum runs over
-those alone; the hook characters and the Theorem 2 gap rows are tables
-cached per (n, nu + 1).
+Theorem 1 gaps are one integer form in the hook sums and 1 - t, read from
+the grid values of the c_j (hook_margins).  A tree's c_j vanish above its
+matching number nu and matching_weight_arrays returns c_0..c_nu, so each
+sum runs over those alone; the hook characters and the Theorem 2 gap rows
+are tables cached per (n, nu + 1).
+Character values come from `characters` by public name: the matching
+route asks involution_characters, the oracle mn_character, and the
+two-row sums and degrees read whole two_row_column columns.
 The oracle expands the q-Laplacian's integer q-coefficient lists
 directly.  RatPoly appears only where a polynomial leaves the module.
 
@@ -45,20 +48,15 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .characters import (
-    _beads,
-    _character,
-    _checked,
-    _mn,
     alpha_table,
     as_partition,
+    involution_characters,
     last_value,
     mn_character,
     partitions,
     syt_count,
     trinomial_power,
-    two_cycle_type,
-    two_row_char,
-    two_row_dimension,
+    two_row_column,
 )
 from .ratpoly import RatPoly, conv, from_t, successive_differences
 from .trees import PolyMatrix, Tree, matching_weight_arrays, q_laplacian
@@ -176,12 +174,9 @@ def _bruteforce_buckets(matrix: PolyMatrix
 
 def _combine_buckets(buckets: dict[tuple[int, ...], list[int]],
                      shape: tuple[int, ...]) -> list[int]:
-    """sum over cycle types rho of chi_shape(rho) times the bucket; the
-    shape is a validated partition of n and the keys are canonical cycle
-    types of n, so the character engine is asked through its selector."""
-    checked = _checked(shape, False)
+    """sum over cycle types rho of chi_shape(rho) times the bucket."""
     return _weighted_sum(list(buckets.values()),
-                         [_character(checked, rho) for rho in buckets])
+                         [mn_character(shape, rho) for rho in buckets])
 
 
 def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
@@ -197,12 +192,11 @@ def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
     return RatPoly(tuple(Fraction(c, dim) for c in total))
 
 
-def _matching_sum(n: int, weights: Sequence[Sequence[int]],
+def _matching_sum(weights: Sequence[Sequence[int]],
                   shape: tuple[int, ...]) -> list[int]:
     """sum_j chi_shape(2^j 1^(n-2j)) c_j in t: the matching route, shared
     by immanant_tree and the oracle that checks it."""
-    return _weighted_sum(weights, [_mn(_beads(shape), two_cycle_type(n, j))
-                                   for j in range(len(weights))])
+    return _weighted_sum(weights, involution_characters(shape, len(weights)))
 
 
 def immanant_tree(tree: Tree, shape: Sequence[int],
@@ -212,7 +206,7 @@ def immanant_tree(tree: Tree, shape: Sequence[int],
     n = tree.n
     if sum(shape) != n:
         raise ValueError(f"|shape| = {sum(shape)} != tree size {n}")
-    total = _matching_sum(n, matching_weight_arrays(tree), shape)
+    total = _matching_sum(matching_weight_arrays(tree), shape)
     return from_t(total, syt_count(shape) if normalized else 1)
 
 
@@ -235,20 +229,24 @@ def extract_a_coeffs(tree: Tree) -> tuple[RatPoly, ...]:
     return tuple(from_t(arr) for arr in a + [[]] * (tree.n // 2 + 1 - len(a)))
 
 
+def _two_row_rows(n: int, width: int) -> list[tuple[int, ...]]:
+    """chi_{(n-k,k)}(2^j 1^(n-2j)) for j < width, one row per k =
+    0..floor(n/2): the two_row_column of each j, transposed."""
+    return list(zip(*(two_row_column(n, j) for j in range(width))))
+
+
 def _two_row_sums(n: int, weights: Sequence[Sequence[int]]
                   ) -> list[list[int]]:
     """sum_j chi_{(n-k,k)}(2^j 1^(n-2j)) c_j in t, k = 0..floor(n/2)."""
-    return [_weighted_sum(weights, [two_row_char(n, k, j)
-                                    for j in range(len(weights))])
-            for k in range(n // 2 + 1)]
+    return [_weighted_sum(weights, row)
+            for row in _two_row_rows(n, len(weights))]
 
 
 def normalized_two_row_immanants(tree: Tree) -> tuple[RatPoly, ...]:
     """Normalized immanants for (n-k, k), k = 0..floor(n/2)."""
     n = tree.n
     sums = _two_row_sums(n, matching_weight_arrays(tree))
-    return tuple(from_t(s, two_row_dimension(n, k))
-                 for k, s in enumerate(sums))
+    return tuple(map(from_t, sums, two_row_column(n, 0)))
 
 
 # -- Theorem 2: the two-row chain ------------------------------------------
@@ -259,8 +257,7 @@ def _two_row_gap_table(n: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Rows f_k chi_{k-1}(j) - f_{k-1} chi_k(j), k = 1..floor(n/2), for
     j < width: chi_k is the character of (n-k, k) at 2^j 1^(n-2j), and
     its j = 0 value is the degree f_k."""
-    chi = [[two_row_char(n, k, j) for j in range(width)]
-           for k in range(n // 2 + 1)]
+    chi = _two_row_rows(n, width)
     return tuple(tuple(_weighted_sum((lo, hi), (hi[0], -lo[0])))
                  for lo, hi in zip(chi, chi[1:]))
 
@@ -284,7 +281,7 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
     path on four vertices genuinely fails at k = 2 for large |q|).
     """
     n = tree.n
-    dims = [two_row_dimension(n, k) for k in range(n // 2 + 1)]
+    dims = two_row_column(n, 0)
     label = tree.label()
     verdicts = []
     for k, arr in enumerate(two_row_gaps(n, matching_weight_arrays(tree)), 1):
@@ -358,18 +355,19 @@ def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
     (k-1) imm_{k-1} + (q^2 - 1) <= (k-2) imm_k.
 
     Times the hook degrees f_{k-1} f_k > 0, both gaps take one integer
-    form in the hook sums H_k and in 1 - t; those n + 1 polynomials are
-    evaluated once per distinct t = q^2 of the grid.  The grid is scanned
-    in order, so the first grid point wins ties.
+    form in the hook sums H_k = sum_j chi_{hook_k}(j) c_j and in 1 - t.
+    The nu + 1 weights c_j are evaluated once per distinct t = q^2 of the
+    grid, and each H_k(t) is the same sum over those values.  The grid is
+    scanned in order, so the first grid point wins ties.
     """
     grid = tuple(q_grid) if q_grid is not None else default_q_grid()
     n = tree.n
     weights = matching_weight_arrays(tree)
     chars = _hook_char_data(n, len(weights))
-    hooks = [_weighted_sum(weights, ch) for ch in chars]
-    qs, rows, denom = _grid_table(grid, len(hooks[0]) - 1)
-    # denom times H_k(t) and 1 - t, per distinct t of the grid
-    at = [[sum(map(mul, h, row)) for row in rows] for h in hooks]
+    qs, rows, denom = _grid_table(grid, max(map(len, weights)) - 1)
+    # denom times c_j(t), H_k(t) and 1 - t, per distinct t of the grid
+    values = [[sum(map(mul, w, row)) for row in rows] for w in weights]
+    at = [_weighted_sum(values, ch) for ch in chars]
     one_minus_t = [row[0] - row[1] for row in rows]
     # gap times f_{k-1} f_k: b H_k(t) - a H_{k-1}(t) + c (1 - t), with
     # (a, b, c) from k and the hook degrees lo = f_{k-1}, hi = f_k
@@ -567,7 +565,7 @@ def oracle_equivalence_report(tree: Tree) -> list[tuple[tuple[int, ...], bool]]:
     weights = matching_weight_arrays(tree)
     results = []
     for shape in partitions(n):
-        in_t = _matching_sum(n, weights, shape)
+        in_t = _matching_sum(weights, shape)
         lhs = [0] * (2 * len(in_t))
         lhs[::2] = in_t
         rhs = _combine_buckets(buckets, shape)
@@ -589,10 +587,10 @@ def eq5_holds(n: int, weights: Sequence[Sequence[int]],
     f_k sum_i 2^i alpha_{n,k,i} a_i = alpha_{n,k,0} sum_j chi_{(n-k,k)}(j) c_j.
     """
     table = alpha_table(n)
+    dims = two_row_column(n, 0)
     for k, imm in enumerate(_two_row_sums(n, weights)):
         recon = _weighted_sum(
             a, [(1 << i) * table.get(k, i) for i in range(len(a))])
-        if any(_weighted_sum((recon, imm), (two_row_dimension(n, k),
-                                            -table.get(k, 0)))):
+        if any(_weighted_sum((recon, imm), (dims[k], -table.get(k, 0)))):
             return False
     return True

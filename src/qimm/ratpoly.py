@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 
 def _canon(coeffs: Iterable) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -130,8 +130,9 @@ def successive_differences(coeffs: Sequence[int]) -> list[int]:
 
 def from_t(coeffs: Iterable[int], denom: int = 1) -> RatPoly:
     """Polynomial in q from integer coefficients in t = q^2, all divided
-    by one common denominator."""
+    by one common denominator; the odd powers share one zero."""
+    zero = Fraction(0)
     out: list = []
     for c in coeffs:
-        out += (Fraction(c, denom), 0)
+        out += (Fraction(c, denom), zero)
     return RatPoly(out)

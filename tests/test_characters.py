@@ -7,15 +7,14 @@ import pytest
 
 from qimm.characters import (
     COLUMN_MAX_N,
-    _beads,
     _column,
     _mn,
     alpha,
     alpha_table,
-    alpha_two_row,
     as_partition,
     centralizer_size,
     hook_shape,
+    involution_characters,
     last_table,
     last_table_recursive,
     last_table_trinomial,
@@ -143,6 +142,14 @@ def test_row_orthogonality():
                 assert total == (scale if lam == mu else 0), (lam, mu)
 
 
+def bead_mask(lam):
+    """The n-bead abacus of a partition lam of n as an int: lam padded with
+    zeros to n parts, part i puts a bead at part + n - 1 - i."""
+    n = sum(lam)
+    padded = list(lam) + [0] * (n - len(lam))
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(padded))
+
+
 def test_column_route_matches_removal_route():
     # every column holds only nonzero values, and reading it agrees with
     # border-strip removal on every (lambda, rho) with n <= 12
@@ -151,14 +158,15 @@ def test_column_route_matches_removal_route():
         for rho in parts:
             assert 0 not in _column(n, rho).values()
             for lam in parts:
-                assert mn_character(lam, rho) == _mn(_beads(lam), rho), (
+                assert mn_character(lam, rho) == _mn(bead_mask(lam), rho), (
                     lam, rho)
 
 
 def test_selector_covers_both_routes():
     # n = COLUMN_MAX_N reads columns without touching _mn; one more box
     # reads _mn; on both sides each value is checked against the other
-    # route and, at 1^n and (n), against f^lambda and the hook signs
+    # route and, at 1^n and (n), against f^lambda and the hook signs; and
+    # involution_characters agrees with mn_character at every 2^j 1^(n-2j)
     for n in (COLUMN_MAX_N, COLUMN_MAX_N + 1):
         parts = list(partitions(n))
         hooks = {hook_shape(n, k): (-1) ** (n - k) for k in range(1, n + 1)}
@@ -169,13 +177,17 @@ def test_selector_covers_both_routes():
             assert asked_mn == (n > COLUMN_MAX_N), (n, rho)
             column = _column(n, rho)
             for lam, value in zip(parts, values):
-                pad = n - len(lam)
-                mask = _beads(lam) << pad | (1 << pad) - 1
-                assert value == column.get(mask, 0) == _mn(_beads(lam), rho)
+                mask = bead_mask(lam)
+                assert value == column.get(mask, 0) == _mn(mask, rho)
                 if rho == (1,) * n:
                     assert value == syt_count(lam)
                 elif rho == (n,):
                     assert value == hooks.get(lam, 0)
+        width = n // 2 + 1
+        for lam in parts:
+            assert involution_characters(lam, width) == [
+                mn_character(lam, two_cycle_type(n, j))
+                for j in range(width)], lam
 
 
 def test_s12_character_table_pinned():
@@ -316,7 +328,6 @@ def test_alpha_table_matches_direct_definition():
         for k in range(half + 1):
             for i in range(half + 1):
                 assert table.get(k, i) == alpha(n, two_row_shape(n, k), i)
-                assert table.get(k, i) == alpha_two_row(n, k, i)
 
 
 def test_alpha_table_matches_box_removal_recursion():
