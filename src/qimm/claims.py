@@ -59,18 +59,19 @@ from .trees import (
 RIORDAN_L_MAX = 12
 CONV_L_MAX = 8
 
+# the first value of each capped sweep, and the smallest random sample
 SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
                    oracle_n_max=2, alpha_n_max=2, last_l_max=2, count_n_max=2,
                    prob_n_max=2, sr_max=1, sr_l_max=1, callan_l_max=1,
-                   double_l_max=1)
+                   double_l_max=1, random_count=1)
 
 # Upper caps on the alpha and last tables, for `qimm alpha-table N` /
 # `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
-# user, verify alpha-ratios, takes about 26 s and 2 GB, mostly its verdicts.
+# user, verify alpha-ratios, takes 20-25 s and 600 MB, mostly verdicts.
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
-# The general-sr sweep's caps: either alone takes about 10 s at its cap
-# with the other at its default.
+# The general-sr sweep's caps, each with the other at its default: about
+# 3.6 s at --sr-max 50 and 1.4 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
 # The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
@@ -78,17 +79,6 @@ RANDOM_TREES_MAX = 100_000
 # distinct c_j arrays the thm2 sweep memoizes per n: every class up to
 # n = 11 (235 free trees); above that most sampled trees have their own
 THM2_MEMO_MAX = 256
-
-
-def _sr_l_cost(sr_l_max: int) -> int:
-    """Modelled work of the general-sr sweep per (s, r) pair, up to l =
-    sr_l_max: for each l, two l-th powers of a trinomial at l^2 steps and
-    l verdicts, so sum_l l(l + 27) = L(L+1)(L+41)/3, with the weight 27
-    of a verdict against a step fitted to timed runs that built each
-    power by l convolutions.  trinomial_power builds it in O(l) steps, so
-    the model over-counts the power term; SR_COST_MAX, built from it, is
-    kept as it is."""
-    return sr_l_max * (sr_l_max + 1) * (sr_l_max + 41) // 3
 
 
 # the last value of each sweep with an upper cap: labeled walks for the
@@ -102,14 +92,26 @@ SWEEP_MAX = dict(hook_n_max=ALL_TREES_MAX_N,
                  random_count=RANDOM_TREES_MAX)
 
 
+def check_cap(name: str, value: int, cap: int, where: str = "") -> None:
+    """Refuse a sweep or table size past its cap, before any work."""
+    if value > cap:
+        raise ValueError(f"{name} = {value} is above its cap {cap}{where}")
+
+
+def _sr_verdicts(sr_max: int, sr_l_max: int) -> int:
+    """The general-sr sweep's verdicts, which set its time and memory: l
+    for each (s, r) pair and each l <= sr_l_max."""
+    return sr_max ** 2 * sr_l_max * (sr_l_max + 1) // 2
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Caps for the verification sweeps.  `deepen` (the CLI's --deep)
     raises the tree caps and the path caps; the CLI's cap flags take
     these fields as their destinations and defaults.  A config, deepened
     or not, is checked when built, so no sweep starts above its SWEEP_MAX
-    or below its SWEEP_START, and sr_max and sr_l_max together stay
-    within SR_COST_MAX; exhaustive_tree_max is cut to n_max."""
+    or below its SWEEP_START, and the general-sr sweep writes at most
+    SR_VERDICTS_MAX verdicts; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -130,19 +132,14 @@ class SweepConfig:
         object.__setattr__(self, "exhaustive_tree_max",
                            min(self.exhaustive_tree_max, self.n_max))
         for name, cap in SWEEP_MAX.items():
-            if getattr(self, name) > cap:
-                raise ValueError(f"{name} = {getattr(self, name)} is above "
-                                 f"its cap {cap}")
-        if self.random_count < 1:
-            raise ValueError("random_count must be at least 1")
+            check_cap(name, getattr(self, name), cap)
         for name, start in SWEEP_START.items():
             if getattr(self, name) < start:
                 raise ValueError(f"{name} = {getattr(self, name)} checks "
                                  f"nothing: its sweep starts at {start}")
-        sr_cap = isqrt(SR_COST_MAX // _sr_l_cost(self.sr_l_max))
-        if self.sr_max > sr_cap:
-            raise ValueError(f"sr_max = {self.sr_max} is above its cap "
-                             f"{sr_cap} at sr_l_max = {self.sr_l_max}")
+        check_cap("sr_max", self.sr_max,
+                  isqrt(SR_VERDICTS_MAX // _sr_verdicts(1, self.sr_l_max)),
+                  f" at sr_l_max = {self.sr_l_max}")
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -163,9 +160,10 @@ class SweepConfig:
         return range(SWEEP_START[cap], getattr(self, cap) + 1)
 
 
-# the two general-sr caps together: the work of --sr-l-max at its cap
-# with --sr-max at its default, the costlier of the two single-flag caps
-SR_COST_MAX = SweepConfig.sr_max ** 2 * _sr_l_cost(SR_L_MAX)
+# the two general-sr caps together: the verdicts of the costlier single-
+# flag cap, with the other flag at its default (195,000, at --sr-max 50)
+SR_VERDICTS_MAX = max(_sr_verdicts(SR_MAX, SweepConfig.sr_l_max),
+                      _sr_verdicts(SweepConfig.sr_max, SR_L_MAX))
 
 
 def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
@@ -552,8 +550,15 @@ def _sort_key(v: InequalityVerdict) -> str:
                       *(f"{k}\0{params[k]!s}" for k in sorted(params))])
 
 
+VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
+                "probability", "identities", "all")
+
+
 def run_claims(which: str, config: SweepConfig) -> list[InequalityVerdict]:
-    """Run one verify subcommand's claim set, sorted canonically."""
+    """Run the claim set of one of VERIFY_NAMES, sorted canonically."""
+    if which not in VERIFY_NAMES:
+        raise ValueError(f"unknown claim set {which!r}; use one of "
+                         f"{', '.join(VERIFY_NAMES)}")
     verdicts: list[InequalityVerdict] = []
     if which in ("two-row", "all"):
         verdicts.extend(verify_two_row(config))

@@ -35,7 +35,9 @@ from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import (
     ALPHA_TABLE_MAX_N,
     LAST_TABLE_MAX_L,
+    VERIFY_NAMES,
     SweepConfig,
+    check_cap,
     run_claims,
     summarize,
 )
@@ -152,9 +154,11 @@ def _open_out(out: str | None):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """`text` and a final newline, as its own write: one large write to
+    a pipe whose reader has gone can return without error."""
     with _open_out(out) as fh:
         fh.write(text)
-        if out is None and not text.endswith("\n"):
+        if not text.endswith("\n"):
             fh.write("\n")
 
 
@@ -224,21 +228,15 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _check_table_cap(name: str, value: int, cap: int) -> None:
-    """Refuse a table size past its cap before any of it is computed."""
-    if value > cap:
-        raise ValueError(f"{name} = {value} is above its cap {cap}")
-
-
 def cmd_alpha_table(args: argparse.Namespace) -> int:
-    _check_table_cap("alpha-table N", args.n, ALPHA_TABLE_MAX_N)
+    check_cap("alpha-table N", args.n, ALPHA_TABLE_MAX_N)
     table = alpha_table(args.n)
     _emit(render_int_table(table.rows, "i", "k", args.format), args.out)
     return 0
 
 
 def cmd_last_table(args: argparse.Namespace) -> int:
-    _check_table_cap("last-table L", args.l, LAST_TABLE_MAX_L)
+    check_cap("last-table L", args.l, LAST_TABLE_MAX_L)
     table = last_table(args.l)
     _emit(render_int_table(table.rows, "l", "k", args.format), args.out)
     return 0
@@ -371,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, cmd_a_coeffs, ("text", "json"))
 
     p = sub.add_parser("verify", help="verification sweeps")
-    p.add_argument(
-        "which",
-        choices=("two-row", "hook", "alpha-ratios", "general-sr", "paths",
-                 "probability", "identities", "all"),
-    )
+    p.add_argument("which", choices=VERIFY_NAMES)
     p.add_argument("--tree", default=None,
                    help="check a single tree (two-row and hook only)")
 

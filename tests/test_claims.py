@@ -1,10 +1,14 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +62,11 @@ GOLDEN_FLAGS = {
 # pass that checks its steps.
 GOLDEN_DEFAULT = (
     "3df2a954fd22a1f7b59b799805ceeb2b43864dfadd09839754ea4fb471708380")
+
+# SHA-256 of stdout of `python -m qimm.cli verify all --deep`, the stream
+# CI pins as the deep verdict stream.
+GOLDEN_DEEP_ALL = (
+    "9a9d826171097b3370e5cff910225040aa96b18c0e1b17f0b728489a582cba3b")
 
 
 # SHA-256 of the JSON lines of the four labeled-tree sweeps with every
@@ -135,12 +144,12 @@ def test_sweep_config_checked_when_built():
     assert (vars(at_caps).items()
             >= claims.SWEEP_MAX.items() - {("sr_max", claims.SR_MAX)})
     assert SweepConfig(sr_max=claims.SR_MAX).sr_max == claims.SR_MAX
-    with pytest.raises(ValueError, match="sr_max = 50 is above its cap 4 at "
+    with pytest.raises(ValueError, match="sr_max = 50 is above its cap 6 at "
                                          "sr_l_max = 100"):
         SweepConfig(sr_max=claims.SR_MAX, sr_l_max=claims.SR_L_MAX)
     # a cap below its sweep's first value checks nothing and is refused;
     # at its first value every sweep yields a verdict
-    assert len(claims.SWEEP_START) == 11
+    assert len(claims.SWEEP_START) == 12
     for field, start in claims.SWEEP_START.items():
         with pytest.raises(ValueError, match=f"{field} = {start - 1} checks "
                                              f"nothing"):
@@ -150,6 +159,63 @@ def test_sweep_config_checked_when_built():
                   "doubling", "counting", "probability", "identities",
                   "oracle", "a_coeffs"):
         assert getattr(claims, f"verify_{which}")(lowest), which
+
+
+def test_general_sr_pair_bounded_by_its_verdicts():
+    # the pair may write as many verdicts as --sr-max 50 alone, l of them
+    # for each (s, r) pair and each l <= sr_l_max
+    assert len(claims.verify_general_sr(SweepConfig(sr_max=2, sr_l_max=5))
+               ) == 2 ** 2 * 15
+    assert SweepConfig(sr_max=6, sr_l_max=100).sr_max == 6
+    with pytest.raises(ValueError, match="sr_max = 7 is above its cap 6 at "
+                                         "sr_l_max = 100"):
+        SweepConfig(sr_max=7, sr_l_max=100)
+    # the five pairs a cost model of the convolution route accepted, each
+    # past the bound
+    for sr_max, sr_l_max in ((47, 13), (48, 13), (44, 14), (41, 15),
+                             (38, 16)):
+        with pytest.raises(ValueError, match=f"sr_max = {sr_max} is above"):
+            SweepConfig(sr_max=sr_max, sr_l_max=sr_l_max)
+
+
+def test_run_claims_runs_only_a_verify_name(monkeypatch):
+    # each name in VERIFY_NAMES runs a sweep, read from the claims
+    # namespace when called; any other name checks nothing, so it is
+    # refused before a sweep runs rather than summarized as all_ok
+    ran = []
+    for name in dir(claims):
+        if name.startswith("verify_"):
+            monkeypatch.setattr(claims, name,
+                                lambda config, name=name: ran.append(name)
+                                or [])
+    for which in claims.VERIFY_NAMES:
+        ran.clear()
+        assert claims.run_claims(which, SweepConfig()) == [] and ran, which
+    ran.clear()
+    with pytest.raises(ValueError, match="'two_row'; use one of two-row, "):
+        claims.run_claims("two_row", SweepConfig())
+    assert ran == []
+    for which in claims.VERIFY_NAMES:
+        assert build_parser().parse_args(["verify", which]).which == which
+
+
+@pytest.mark.parametrize("deep, want", [(False, GOLDEN_DEFAULT),
+                                        (True, GOLDEN_DEEP_ALL)])
+def test_full_verification_script_writes_the_verify_all_stream(tmp_path, deep,
+                                                               want):
+    # verdicts.jsonl is the `qimm verify all` stream, and the per-claim
+    # totals of summary.csv add up to its summary's total
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "run_full_verification.py")
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path),
+                           *["--deep"] * deep],
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stream = (tmp_path / "verdicts.jsonl").read_bytes()
+    assert hashlib.sha256(stream).hexdigest() == want
+    total = json.loads(stream.splitlines()[-1])["summary"]["total"]
+    with (tmp_path / "summary.csv").open(newline="") as fh:
+        assert sum(int(row["total"]) for row in csv.DictReader(fh)) == total
 
 
 def test_deep_paths_and_probability_streams_unchanged(capsys):

@@ -185,6 +185,28 @@ def test_csv_rejected_where_no_csv_output(capsys):
         assert code == 0 and "," in out
 
 
+# every subcommand but verify, in each format it takes
+EMIT_ARGV = [(argv, fmt) for argv, formats in (
+    (("alpha-table", "6"), ("text", "csv", "json")),
+    (("last-table", "5"), ("text", "csv", "json")),
+    (("char", "2,2", "2,2"), ("text", "json")),
+    (("immanant", "--tree", "path:4", "--shape", "3,1"), ("text", "json")),
+    (("a-coeffs", "--tree", "path:4"), ("text", "json")),
+) for fmt in formats]
+
+
+@pytest.mark.parametrize("argv, fmt", EMIT_ARGV,
+                         ids=[f"{argv[0]} {fmt}" for argv, fmt in EMIT_ARGV])
+def test_out_file_gets_the_bytes_stdout_gets(capsysbinary, tmp_path, argv,
+                                             fmt):
+    assert main([*argv, "--format", fmt]) == 0
+    out = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    assert main([*argv, "--format", fmt, "--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == out and out.endswith(b"\n")
+
+
 def test_immanant_command_matches_published_form(capsys):
     code, out, _ = run_cli(
         capsys, "immanant", "--tree", "path:4", "--shape", "3,1",
@@ -337,7 +359,8 @@ REFUSED_CAPS = [
     (("all", "--oracle-n-max", "10"), "--oracle-n-max = 10 is above"),
     (("hook", "--hook-n-max", "9", "--deep"),
      "--hook-n-max = 10 is above its cap 9 (--deep raised it from 9)"),
-    (("two-row", "--random-trees", "0"), "--random-trees must be at least 1"),
+    (("two-row", "--random-trees", "0"),
+     "--random-trees = 0 checks nothing: its sweep starts at 1"),
     (("two-row", "--random-trees", "100001"),
      "--random-trees = 100001 is above its cap 100000"),
     (("two-row", "--random-trees", "20001", "--deep"),
@@ -354,7 +377,9 @@ REFUSED_CAPS = [
     (("general-sr", "--sr-l-max", "101"),
      "--sr-l-max = 101 is above its cap 100"),
     (("general-sr", "--sr-max", "50", "--sr-l-max", "100"),
-     "--sr-max = 50 is above its cap 4 at --sr-l-max = 100"),
+     "--sr-max = 50 is above its cap 6 at --sr-l-max = 100"),
+    (("general-sr", "--sr-max", "47", "--sr-l-max", "13"),
+     "--sr-max = 47 is above its cap 46 at --sr-l-max = 13"),
     (("hook", "--hook-n-max", "4", "--deep"), "--hook-n-max = 4 checks"),
 ]
 
