@@ -65,13 +65,6 @@ def two_cycle_type(n: int, j: int) -> tuple[int, ...]:
     return (2,) * j + (1,) * (n - 2 * j)
 
 
-def hook_shape(n: int, k: int) -> tuple[int, ...]:
-    """Hook partition (k, 1^(n-k))."""
-    if not 1 <= k <= n:
-        raise ValueError(f"hook needs 1 <= k <= n, got k={k}, n={n}")
-    return (k,) + (1,) * (n - k)
-
-
 def two_row_shape(n: int, k: int) -> tuple[int, ...]:
     """Two-row partition (n-k, k); (n,) when k = 0."""
     if not 0 <= k <= n // 2:
@@ -96,17 +89,6 @@ def syt_count(shape: Sequence[int]) -> int:
     count, rem = divmod(factorial(n), denom)
     assert rem == 0
     return count
-
-
-def centralizer_size(cycle_type: Sequence[int]) -> int:
-    """z_rho = prod over distinct part sizes i of i^m_i * m_i!."""
-    z = 1
-    mult: dict[int, int] = {}
-    for p in cycle_type:
-        mult[p] = mult.get(p, 0) + 1
-    for i, m in mult.items():
-        z *= i**m * factorial(m)
-    return z
 
 
 # -- Murnaghan-Nakayama ---------------------------------------------------

@@ -60,6 +60,7 @@ from .trees import (
 
 USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
+_EMIT_CHUNK = 1 << 16  # characters per write in _emit
 
 # one encoder for every sorted-key JSON line: json.dumps builds a new
 # JSONEncoder per call when given sort_keys
@@ -154,12 +155,14 @@ def _open_out(out: str | None):
 
 
 def _emit(text: str, out: str | None) -> None:
-    """`text` and a final newline, as its own write: one large write to
-    a pipe whose reader has gone can return without error."""
+    """`text` and a final newline, in writes of at most _EMIT_CHUNK
+    characters: one large write to a pipe whose reader has gone can
+    return without error, and the next chunk then raises inside main."""
+    if not text.endswith("\n"):
+        text += "\n"
     with _open_out(out) as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        for start in range(0, len(text), _EMIT_CHUNK):
+            fh.write(text[start:start + _EMIT_CHUNK])
 
 
 def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:

@@ -189,7 +189,7 @@ def immanant_bruteforce(matrix: PolyMatrix, shape: Sequence[int],
         raise ValueError(f"|shape| = {sum(shape)} != matrix dimension {n}")
     total = _combine_buckets(_bruteforce_buckets(matrix), shape)
     dim = mn_character(shape, (1,) * n) if normalized else 1
-    return RatPoly(tuple(Fraction(c, dim) for c in total))
+    return RatPoly.from_ints(total, dim)
 
 
 def _matching_sum(weights: Sequence[Sequence[int]],

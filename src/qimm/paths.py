@@ -317,24 +317,6 @@ class TwoRowSYT:
         return bisect_right(self.row1, i) - bisect_right(self.row2, i)
 
 
-def syt_to_path(tableau: TwoRowSYT) -> LatticePath:
-    """Step i is U when i sits in the first row, D otherwise."""
-    r1 = set(tableau.row1)
-    return LatticePath(
-        "".join("U" if i in r1 else "D" for i in range(1, tableau.n + 1))
-    )
-
-
-def path_to_syt(path: LatticePath) -> TwoRowSYT:
-    if not path.is_ud():
-        raise ValueError("only U/D paths encode two-row tableaux")
-    if not path.is_nonnegative():
-        raise ValueError("path dips below the axis; columns would decrease")
-    row1 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "U")
-    row2 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "D")
-    return TwoRowSYT(row1, row2)
-
-
 def max_odd_descent_interval(tableau: TwoRowSYT) -> int:
     """Largest (d+1)//2 over descents d with odd RowDiff; 0 if none.  The
     tableau counterpart of max_odd_peak_interval."""

