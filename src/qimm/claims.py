@@ -12,7 +12,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
@@ -67,11 +69,11 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 
 # Upper caps on the alpha and last tables, for `qimm alpha-table N` /
 # `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
-# user, verify alpha-ratios, takes 20-25 s and 600 MB, mostly verdicts.
+# user, verify alpha-ratios, takes about 12 s and 600 MB, mostly verdicts.
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps, each with the other at its default: about
-# 3.6 s at --sr-max 50 and 1.4 s at --sr-l-max 100.
+# 2.4 s at --sr-max 50 and 1.1 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
 # The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
@@ -539,15 +541,24 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
 # -- dispatcher ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _sort_layout(names: tuple) -> tuple[str, Callable]:
+    """_sort_key's %-template and value getter for params of these names."""
+    order = sorted(names)
+    get = itemgetter(*order) if len(order) > 1 else (
+        lambda params: tuple(params[name] for name in order))
+    return "\0".join(["%s", *(name.replace("%", "%%") + "\0%s"
+                              for name in order)]), get
+
+
 def _sort_key(v: InequalityVerdict) -> str:
     """One string: the claim, then each parameter name and str(value) in
     name order, joined by NUL.  NUL sorts below every character a claim,
     name or value holds, so where one string ends first, here or in the
     tuple (claim, sorted((name, str(value)), ...)), it sorts first in
     both: the two keys order verdicts alike."""
-    params = v.params
-    return "\0".join([v.claim,
-                      *(f"{k}\0{params[k]!s}" for k in sorted(params))])
+    template, values = _sort_layout(tuple(v.params))
+    return template % (v.claim, *values(v.params))
 
 
 VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
@@ -584,14 +595,15 @@ def run_claims(which: str, config: SweepConfig) -> list[InequalityVerdict]:
 
 
 def summarize(verdicts: Sequence[InequalityVerdict]) -> dict:
-    passed = sum(1 for v in verdicts if v.holds and v.asserted)
-    failed = sum(
-        1 for v in verdicts if not v.holds and v.asserted and not v.degenerate
-    )
-    degenerate = sum(1 for v in verdicts if v.degenerate)
-    reported = sum(
-        1 for v in verdicts if not v.holds and not v.asserted
-    )
+    passed = failed = degenerate = reported = 0
+    for v in verdicts:
+        degenerate += v.degenerate
+        if v.holds:
+            passed += v.asserted
+        elif v.asserted:
+            failed += not v.degenerate
+        else:
+            reported += 1
     return {
         "total": len(verdicts),
         "passed_asserted": passed,

@@ -26,8 +26,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -66,26 +65,26 @@ _EMIT_CHUNK = 1 << 16  # characters per write in _emit
 # JSONEncoder per call when given sort_keys
 _JSON = json.JSONEncoder(sort_keys=True)
 
-# A verify JSON line is _JSON.encode(v.to_json()) written from one
-# template: the verdict's fields in name order, each value encoded as
-# _JSON encodes its type (strings by the escaper it uses under
-# ensure_ascii).  A field of a type with no encoder here fails at import.
-_FIELD_ENCODERS = {"bool": {True: "true", False: "false"}.__getitem__,
-                   "str": encode_basestring_ascii, "dict": _JSON.encode}
-
-
-def _field_encoder(field):
-    if field.type not in _FIELD_ENCODERS:
-        raise TypeError(f"InequalityVerdict.{field.name} is of type "
-                        f"{field.type}, which render_verdicts cannot encode")
-    return _FIELD_ENCODERS[field.type]
-
-
-_VERDICT_FIELDS = sorted(fields(InequalityVerdict), key=attrgetter("name"))
+# A verify JSON line is _JSON.encode(v.to_json()): one % of _VERDICT_LINE
+# over the fields in name order, bools from _BOOL, strings by _JSON's
+# escaper, params by a C encoder with _JSON's settings built once here.
+_VERDICT_SLOTS = dict(asserted="bool", claim="str", degenerate="bool",
+                      detail="str", holds="bool", params="dict", witness="str")
 _VERDICT_LINE = "{%s}\n" % ", ".join(
-    f"{encode_basestring_ascii(f.name)}: %s" for f in _VERDICT_FIELDS)
-_VERDICT_ENCODERS = tuple(map(_field_encoder, _VERDICT_FIELDS))
-_verdict_values = attrgetter(*(f.name for f in _VERDICT_FIELDS))
+    f"{encode_basestring_ascii(name)}: %s" for name in _VERDICT_SLOTS)
+_BOOL = ("false", "true")
+_params_chunks = c_make_encoder(None, _JSON.default, encode_basestring_ascii,
+                                None, ": ", ", ", True, False, True)
+
+
+def _check_slots(verdict_fields) -> None:
+    typed = {f.name: f.type for f in verdict_fields}
+    if typed != _VERDICT_SLOTS:
+        raise TypeError(f"InequalityVerdict fields {typed} are not the "
+                        f"slots render_verdicts writes, {_VERDICT_SLOTS}")
+
+
+_check_slots(fields(InequalityVerdict))
 
 # The verify sweep-cap flags: flag, the SweepConfig field it sets (its
 # default lives there only), help.
@@ -220,12 +219,12 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
             row["params"] = _JSON.encode(v.params)
             w.writerow(row.values())
     else:
-        write = file.write
-        for v in verdicts:
-            write(_VERDICT_LINE % tuple([encode(value) for encode, value
-                                         in zip(_VERDICT_ENCODERS,
-                                                _verdict_values(v))]))
-        write(_JSON.encode({"summary": summary}) + "\n")
+        file.writelines(_VERDICT_LINE % (
+            _BOOL[v.asserted], encode_basestring_ascii(v.claim),
+            _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
+            _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
+            encode_basestring_ascii(v.witness)) for v in verdicts)
+        file.write(_JSON.encode({"summary": summary}) + "\n")
 
 
 # -- subcommand handlers ---------------------------------------------------------

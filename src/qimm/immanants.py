@@ -432,17 +432,16 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    table = alpha_table(n)
+    rows = alpha_table(n).rows  # rows[i][k] is alpha_{n,k,i}
     half = n // 2
     verdicts = []
-    for i in range(half + 1):
+    for i, row in enumerate(rows):
         for k in range(half):
             # alpha_{n,k,i}/alpha_{n,k,0} >= alpha_{n,k+1,i}/alpha_{n,k+1,0}
             v = _ratio_verdict(
                 "lem13",
                 {"n": n, "k": k, "i": i},
-                table.get(k + 1, i), table.get(k + 1, 0),
-                table.get(k, i), table.get(k, 0),
+                row[k + 1], rows[0][k + 1], row[k], rows[0][k],
                 asserted=n >= THEOREM_MIN_N,
             )
             verdicts.append(v)

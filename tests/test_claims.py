@@ -8,10 +8,11 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from dataclasses import fields
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
@@ -685,14 +686,51 @@ _VALUES = st.one_of(st.integers(-20, 20), st.integers(-10**40, 10**40),
                     _KEY_TEXT)
 
 
+def _verdicts(*params):
+    return [InequalityVerdict(claim=claim, params=p, holds=True)
+            for claim in ("lem9", "%s") for p in params]
+
+
 @given(st.lists(st.builds(
     InequalityVerdict, claim=_KEY_TEXT,
     params=st.dictionaries(_KEY_TEXT, _VALUES, max_size=4),
     holds=st.booleans()), max_size=12))
+# the names and param counts a %-template of the key can get wrong
+@example(_verdicts({"50%": 1}, {"%s": "%d", "n": 2}, {"%": "%%"}))
+@example(_verdicts({}, {"n": 3}, {"n": "3"}, {"k": (1, 2)}))
 def test_sort_key_orders_as_the_tuple_key(verdicts):
     def tuple_key(v):
         return (v.claim, sorted((k, str(val)) for k, val in v.params.items()))
 
+    for v in verdicts:
+        assert claims._sort_key(v) == "\0".join(
+            [v.claim, *(f"{k}\0{v.params[k]!s}" for k in sorted(v.params))])
     by_tuple = sorted(verdicts, key=tuple_key)
     by_string = sorted(verdicts, key=claims._sort_key)
     assert [id(v) for v in by_string] == [id(v) for v in by_tuple]
+
+
+@given(st.lists(st.builds(
+    InequalityVerdict, claim=st.just("lem9"), params=st.just({}),
+    holds=st.booleans(), degenerate=st.booleans(), asserted=st.booleans()),
+    max_size=20))
+@example([InequalityVerdict("lem9", {}, holds, degenerate, asserted)
+          for holds, degenerate, asserted in product((False, True),
+                                                      repeat=3)])
+def test_summarize_counts_as_defined(verdicts):
+    passed = sum(1 for v in verdicts if v.holds and v.asserted)
+    failed = sum(
+        1 for v in verdicts if not v.holds and v.asserted and not v.degenerate
+    )
+    degenerate = sum(1 for v in verdicts if v.degenerate)
+    reported = sum(
+        1 for v in verdicts if not v.holds and not v.asserted
+    )
+    assert claims.summarize(verdicts) == {
+        "total": len(verdicts),
+        "passed_asserted": passed,
+        "failed_asserted": failed,
+        "degenerate": degenerate,
+        "violations_reported_unasserted": reported,
+        "all_ok": failed == 0,
+    }

@@ -547,17 +547,26 @@ def test_verify_summarizes_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv", [["verify", "alpha-ratios"],
-                                  ["alpha-table", "200"],
-                                  ["alpha-table", "200", "--format", "json"],
-                                  ["alpha-table", "200", "--format", "csv"]],
-                         ids=["verify", "table", "table-json", "table-csv"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "alpha-ratios"],
+    ["verify", "hook", "--tree", "path:200"],
+    ["alpha-table", "200"],
+    ["alpha-table", "200", "--format", "json"],
+    ["alpha-table", "200", "--format", "csv"],
+    ["last-table", "150"],
+    ["last-table", "150", "--format", "json"],
+    ["last-table", "150", "--format", "csv"],
+    ["a-coeffs", "--tree", "path:300"],
+    ["a-coeffs", "--tree", "path:300", "--format", "json"],
+], ids=["verify", "verify-tree", "table", "table-json", "table-csv",
+        "last", "last-json", "last-csv", "a-coeffs", "a-coeffs-json"])
 def test_reader_gone(argv):
     # a reader that stops after 100 bytes, as `| head -c 100` does: exit 2
     # with one error line, and no traceback or message from the
-    # interpreter's flush at exit; every stream is past a pipe's buffer,
-    # and the CSV table ends in its own newline, so no short final write
-    # follows the text
+    # interpreter's flush at exit; every stream is past a pipe's buffer
+    # (345 KB for the verdict lines of path:200, 400 KB to 1.7 MB for the
+    # tables and polynomial lists), and the CSV tables end in their own
+    # newline, so no short final write follows the text
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "qimm.cli", *argv],
@@ -571,16 +580,27 @@ def test_reader_gone(argv):
 
 
 def test_verdict_field_without_encoder_fails_at_import():
-    # every InequalityVerdict field has one; a field of another type is
+    # the line has one slot per InequalityVerdict field; a verdict with a
+    # field of another type, or with one more field of any type, is
     # refused, not dropped from the line
-    assert len(cli._VERDICT_ENCODERS) == len(fields(InequalityVerdict))
+    cli._check_slots(fields(InequalityVerdict))
+    assert cli._VERDICT_LINE.count("%s") == len(fields(InequalityVerdict))
 
     @dataclass
-    class Widened:
-        ratio: "float"  # as InequalityVerdict's annotations read
+    class Widened(InequalityVerdict):
+        ratio: "float" = 0.0  # as InequalityVerdict's annotations read
 
-    with pytest.raises(TypeError, match="ratio is of type float"):
-        cli._field_encoder(fields(Widened)[0])
+    @dataclass
+    class Flagged(InequalityVerdict):
+        exact: "bool" = True
+
+    @dataclass
+    class Retyped(InequalityVerdict):
+        detail: "list" = ()
+
+    for cls in (Widened, Flagged, Retyped):
+        with pytest.raises(TypeError, match="not the slots"):
+            cli._check_slots(fields(cls))
 
 
 def test_verify_tree_flag_rejected_elsewhere(capsys):
