@@ -11,7 +11,6 @@ with one `error:` line when the output cannot be written (a closed pipe
 on stdout included).
 """
 
-import csv
 import os
 import sys
 import time
@@ -20,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qimm.claims import SweepConfig, run_claims, summarize  # noqa: E402
-from qimm.cli import render_verdicts  # noqa: E402
+from qimm.cli import _csv_row, _write, render_verdicts  # noqa: E402
 
 
 def main(argv):
@@ -41,9 +40,9 @@ def main(argv):
     elapsed = time.time() - t0
     summary = summarize(verdicts)
 
-    jsonl = outdir / "verdicts.jsonl"
-    with jsonl.open("w") as fh:
-        render_verdicts(verdicts, "json", fh, summary)
+    # absolute paths, so that qimm's writer joins no QIMM_OUT_DIR to them
+    jsonl, table = outdir / "verdicts.jsonl", outdir / "summary.csv"
+    render_verdicts(verdicts, "json", str(jsonl.resolve()), summary)
 
     per_claim = {}
     for v in verdicts:
@@ -55,30 +54,23 @@ def main(argv):
         row["holds"] += v.holds
         row["degenerate"] += v.degenerate
         row["unasserted_violations"] += (not v.holds and not v.asserted)
-    with (outdir / "summary.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["claim", "total", "holds", "degenerate",
-                            "unasserted_violations"]
-        )
-        writer.writeheader()
-        for claim in sorted(per_claim):
-            writer.writerow(per_claim[claim])
+    _write([_csv_row(["claim", "total", "holds", "degenerate",
+                      "unasserted_violations"]),
+            *(_csv_row(per_claim[claim].values())
+              for claim in sorted(per_claim))], str(table.resolve()))
 
-    print(f"{summary['total']} verdicts in {elapsed:.1f}s "
-          f"-> {jsonl} and {outdir / 'summary.csv'}")
-    for key, val in summary.items():
-        print(f"  {key}: {val}")
+    _write([f"{summary['total']} verdicts in {elapsed:.1f}s "
+            f"-> {jsonl} and {table}\n",
+            *(f"  {key}: {val}\n" for key, val in summary.items())], None)
     return 0 if summary["all_ok"] else 1
 
 
 if __name__ == "__main__":
     try:
         status = main(sys.argv[1:])
-        sys.stdout.flush()
     except OSError as exc:
-        # exit 1 is kept for a failed verdict; stdout goes to devnull so
-        # the interpreter's own flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # exit 1 is kept for a failed verdict; qimm's writer has already
+        # pointed a closed stdout at devnull
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     sys.exit(status)

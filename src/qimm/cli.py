@@ -10,25 +10,28 @@ Subcommands
 
 Tree sources: path:N, star:N, pruefer:a,b,c[@n=N], file:PATH.
 Exit codes: 0 all asserted verdicts hold, 1 verification failure,
-2 usage error or cap violation.  QIMM_OUT_DIR sets the directory for
-relative --out paths.
+2 usage error or cap violation (a reader that closed stdout included).
+QIMM_OUT_DIR sets the directory for relative --out paths.
+
+Every renderer makes lines or small pieces of text and hands them to
+_write, the one code that writes to stdout or an --out file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence, TextIO
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence
 
 from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import (
@@ -59,11 +62,15 @@ from .trees import (
 
 USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
-_EMIT_CHUNK = 1 << 16  # characters per write in _emit
+_EMIT_CHUNK = 1 << 16  # characters per piece in _emit
 
 # one encoder for every sorted-key JSON line: json.dumps builds a new
-# JSONEncoder per call when given sort_keys
+# JSONEncoder per call when given sort_keys; tables are indented
 _JSON = json.JSONEncoder(sort_keys=True)
+_JSON_TABLE = json.JSONEncoder(indent=2, sort_keys=True)
+# csv.writer's writerow returns what its file's write returns: with str
+# as write, the CSV line itself
+_csv_row = csv.writer(SimpleNamespace(write=str)).writerow
 
 # A verify JSON line is _JSON.encode(v.to_json()): one % of _VERDICT_LINE
 # over the fields in name order, bools from _BOOL, strings by _JSON's
@@ -136,32 +143,37 @@ def parse_q_grid(spec: str) -> tuple[Fraction, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
-@contextmanager
-def _open_out(out: str | None):
-    """The --out file, opened for writing under QIMM_OUT_DIR when
-    relative, or stdout when there is none.  Stdout is flushed on the way
-    out, so a reader that closed it fails inside main."""
-    if out is None:
-        yield sys.stdout
-        sys.stdout.flush()
+def _write(lines: Iterable[str], out: str | None) -> None:
+    """The one writer of every byte qimm prints: `lines`, in order, to the
+    --out file (under QIMM_OUT_DIR when relative) or to stdout, flushed so
+    that a reader that closed it fails here.  Stdout is then pointed at
+    devnull, so the interpreter's own flush at exit cannot raise again,
+    and the BrokenPipeError goes on to the caller."""
+    if out is not None:
+        target = Path(out)
+        if not target.is_absolute() and os.environ.get("QIMM_OUT_DIR"):
+            target = Path(os.environ["QIMM_OUT_DIR"]) / target
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("w") as fh:
+            fh.writelines(lines)
         return
-    target = Path(out)
-    if not target.is_absolute() and os.environ.get("QIMM_OUT_DIR"):
-        target = Path(os.environ["QIMM_OUT_DIR"]) / target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w") as fh:
-        yield fh
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
-    """`text` and a final newline, in writes of at most _EMIT_CHUNK
+    """`text` and a final newline, in pieces of at most _EMIT_CHUNK
     characters: one large write to a pipe whose reader has gone can
-    return without error, and the next chunk then raises inside main."""
+    return without error, and the next piece then raises."""
     if not text.endswith("\n"):
         text += "\n"
-    with _open_out(out) as fh:
-        for start in range(0, len(text), _EMIT_CHUNK):
-            fh.write(text[start:start + _EMIT_CHUNK])
+    _write((text[start:start + _EMIT_CHUNK]
+            for start in range(0, len(text), _EMIT_CHUNK)), out)
 
 
 def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
@@ -170,61 +182,53 @@ def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
           else text, args.out)
 
 
-# -- table rendering -----------------------------------------------------------
+# -- rendering -------------------------------------------------------------------
 
 
 def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
-                     col_name: str, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "rows": row_name,
-                "columns": col_name,
-                "entries": [[str(v) for v in row] for row in rows],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        width = max(len(r) for r in rows)
-        w.writerow([f"{row_name}\\{col_name}"] + list(range(width)))
-        for idx, row in enumerate(rows):
-            w.writerow([idx] + [str(v) for v in row])
-        return buf.getvalue()
+                     col_name: str, fmt: str) -> Iterator[str]:
+    """The table as newline-ended rows (text, CSV), or as json.dumps'
+    indented text in the encoder's small pieces."""
     width = max(len(r) for r in rows)
-    cell = max(
-        len(str(v)) for row in rows for v in row
-    )
-    cell = max(cell, len(str(width - 1)), len(f"{row_name}{len(rows) - 1}"))
-    head = " ".join(f"{col_name}{k}".rjust(cell + 2) for k in range(width))
-    lines = [" " * (cell + 2) + head]
-    for idx, row in enumerate(rows):
-        cells = " ".join(str(v).rjust(cell + 2) for v in row)
-        lines.append(f"{row_name}{idx}".rjust(cell + 2) + " " + cells)
-    return "\n".join(lines)
+    if fmt == "json":
+        yield from _JSON_TABLE.iterencode({
+            "rows": row_name,
+            "columns": col_name,
+            "entries": [[str(v) for v in row] for row in rows],
+        })
+        yield "\n"
+    elif fmt == "csv":
+        yield _csv_row([f"{row_name}\\{col_name}", *range(width)])
+        for idx, row in enumerate(rows):
+            yield _csv_row([idx, *row])
+    else:
+        cell = max(max(len(str(v)) for row in rows for v in row),
+                   len(str(width - 1)), len(f"{row_name}{len(rows) - 1}"))
+        yield " " * (cell + 2) + " ".join(
+            f"{col_name}{k}".rjust(cell + 2) for k in range(width)) + "\n"
+        for idx, row in enumerate(rows):
+            cells = " ".join(str(v).rjust(cell + 2) for v in row)
+            yield f"{row_name}{idx}".rjust(cell + 2) + " " + cells + "\n"
 
 
 def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
-                    file: TextIO, summary: dict) -> None:
-    """The verify stream: one CSV row or JSON line per verdict, JSON
-    closing on the `summary` line.  Each line is written to `file` as it
-    is made."""
+                    out: str | None, summary: dict) -> None:
+    """The verify stream to `out`, or stdout when None: one CSV row or
+    JSON line per verdict, JSON closing on the `summary` line.  Each line
+    is written as it is made."""
     if fmt == "csv":
-        w = csv.writer(file)
-        w.writerow(f.name for f in fields(InequalityVerdict))
-        for v in verdicts:
-            row = v.to_json()
-            row["params"] = _JSON.encode(v.params)
-            w.writerow(row.values())
+        lines = chain([_csv_row(f.name for f in fields(InequalityVerdict))],
+                      (_csv_row({**v.to_json(), "params": "".join(
+                          _params_chunks(v.params, 0))}.values())
+                       for v in verdicts))
     else:
-        file.writelines(_VERDICT_LINE % (
+        lines = chain((_VERDICT_LINE % (
             _BOOL[v.asserted], encode_basestring_ascii(v.claim),
             _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
             _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
-            encode_basestring_ascii(v.witness)) for v in verdicts)
-        file.write(_JSON.encode({"summary": summary}) + "\n")
+            encode_basestring_ascii(v.witness)) for v in verdicts),
+            [_JSON.encode({"summary": summary}) + "\n"])
+    _write(lines, out)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -233,14 +237,14 @@ def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
 def cmd_alpha_table(args: argparse.Namespace) -> int:
     check_cap("alpha-table N", args.n, ALPHA_TABLE_MAX_N)
     table = alpha_table(args.n)
-    _emit(render_int_table(table.rows, "i", "k", args.format), args.out)
+    _write(render_int_table(table.rows, "i", "k", args.format), args.out)
     return 0
 
 
 def cmd_last_table(args: argparse.Namespace) -> int:
     check_cap("last-table L", args.l, LAST_TABLE_MAX_L)
     table = last_table(args.l)
-    _emit(render_int_table(table.rows, "l", "k", args.format), args.out)
+    _write(render_int_table(table.rows, "l", "k", args.format), args.out)
     return 0
 
 
@@ -325,8 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
     fmt = args.format if args.format != "text" else "json"
     summary = summarize(verdicts)
-    with _open_out(args.out) as fh:
-        render_verdicts(verdicts, fmt, fh, summary)
+    render_verdicts(verdicts, fmt, args.out, summary)
     return 0 if summary["all_ok"] else 1
 
 
@@ -392,10 +395,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
-            # stdout's reader is gone: point stdout at devnull so the
-            # interpreter's own flush at exit cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -205,6 +206,37 @@ def test_out_file_gets_the_bytes_stdout_gets(capsysbinary, tmp_path, argv,
     assert main([*argv, "--format", fmt, "--out", str(target)]) == 0
     assert capsysbinary.readouterr().out == b""
     assert target.read_bytes() == out and out.endswith(b"\n")
+
+
+# every subcommand that prints, verify in both of its formats
+WRITER_ARGV = [[*argv, "--format", fmt] for argv, fmt in EMIT_ARGV] + [
+    ["verify", "identities", "--format", "json"],
+    ["verify", "identities", "--format", "csv"],
+    ["verify", "two-row", "--tree", "path:8"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_ARGV,
+                         ids=[" ".join(argv) for argv in WRITER_ARGV])
+def test_every_byte_goes_through_one_writer(capsysbinary, monkeypatch, argv):
+    # stdout gets only what cli._write was handed, in pieces no longer
+    # than _EMIT_CHUNK; the chunk is lowered to 256 characters, above
+    # every line of these streams but below each whole table and verdict
+    # stream, so a renderer that hands a whole text over as one piece
+    # fails here
+    pieces = []
+    write = cli._write
+
+    def recorder(lines, out):
+        lines = list(lines)
+        pieces.extend(lines)
+        write(lines, out)
+
+    monkeypatch.setattr(cli, "_write", recorder)
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 256)
+    assert main(argv) == 0
+    assert "".join(pieces).encode() == capsysbinary.readouterr().out
+    assert max(map(len, pieces)) <= cli._EMIT_CHUNK
 
 
 def test_immanant_command_matches_published_form(capsys):
@@ -453,9 +485,10 @@ AWKWARD = ["", "plain", 'say "hi"', "back\\slash", "two\nlines\r",
 
 
 def rendered(verdicts, fmt="json"):
-    """The stream render_verdicts writes for `verdicts`, as one string."""
+    """The stream render_verdicts writes to stdout for `verdicts`."""
     out = io.StringIO()
-    cli.render_verdicts(verdicts, fmt, out, claims.summarize(verdicts))
+    with contextlib.redirect_stdout(out):
+        cli.render_verdicts(verdicts, fmt, None, claims.summarize(verdicts))
     return out.getvalue()
 
 
@@ -549,6 +582,7 @@ def test_verify_summarizes_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "alpha-ratios"],
+    ["verify", "alpha-ratios", "--format", "csv"],
     ["verify", "hook", "--tree", "path:200"],
     ["alpha-table", "200"],
     ["alpha-table", "200", "--format", "json"],
@@ -558,15 +592,17 @@ def test_verify_summarizes_once(capsys, monkeypatch):
     ["last-table", "150", "--format", "csv"],
     ["a-coeffs", "--tree", "path:300"],
     ["a-coeffs", "--tree", "path:300", "--format", "json"],
-], ids=["verify", "verify-tree", "table", "table-json", "table-csv",
-        "last", "last-json", "last-csv", "a-coeffs", "a-coeffs-json"])
+], ids=["verify", "verify-csv", "verify-tree", "table", "table-json",
+        "table-csv", "last", "last-json", "last-csv", "a-coeffs",
+        "a-coeffs-json"])
 def test_reader_gone(argv):
     # a reader that stops after 100 bytes, as `| head -c 100` does: exit 2
     # with one error line, and no traceback or message from the
     # interpreter's flush at exit; every stream is past a pipe's buffer
     # (345 KB for the verdict lines of path:200, 400 KB to 1.7 MB for the
-    # tables and polynomial lists), and the CSV tables end in their own
-    # newline, so no short final write follows the text
+    # tables and polynomial lists, 2.7 MB of CSV verdict rows), handed to
+    # the writer in pieces of a line or at most _EMIT_CHUNK characters, so
+    # a later piece meets the closed pipe
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "qimm.cli", *argv],
