@@ -295,6 +295,13 @@ def last_value(l: int, k: int) -> int:
     return p[k] - (p[k - 1] if k >= 1 else 0)
 
 
+def last_pair(l: int, k: int) -> tuple[int, int]:
+    """(last_{l,k+1}, last_{l,k}) for 0 <= k < l, the neighbours a
+    last-row ratio reads, from one trinomial row."""
+    p = trinomial_coeffs(l)
+    return p[k + 1] - p[k], (p[k] - p[k - 1] if k else p[0])
+
+
 @dataclass(frozen=True)
 class LastTable:
     """Triangle of last_{l,k} for 0 <= k <= l <= l_max."""

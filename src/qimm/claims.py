@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
                          two_row_shape)
@@ -24,13 +24,17 @@ from .immanants import (
     THEOREM_MIN_N,
     InequalityVerdict,
     a_coeff_arrays,
-    check_alpha_ratios,
-    check_general_sr,
-    check_last_row_ratios,
+    cor10_verdict,
     default_q_grid,
     eq5_holds,
     hook_margins,
+    lem6_verdict,
+    lem9_verdict,
+    lem11_verdict,
+    lem13_verdict,
     oracle_equivalence_report,
+    rem12_verdict,
+    sr_differences,
     two_row_gaps,
 )
 from .paths import (
@@ -69,15 +73,22 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 
 # Upper caps on the alpha and last tables, for `qimm alpha-table N` /
 # `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
-# user, verify alpha-ratios, takes about 12 s and 600 MB, mostly verdicts.
+# user, verify alpha-ratios, takes about 13-16 s at 50 MB, nearly all
+# of it the ratio verdicts, made and written one at a time.
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps, each with the other at its default: about
-# 2.4 s at --sr-max 50 and 1.1 s at --sr-l-max 100.
+# 1.1-1.9 s at --sr-max 50 and 0.7-0.8 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
 # The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
 RANDOM_TREES_MAX = 100_000
+# One sampled thm2 tree on n vertices costs about 100,000 + n^4 ns (fitted
+# to n = 8..200, an over-estimate from n = 50 on, where big-integer
+# matching weights dominate); the sampled sweep, random_count trees for
+# each n past exhaustive_tree_max, may cost as much as RANDOM_TREES_MAX
+# trees at the default n_max = 8.
+SAMPLE_TREE_NS = 100_000
 # distinct c_j arrays the thm2 sweep memoizes per n: every class up to
 # n = 11 (235 free trees); above that most sampled trees have their own
 THM2_MEMO_MAX = 256
@@ -100,6 +111,15 @@ def check_cap(name: str, value: int, cap: int, where: str = "") -> None:
         raise ValueError(f"{name} = {value} is above its cap {cap}{where}")
 
 
+def _sample_ns(first: int, last: int) -> int:
+    """The modelled cost of one sampled tree at each n = first..last, in
+    closed form, so a huge last costs nothing to bound."""
+    def fourth_powers(m):  # 1^4 + ... + m^4
+        return m * (m + 1) * (2 * m + 1) * (3 * m * m + 3 * m - 1) // 30
+    return (SAMPLE_TREE_NS * (last - first + 1) + fourth_powers(last)
+            - fourth_powers(first - 1))
+
+
 def _sr_verdicts(sr_max: int, sr_l_max: int) -> int:
     """The general-sr sweep's verdicts, which set its time and memory: l
     for each (s, r) pair and each l <= sr_l_max."""
@@ -112,8 +132,9 @@ class SweepConfig:
     raises the tree caps and the path caps; the CLI's cap flags take
     these fields as their destinations and defaults.  A config, deepened
     or not, is checked when built, so no sweep starts above its SWEEP_MAX
-    or below its SWEEP_START, and the general-sr sweep writes at most
-    SR_VERDICTS_MAX verdicts; exhaustive_tree_max is cut to n_max."""
+    or below its SWEEP_START, the general-sr sweep writes at most
+    SR_VERDICTS_MAX verdicts and the sampled thm2 sweep costs at most
+    SAMPLE_NS_MAX; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
     exhaustive_tree_max: int = 7
@@ -142,6 +163,10 @@ class SweepConfig:
         check_cap("sr_max", self.sr_max,
                   isqrt(SR_VERDICTS_MAX // _sr_verdicts(1, self.sr_l_max)),
                   f" at sr_l_max = {self.sr_l_max}")
+        if self.n_max > self.exhaustive_tree_max:
+            check_cap("random_count", self.random_count, SAMPLE_NS_MAX
+                      // _sample_ns(self.exhaustive_tree_max + 1, self.n_max),
+                      f" at n_max = {self.n_max}")
 
     def deepen(self) -> "SweepConfig":
         return replace(
@@ -166,6 +191,10 @@ class SweepConfig:
 # flag cap, with the other flag at its default (195,000, at --sr-max 50)
 SR_VERDICTS_MAX = max(_sr_verdicts(SR_MAX, SweepConfig.sr_l_max),
                       _sr_verdicts(SweepConfig.sr_max, SR_L_MAX))
+# the sampled thm2 sweep: the cost of its random_count cap at the default
+# n_max, about 10 s
+SAMPLE_NS_MAX = RANDOM_TREES_MAX * _sample_ns(SweepConfig.n_max,
+                                              SweepConfig.n_max)
 
 
 def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
@@ -287,19 +316,75 @@ def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
     return verdicts
 
 
-def verify_alpha_ratios(config: SweepConfig) -> list[InequalityVerdict]:
+def _by_str(start: int, stop: int) -> list[int]:
+    """range(start, stop) in the order of its values as strings: the order
+    _sort_key puts a parameter in."""
+    return sorted(range(start, stop), key=str)
+
+
+def verify_alpha_ratios(config: SweepConfig) -> Verdicts:
     """lem6 and lem13 for n up to alpha_n_max; lem9, cor10, lem11 for rows
-    of the last-row triangle up to last_l_max."""
-    return ([v for n in config.span("alpha_n_max")
-             for v in check_alpha_ratios(n)]
-            + [v for l in config.span("last_l_max")
-               for v in check_last_row_ratios(l)])
+    of the last-row triangle up to last_l_max.  Each claim is a plan that
+    makes its verdicts one at a time, in key order: (i, k, n) for lem13
+    and lem6, (k, l) for lem9 and lem11, (k, l, r) for cor10."""
+    n_max, l_max = config.alpha_n_max, config.last_l_max
+    halves = [n // 2 for n in config.span("alpha_n_max")]
+    rows = config.span("last_l_max")
+
+    def alpha(make, lem6):
+        # i <= n//2 (i < n//2 for lem6) and k < n//2, so n starts at
+        # 2 max(i + lem6, k + 1), which is at least the sweep's start 2
+        def verdicts():
+            for i in _by_str(0, n_max // 2 + 1 - lem6):
+                for k in _by_str(0, n_max // 2):
+                    for n in _by_str(2 * max(i + lem6, k + 1), n_max + 1):
+                        yield make(n, k, i)
+        return verdicts
+
+    def last(make):  # 1 <= k < l
+        def verdicts():
+            for k in _by_str(1, l_max):
+                for l in _by_str(k + 1, l_max + 1):
+                    yield make(l, k)
+        return verdicts
+
+    def cor10():  # 1 <= r <= k < l
+        for k in _by_str(1, l_max):
+            rs = _by_str(1, k + 1)
+            for l in _by_str(k + 1, l_max + 1):
+                for r in rs:
+                    yield cor10_verdict(l, k, r)
+
+    return Verdicts(plans=(
+        _Plan("lem13", sum(h * (h + 1) for h in halves),
+              alpha(lem13_verdict, 0)),
+        _Plan("lem6", sum(h * h for h in halves), alpha(lem6_verdict, 1)),
+        _Plan("lem9", sum(l - 1 for l in rows), last(lem9_verdict)),
+        _Plan("cor10", sum(l * (l - 1) // 2 for l in rows), cor10),
+        _Plan("lem11", sum(l - 1 for l in rows), last(lem11_verdict)),
+    ))
 
 
-def verify_general_sr(config: SweepConfig) -> list[InequalityVerdict]:
-    return [v for s in config.span("sr_max") for r in config.span("sr_max")
-            for l in config.span("sr_l_max")
-            for v in check_general_sr(l, s, r)]
+def verify_general_sr(config: SweepConfig) -> Verdicts:
+    """rem12 for s, r <= sr_max and l <= sr_l_max, one plan in key order
+    (k, l, r, s); each pass computes the rows D_c, c <= 2 sr_max, once per
+    l and holds them while it makes the verdicts."""
+    sides = _by_str(1, config.sr_max + 1)
+    l_max = config.sr_l_max
+
+    def verdicts():
+        diffs = {l: [None, *(sr_differences(l, c)
+                             for c in range(1, 2 * config.sr_max + 1))]
+                 for l in config.span("sr_l_max")}
+        for k in _by_str(0, l_max):
+            for l in _by_str(k + 1, l_max + 1):
+                row = diffs[l]
+                for r in sides:
+                    for s in sides:
+                        yield rem12_verdict(l, s, r, k, row[s], row[r + s])
+
+    return Verdicts(plans=[_Plan(
+        "rem12", _sr_verdicts(config.sr_max, l_max), verdicts)])
 
 
 # -- path claims ---------------------------------------------------------------
@@ -561,54 +646,98 @@ def _sort_key(v: InequalityVerdict) -> str:
     return template % (v.claim, *values(v.params))
 
 
+class _Plan:
+    """One claim's verdicts, made one at a time in key order by `make`,
+    and how many it makes."""
+
+    __slots__ = ("claim", "count", "make")
+
+    def __init__(self, claim: str, count: int,
+                 make: Callable[[], Iterator[InequalityVerdict]]):
+        self.claim, self.count, self.make = claim, count, make
+
+
+class Verdicts:
+    """Verdicts in canonical (_sort_key) order: the eager ones, sorted
+    once when built, and each planned claim's, made as iteration reaches
+    them.  _sort_key puts the claim first, then NUL, so the stream is each
+    claim's verdicts in turn, in claim-name order, and a plan makes its
+    claim's verdicts in key order.  Sized and re-iterable: each pass makes
+    the planned verdicts anew and holds none of them."""
+
+    __slots__ = ("eager", "plans")
+
+    def __init__(self, eager: Iterable[InequalityVerdict] = (),
+                 plans: Iterable[_Plan] = ()):
+        self.eager = sorted(eager, key=_sort_key)
+        self.plans = sorted(plans, key=attrgetter("claim"))
+
+    def __len__(self) -> int:
+        return len(self.eager) + sum(plan.count for plan in self.plans)
+
+    def __iter__(self) -> Iterator[InequalityVerdict]:
+        pending = self.plans[::-1]  # the next plan last
+        for v in self.eager:
+            # a claim name that sorts first has the keys that sort first
+            while pending and pending[-1].claim < v.claim:
+                yield from pending.pop().make()
+            yield v
+        for plan in reversed(pending):
+            yield from plan.make()
+
+
 VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
                 "probability", "identities", "all")
 
 
-def run_claims(which: str, config: SweepConfig) -> list[InequalityVerdict]:
-    """Run the claim set of one of VERIFY_NAMES, sorted canonically."""
+def run_claims(which: str, config: SweepConfig) -> Verdicts:
+    """The claim set of one of VERIFY_NAMES, in canonical order.  The
+    ratio claims (alpha-ratios, general-sr) are plans, made as the
+    sequence is iterated; every other verdict is made here."""
     if which not in VERIFY_NAMES:
         raise ValueError(f"unknown claim set {which!r}; use one of "
                          f"{', '.join(VERIFY_NAMES)}")
-    verdicts: list[InequalityVerdict] = []
-    if which in ("two-row", "all"):
-        verdicts.extend(verify_two_row(config))
-    if which in ("hook", "all"):
-        verdicts.extend(verify_hook(config))
-    if which in ("alpha-ratios", "all"):
-        verdicts.extend(verify_alpha_ratios(config))
-    if which in ("general-sr", "all"):
-        verdicts.extend(verify_general_sr(config))
-    if which in ("paths", "all"):
-        verdicts.extend(verify_callan(config))
-        verdicts.extend(verify_doubling(config))
-        verdicts.extend(verify_counting(config))
-    if which in ("probability", "all"):
-        verdicts.extend(verify_probability(config))
-    if which in ("identities", "all"):
-        verdicts.extend(verify_identities(config))
-    if which == "all":
-        verdicts.extend(verify_oracle(config))
-        verdicts.extend(verify_a_coeffs(config))
-    verdicts.sort(key=_sort_key)
-    return verdicts
+    sweeps = {"two-row": (verify_two_row,), "hook": (verify_hook,),
+              "alpha-ratios": (verify_alpha_ratios,),
+              "general-sr": (verify_general_sr,),
+              "paths": (verify_callan, verify_doubling, verify_counting),
+              "probability": (verify_probability,),
+              "identities": (verify_identities,),
+              "all": (verify_oracle, verify_a_coeffs)}
+    eager, plans = [], []
+    for name, group in sweeps.items():
+        if which in (name, "all"):
+            for sweep in group:
+                part = sweep(config)
+                if isinstance(part, Verdicts):
+                    eager += part.eager
+                    plans += part.plans
+                else:
+                    eager += part
+    return Verdicts(eager, plans)
 
 
-def summarize(verdicts: Sequence[InequalityVerdict]) -> dict:
-    passed = failed = degenerate = reported = 0
-    for v in verdicts:
-        degenerate += v.degenerate
-        if v.holds:
-            passed += v.asserted
-        elif v.asserted:
-            failed += not v.degenerate
-        else:
-            reported += 1
+# A tally counts verdicts per claim by outcome, at index
+# holds << 2 | asserted << 1 | degenerate.
+OUTCOMES = 8
+
+
+def summary(tally: dict[str, Sequence[int]]) -> dict:
+    """The run summary of a tally."""
+    bins = [sum(col) for col in zip(*tally.values())] or [0] * OUTCOMES
+    failed = bins[0b010]  # degenerate failures are not counted as failed
     return {
-        "total": len(verdicts),
-        "passed_asserted": passed,
+        "total": sum(bins),
+        "passed_asserted": bins[0b110] + bins[0b111],
         "failed_asserted": failed,
-        "degenerate": degenerate,
-        "violations_reported_unasserted": reported,
+        "degenerate": sum(bins[1::2]),
+        "violations_reported_unasserted": bins[0b000] + bins[0b001],
         "all_ok": failed == 0,
     }
+
+
+def summarize(verdicts: Iterable[InequalityVerdict]) -> dict:
+    tally = defaultdict(lambda: [0] * OUTCOMES)
+    for v in verdicts:
+        tally[v.claim][v.holds << 2 | v.asserted << 1 | v.degenerate] += 1
+    return summary(tally)

@@ -25,9 +25,9 @@ import json
 import os
 import re
 import sys
+from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,11 +37,12 @@ from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import (
     ALPHA_TABLE_MAX_N,
     LAST_TABLE_MAX_L,
+    OUTCOMES,
     VERIFY_NAMES,
     SweepConfig,
     check_cap,
     run_claims,
-    summarize,
+    summary,
 )
 from .immanants import (
     InequalityVerdict,
@@ -211,24 +212,39 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
             yield f"{row_name}{idx}".rjust(cell + 2) + " " + cells + "\n"
 
 
-def render_verdicts(verdicts: Sequence[InequalityVerdict], fmt: str,
-                    out: str | None, summary: dict) -> None:
+def _json_line(v: InequalityVerdict) -> str:
+    return _VERDICT_LINE % (
+        _BOOL[v.asserted], encode_basestring_ascii(v.claim),
+        _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
+        _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
+        encode_basestring_ascii(v.witness))
+
+
+def _csv_line(v: InequalityVerdict) -> str:
+    return _csv_row({**v.to_json(), "params": "".join(
+        _params_chunks(v.params, 0))}.values())
+
+
+def render_verdicts(verdicts: Iterable[InequalityVerdict], fmt: str,
+                    out: str | None) -> dict[str, list[int]]:
     """The verify stream to `out`, or stdout when None: one CSV row or
-    JSON line per verdict, JSON closing on the `summary` line.  Each line
-    is written as it is made."""
-    if fmt == "csv":
-        lines = chain([_csv_row(f.name for f in fields(InequalityVerdict))],
-                      (_csv_row({**v.to_json(), "params": "".join(
-                          _params_chunks(v.params, 0))}.values())
-                       for v in verdicts))
-    else:
-        lines = chain((_VERDICT_LINE % (
-            _BOOL[v.asserted], encode_basestring_ascii(v.claim),
-            _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
-            _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
-            encode_basestring_ascii(v.witness)) for v in verdicts),
-            [_JSON.encode({"summary": summary}) + "\n"])
-    _write(lines, out)
+    JSON line per verdict, JSON closing on the summary line.  Each line is
+    written as it is made, and the loop that makes it tallies its verdict
+    (claims.summary reads the tally); the tally is returned."""
+    tally = defaultdict(lambda: [0] * OUTCOMES)
+    line = _csv_line if fmt == "csv" else _json_line
+
+    def lines():
+        if fmt == "csv":
+            yield _csv_row(f.name for f in fields(InequalityVerdict))
+        for v in verdicts:
+            tally[v.claim][v.holds << 2 | v.asserted << 1 | v.degenerate] += 1
+            yield line(v)
+        if fmt != "csv":
+            yield _JSON.encode({"summary": summary(tally)}) + "\n"
+
+    _write(lines(), out)
+    return tally
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -328,9 +344,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
     fmt = args.format if args.format != "text" else "json"
-    summary = summarize(verdicts)
-    render_verdicts(verdicts, fmt, args.out, summary)
-    return 0 if summary["all_ok"] else 1
+    tally = render_verdicts(verdicts, fmt, args.out)
+    return 0 if summary(tally)["all_ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

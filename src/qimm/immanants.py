@@ -51,7 +51,7 @@ from .characters import (
     alpha_table,
     as_partition,
     involution_characters,
-    last_value,
+    last_pair,
     mn_character,
     partitions,
     syt_count,
@@ -424,6 +424,28 @@ def _ratio_verdict(claim: str, params: dict, num_l: int, den_l: int,
     )
 
 
+def _alpha_ratio(claim: str, n: int, k: int, i: int,
+                 asserted: bool) -> InequalityVerdict:
+    """alpha_{n,k,i}/alpha_{n,k,0} >= alpha_{n,k+1,i}/alpha_{n,k+1,0}: the
+    denominators are the degrees f_k, f_{k+1} > 0 (k < n//2), so this is
+    never degenerate."""
+    rows = alpha_table(n).rows  # rows[i][k] is alpha_{n,k,i}
+    row = rows[i]
+    return _ratio_verdict(claim, {"n": n, "k": k, "i": i}, row[k + 1],
+                          rows[0][k + 1], row[k], rows[0][k], asserted)
+
+
+def lem13_verdict(n: int, k: int, i: int) -> InequalityVerdict:
+    """lem13 at one (n, k, i), i <= n//2, k < n//2; asserted from
+    THEOREM_MIN_N."""
+    return _alpha_ratio("lem13", n, k, i, n >= THEOREM_MIN_N)
+
+
+def lem6_verdict(n: int, k: int, i: int) -> InequalityVerdict:
+    """lem6, the same ratio as lem13 for i < n//2, asserted at every n."""
+    return _alpha_ratio("lem6", n, k, i, True)
+
+
 def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
     """lem13 and lem6, the ratio chain lemmas at a single n; the last-row
     lemmas are check_last_row_ratios.
@@ -432,33 +454,59 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = alpha_table(n).rows  # rows[i][k] is alpha_{n,k,i}
     half = n // 2
-    verdicts = []
-    for i, row in enumerate(rows):
-        for k in range(half):
-            # alpha_{n,k,i}/alpha_{n,k,0} >= alpha_{n,k+1,i}/alpha_{n,k+1,0}
-            v = _ratio_verdict(
-                "lem13",
-                {"n": n, "k": k, "i": i},
-                row[k + 1], rows[0][k + 1], row[k], rows[0][k],
-                asserted=n >= THEOREM_MIN_N,
-            )
-            verdicts.append(v)
-            if i < half:
-                verdicts.append(InequalityVerdict(
-                    claim="lem6", params=v.params, holds=v.holds,
-                    degenerate=v.degenerate, asserted=not v.degenerate,
-                    witness=v.witness))
-    return verdicts
+    return [v for i in range(half + 1) for k in range(half)
+            for v in ((lem13_verdict(n, k, i), lem6_verdict(n, k, i))
+                      if i < half else (lem13_verdict(n, k, i),))]
+
+
+def lem9_verdict(l: int, k: int) -> InequalityVerdict:
+    """lem9 at one (l, k), 1 <= k < l: last_{l,k+1}/last_{l-1,k} <=
+    last_{l,k}/last_{l-1,k-1}; degenerate at l = 2, refuted at the
+    LEMMA9_ERRATA."""
+    errata = (l, k) in LEMMA9_ERRATA
+    above, here = last_pair(l, k)
+    below_above, below = last_pair(l - 1, k - 1)
+    return _ratio_verdict(
+        "lem9", {"l": l, "k": k}, above, below_above, here, below,
+        asserted=l >= 3 and not errata,
+        detail="published triangle refutes the stated range here"
+        if errata else "")
+
+
+# every refuted lem9 instance sits at l <= this
+_ERRATA_L_MAX = max(a for a, _ in LEMMA9_ERRATA)
+
+
+def cor10_verdict(l: int, k: int, r: int) -> InequalityVerdict:
+    """cor10 at one (l, k, r), 1 <= r <= k < l: last_{l,k+1}/last_{l,k} <=
+    last_{l-r,k+1-r}/last_{l-r,k-r}.  Its derivation chains the lem9
+    instances (l-t, k-t), t < r, and is broken when one is degenerate
+    (l - t < 3) or refuted (only possible once l - r < _ERRATA_L_MAX)."""
+    broken = l - r < 2 or (l - r < _ERRATA_L_MAX and any(
+        0 <= l - a == k - b < r for a, b in LEMMA9_ERRATA))
+    return _ratio_verdict(
+        "cor10", {"l": l, "k": k, "r": r},
+        *last_pair(l, k), *last_pair(l - r, k - r),
+        asserted=l >= 3 and not broken,
+        detail="derivation chain passes through a refuted or degenerate "
+        "instance" if broken else "")
+
+
+def lem11_verdict(l: int, k: int) -> InequalityVerdict:
+    """lem11 at one (l, k), 1 <= k < l: last_{l,k+1}/(C(2l,k+1)-C(2l,k))
+    <= last_{l,k}/(C(2l,k)-C(2l,k-1)), asserted from l = 3."""
+    above, here = last_pair(l, k)
+    return _ratio_verdict(
+        "lem11", {"l": l, "k": k},
+        above, comb(2 * l, k + 1) - comb(2 * l, k),
+        here, comb(2 * l, k) - comb(2 * l, k - 1),
+        asserted=l >= 3)
 
 
 def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
-    """Last-row ratio lemmas at one row l of the triangle.
-
-    lem9:   last_{l,k+1}/last_{l-1,k} <= last_{l,k}/last_{l-1,k-1}
-    cor10:  last_{l,k+1}/last_{l,k}   <= last_{l-r,k+1-r}/last_{l-r,k-r}
-    lem11:  last_{l,k+1}/(C(2l,k+1)-C(2l,k)) <= last_{l,k}/(C(2l,k)-C(2l,k-1))
+    """Last-row ratio lemmas at one row l of the triangle: lem9, cor10 for
+    each r <= k and lem11, for each k < l.
 
     l = 2 is degenerate for lem9 (last_{1,1} = 0), as the source notes.
     A few further boundary instances of lem9/cor10 are false despite the
@@ -466,48 +514,43 @@ def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
     """
     if l < 1:
         raise ValueError("need l >= 1")
-    verdicts = []
-    for k in range(1, l):
-        errata = (l, k) in LEMMA9_ERRATA
-        above, here = last_value(l, k + 1), last_value(l, k)
-        verdicts.append(
-            _ratio_verdict(
-                "lem9",
-                {"l": l, "k": k},
-                above, last_value(l - 1, k),
-                here, last_value(l - 1, k - 1),
-                asserted=l >= 3 and not errata,
-                detail="published triangle refutes the stated range here"
-                if errata else "",
-            )
-        )
-        # the chain for r is the lem9 instances (l-t, k-t), t < r: one
-        # more than the chain for r - 1
-        broken = False
-        for r in range(1, k + 1):
-            cl, ck = l - r + 1, k - r + 1
-            broken = broken or cl < 3 or (cl, ck) in LEMMA9_ERRATA
-            verdicts.append(
-                _ratio_verdict(
-                    "cor10",
-                    {"l": l, "k": k, "r": r},
-                    above, here,
-                    last_value(l - r, k + 1 - r), last_value(l - r, k - r),
-                    asserted=l >= 3 and not broken,
-                    detail="derivation chain passes through a refuted or "
-                    "degenerate instance" if broken else "",
-                )
-            )
-        verdicts.append(
-            _ratio_verdict(
-                "lem11",
-                {"l": l, "k": k},
-                above, comb(2 * l, k + 1) - comb(2 * l, k),
-                here, comb(2 * l, k) - comb(2 * l, k - 1),
-                asserted=l >= 3,
-            )
-        )
-    return verdicts
+    return [v for k in range(1, l)
+            for v in (lem9_verdict(l, k),
+                      *(cor10_verdict(l, k, r) for r in range(1, k + 1)),
+                      lem11_verdict(l, k))]
+
+
+def sr_differences(l: int, c: int) -> list[int]:
+    """D_c(0..l): the successive coefficient differences of (1+cx+x^2)^l
+    to x^l, the rows a rem12 instance compares."""
+    return successive_differences(trinomial_power(l, c, top=l))
+
+
+def rem12_verdict(l: int, s: int, r: int, k: int, da: Sequence[int],
+                  db: Sequence[int]) -> InequalityVerdict:
+    """rem12 at one (l, s, r, k), k < l, from da = sr_differences(l, s)
+    and db = sr_differences(l, r + s): D_{r+s}(k+1) D_s(k) >= D_{r+s}(k)
+    D_s(k+1)."""
+    lhs = db[k + 1] * da[k]
+    rhs = db[k] * da[k + 1]
+    degenerate = da[k] == 0 or da[k + 1] == 0
+    erratum = (s, r, l, k) in REM12_ERRATA
+    if degenerate:
+        detail = "zero successive difference on the s side"
+    elif erratum:
+        detail = ("the r=s=1 case needs l >= 3; this is its excluded "
+                  "l = 2 instance")
+    else:
+        detail = ""
+    return InequalityVerdict(
+        claim="rem12",
+        params={"l": l, "s": s, "r": r, "k": k},
+        holds=lhs >= rhs,
+        witness=f"gap {lhs - rhs}",
+        degenerate=degenerate,
+        asserted=not degenerate and not erratum,
+        detail=detail,
+    )
 
 
 def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
@@ -523,34 +566,8 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
     """
     if l < 1 or s < 1 or r < 1:
         raise ValueError("need l, s, r >= 1")
-    da = successive_differences(trinomial_power(l, s, top=l))
-    db = successive_differences(trinomial_power(l, r + s, top=l))
-    verdicts = []
-    for k in range(l):
-        # D_{r+s}(k+1) * D_s(k) >= D_{r+s}(k) * D_s(k+1)
-        lhs = db[k + 1] * da[k]
-        rhs = db[k] * da[k + 1]
-        degenerate = da[k] == 0 or da[k + 1] == 0
-        erratum = (s, r, l, k) in REM12_ERRATA
-        if degenerate:
-            detail = "zero successive difference on the s side"
-        elif erratum:
-            detail = ("the r=s=1 case needs l >= 3; this is its excluded "
-                      "l = 2 instance")
-        else:
-            detail = ""
-        verdicts.append(
-            InequalityVerdict(
-                claim="rem12",
-                params={"l": l, "s": s, "r": r, "k": k},
-                holds=lhs >= rhs,
-                witness=f"gap {lhs - rhs}",
-                degenerate=degenerate,
-                asserted=not degenerate and not erratum,
-                detail=detail,
-            )
-        )
-    return verdicts
+    da, db = sr_differences(l, s), sr_differences(l, r + s)
+    return [rem12_verdict(l, s, r, k, da, db) for k in range(l)]
 
 
 # -- cross-algorithm sweeps --------------------------------------------------

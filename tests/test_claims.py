@@ -16,7 +16,12 @@ from hypothesis import example, given, strategies as st
 
 from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
-from qimm.immanants import InequalityVerdict
+from qimm.immanants import (
+    InequalityVerdict,
+    check_alpha_ratios,
+    check_general_sr,
+    check_last_row_ratios,
+)
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
 from qimm.trees import (
@@ -132,9 +137,24 @@ def test_sweep_config_checked_when_built():
             ("last_l_max", {"last_l_max": claims.LAST_TABLE_MAX_L + 1}),
             ("sr_max", {"sr_max": claims.SR_MAX + 1}),
             ("sr_l_max", {"sr_l_max": claims.SR_L_MAX + 1}),
-            ("random_count", {"random_count": 0})):
+            ("random_count", {"random_count": 0}),
+            ("random_count", {"n_max": 40})):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**caps)
+    # the sampled thm2 sweep, random_count trees for each n past the
+    # exhaustive cap, is bounded by its modelled cost: at n_max = 40,
+    # 415 trees (416 when --deep makes n = 8 exhaustive)
+    assert SweepConfig(n_max=40, random_count=415).random_count == 415
+    with pytest.raises(ValueError, match="random_count = 416 is above its "
+                                         "cap 415 at n_max = 40"):
+        SweepConfig(n_max=40, random_count=416)
+    assert SweepConfig(n_max=40, random_count=83).deepen().random_count == 415
+    with pytest.raises(ValueError, match="random_count = 420 is above its "
+                                         "cap 416 at n_max = 40"):
+        SweepConfig(n_max=40, random_count=84).deepen()
+    # the random_count cap itself stays accepted at the default n_max
+    assert SweepConfig(random_count=claims.RANDOM_TREES_MAX).random_count \
+        == claims.RANDOM_TREES_MAX
     with pytest.raises(ValueError, match="hook_n_max"):
         SweepConfig(hook_n_max=9).deepen()
     # every upper cap is itself accepted, all at once but for the two
@@ -191,13 +211,128 @@ def test_run_claims_runs_only_a_verify_name(monkeypatch):
                                 or [])
     for which in claims.VERIFY_NAMES:
         ran.clear()
-        assert claims.run_claims(which, SweepConfig()) == [] and ran, which
+        assert list(claims.run_claims(which, SweepConfig())) == [], which
+        assert ran, which
     ran.clear()
     with pytest.raises(ValueError, match="'two_row'; use one of two-row, "):
         claims.run_claims("two_row", SweepConfig())
     assert ran == []
     for which in claims.VERIFY_NAMES:
         assert build_parser().parse_args(["verify", which]).which == which
+
+
+def per_instance_ratios(config):
+    """The two ratio sweeps' verdicts one checker call at a time, per n,
+    per l and per (l, s, r), in sweep order: the route the plans replace."""
+    for n in config.span("alpha_n_max"):
+        yield from check_alpha_ratios(n)
+    for l in config.span("last_l_max"):
+        yield from check_last_row_ratios(l)
+
+
+def per_instance_general_sr(config):
+    for s in config.span("sr_max"):
+        for r in config.span("sr_max"):
+            for l in config.span("sr_l_max"):
+                yield from check_general_sr(l, s, r)
+
+
+def eager_ratio_sweeps(monkeypatch):
+    """run_claims with every ratio verdict made up front, as a list."""
+    monkeypatch.setattr(claims, "verify_alpha_ratios",
+                        lambda config: list(per_instance_ratios(config)))
+    monkeypatch.setattr(claims, "verify_general_sr",
+                        lambda config: list(per_instance_general_sr(config)))
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["default", "deep"])
+@pytest.mark.parametrize("which", claims.VERIFY_NAMES)
+def test_run_claims_streams_the_sorted_verdicts(monkeypatch, which, deep):
+    # the ratio claims are made as the sequence is iterated, in the order
+    # a full sort by _sort_key gives the verdicts made up front; its len()
+    # is the count it yields, and a second pass makes the same verdicts
+    config = SweepConfig().deepen() if deep else SweepConfig()
+    stream = claims.run_claims(which, config)
+    made = list(stream)
+    assert len(stream) == len(made)
+    assert list(stream) == made
+    eager_ratio_sweeps(monkeypatch)
+    assert made == sorted(claims.run_claims(which, config),
+                          key=claims._sort_key)
+
+
+SMALL_RATIO_CAPS = [
+    ("alpha-ratios", dict(alpha_n_max=3, last_l_max=3)),
+    ("alpha-ratios", dict(alpha_n_max=11, last_l_max=11)),
+    ("alpha-ratios", dict(alpha_n_max=2, last_l_max=2)),
+    ("general-sr", dict(sr_max=1, sr_l_max=1)),
+    ("general-sr", dict(sr_max=3, sr_l_max=11)),
+    ("all", dict(alpha_n_max=7, last_l_max=5, sr_max=3, sr_l_max=9)),
+]
+
+
+@pytest.mark.parametrize("which, caps", SMALL_RATIO_CAPS,
+                         ids=[f"{w}-{'-'.join(map(str, c.values()))}"
+                              for w, c in SMALL_RATIO_CAPS])
+def test_ratio_plans_at_small_caps(monkeypatch, which, caps):
+    config = SweepConfig(**caps)
+    stream = claims.run_claims(which, config)
+    made = list(stream)
+    assert len(stream) == len(made) and list(stream) == made
+    eager_ratio_sweeps(monkeypatch)
+    assert made == sorted(claims.run_claims(which, config),
+                          key=claims._sort_key)
+
+
+def _fingerprint(v):
+    return hash((v.claim, tuple(sorted(v.params.items())), v.holds,
+                 v.degenerate, v.asserted, v.witness, v.detail))
+
+
+@pytest.mark.parametrize("which, caps, route", [
+    ("alpha-ratios", dict(alpha_n_max=100), per_instance_ratios),
+    ("alpha-ratios", dict(last_l_max=150), per_instance_ratios),
+    ("general-sr", dict(sr_max=6, sr_l_max=100), per_instance_general_sr),
+], ids=["alpha-n-max-100", "l-max-150", "sr-max-6-sr-l-max-100"])
+def test_ratio_plans_at_large_caps(which, caps, route):
+    # too many verdicts to hold twice (up to 570,000): the stream's keys
+    # strictly increase, so it is sorted with no repeat, and it holds the
+    # per-instance checkers' verdicts, as many, with the same sum of
+    # fingerprints
+    config = SweepConfig(**caps)
+    stream = claims.run_claims(which, config)
+    count, total, last = 0, 0, ""
+    for v in stream:
+        key = claims._sort_key(v)
+        assert key > last, (last, key)
+        count, total, last = count + 1, total + _fingerprint(v), key
+    assert count == len(stream)
+    made = [0, 0]
+    for v in route(config):
+        made[0] += 1
+        made[1] += _fingerprint(v)
+    assert made == [count, total]
+
+
+def test_verdicts_iterate_claims_in_name_order():
+    # eager verdicts and plans of claims that sort before, between and
+    # after them, a claim name that is a prefix of another included
+    def verdict(claim, x):
+        return InequalityVerdict(claim=claim, params={"x": x}, holds=True)
+
+    def plan(claim, xs):
+        return claims._Plan(claim, len(xs),
+                            lambda: (verdict(claim, x) for x in xs))
+
+    stream = claims.Verdicts(
+        [verdict("lem15", 2), verdict("c", 1), verdict("lem15", 10)],
+        [plan("z", [1]), plan("lem1", [3, 4]), plan("a", [5]),
+         plan("lem15-bij", [])])
+    assert [(v.claim, v.params["x"]) for v in stream] == [
+        ("a", 5), ("c", 1), ("lem1", 3), ("lem1", 4), ("lem15", 10),
+        ("lem15", 2), ("z", 1)]
+    assert len(stream) == 7
+    assert list(claims.Verdicts()) == [] and len(claims.Verdicts()) == 0
 
 
 @pytest.mark.parametrize("deep, want", [(False, GOLDEN_DEFAULT),

@@ -413,6 +413,15 @@ REFUSED_CAPS = [
     (("general-sr", "--sr-max", "47", "--sr-l-max", "13"),
      "--sr-max = 47 is above its cap 46 at --sr-l-max = 13"),
     (("hook", "--hook-n-max", "4", "--deep"), "--hook-n-max = 4 checks"),
+    (("two-row", "--n-max", "40"),
+     "--random-trees = 1000 is above its cap 415 at --n-max = 40"),
+    (("all", "--n-max", "40", "--random-trees", "100", "--deep"),
+     "--random-trees = 500 is above its cap 416 at --n-max = 40 "
+     "(--deep raised it from 100)"),
+    (("two-row", "--n-max", "139", "--random-trees", "1"),
+     "--random-trees = 1 is above its cap 0 at --n-max = 139"),
+    (("two-row", "--n-max", str(10**30), "--random-trees", "1"),
+     "--random-trees = 1 is above its cap 0 at --n-max = 1000"),
 ]
 
 
@@ -456,9 +465,12 @@ def test_table_sizes_refused_above_cap_before_work(monkeypatch, capsys, argv,
     def work(*args):
         raise Computed(args)
 
+    # verify alpha-ratios makes each verdict as the stream reaches it, so
+    # the computation is the claims' makers, called while rendering
     for module, attr in ((cli, "alpha_table"), (cli, "last_table"),
-                         (claims, "check_alpha_ratios"),
-                         (claims, "check_last_row_ratios")):
+                         (claims, "lem13_verdict"), (claims, "lem6_verdict"),
+                         (claims, "lem9_verdict"), (claims, "cor10_verdict"),
+                         (claims, "lem11_verdict")):
         monkeypatch.setattr(module, attr, work)
     with pytest.raises(Computed):
         main([a.format(cap) for a in argv])
@@ -488,7 +500,7 @@ def rendered(verdicts, fmt="json"):
     """The stream render_verdicts writes to stdout for `verdicts`."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.render_verdicts(verdicts, fmt, None, claims.summarize(verdicts))
+        cli.render_verdicts(verdicts, fmt, None)
     return out.getvalue()
 
 
@@ -566,18 +578,33 @@ def test_verify_writes_each_format_to_stdout_and_out(capsysbinary, tmp_path,
 
 
 def test_verify_summarizes_once(capsys, monkeypatch):
-    calls = []
+    # the summary is tallied in the loop that writes the lines: the run's
+    # verdicts are walked once, which for the ratio claims, made as they
+    # are reached, is also the only time they are made
+    passes = []
 
-    def counted(verdicts):
-        calls.append(len(verdicts))
-        return claims.summarize(verdicts)
+    class Walked:
+        def __init__(self, verdicts):
+            self.verdicts = verdicts
 
-    monkeypatch.setattr(cli, "summarize", counted)
-    for fmt in ("json", "csv"):
-        calls.clear()
-        code, out, _ = run_cli(capsys, "verify", "identities", "--format", fmt)
-        assert code == 0 and out
-        assert len(calls) == 1
+        def __len__(self):
+            return len(self.verdicts)
+
+        def __iter__(self):
+            passes.append(len(self.verdicts))
+            return iter(self.verdicts)
+
+    monkeypatch.setattr(cli, "run_claims",
+                        lambda *args: Walked(claims.run_claims(*args)))
+    for which in ("identities", "alpha-ratios"):
+        for fmt in ("json", "csv"):
+            passes.clear()
+            code, out, _ = run_cli(capsys, "verify", which, "--format", fmt)
+            assert code == 0 and out
+            assert len(passes) == 1
+            if fmt == "json":
+                summary = json.loads(out.splitlines()[-1])["summary"]
+                assert summary["total"] == passes[0]
 
 
 @pytest.mark.parametrize("argv", [

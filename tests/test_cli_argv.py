@@ -131,8 +131,10 @@ def edge_value(name):
         return st.one_of(st.integers().map(str), JUNK)
     start = claims.SWEEP_START.get(name, 1)
     edges = [start, start - 1, -10**30]
-    if name in claims.SWEEP_MAX:  # n_max has no upper cap
+    if name in claims.SWEEP_MAX:
         edges += [claims.SWEEP_MAX[name] + 1, 10**30]
+    elif name == "n_max":  # bounded by the sampled sweep's cost instead
+        edges += [10**30]
     return st.one_of(st.sampled_from(edges).map(str), JUNK)
 
 
