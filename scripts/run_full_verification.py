@@ -18,8 +18,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qimm.claims import SweepConfig, run_claims, summary  # noqa: E402
-from qimm.cli import _csv_row, _write, render_verdicts  # noqa: E402
+from qimm.claims import SweepConfig, csv_row, run_claims, summary  # noqa: E402
+from qimm.cli import _write, render_verdicts  # noqa: E402
 
 
 def main(argv):
@@ -46,10 +46,10 @@ def main(argv):
 
     # per claim: total, holds, degenerate, unasserted violations (the
     # tally counts at index holds << 2 | asserted << 1 | degenerate)
-    _write([_csv_row(["claim", "total", "holds", "degenerate",
-                      "unasserted_violations"]),
-            *(_csv_row([claim, sum(bins), sum(bins[4:]), sum(bins[1::2]),
-                        bins[0] + bins[1]])
+    _write([csv_row(["claim", "total", "holds", "degenerate",
+                     "unasserted_violations"]),
+            *(csv_row([claim, sum(bins), sum(bins[4:]), sum(bins[1::2]),
+                       bins[0] + bins[1]])
               for claim, bins in sorted(tally.items()))],
            str(table.resolve()))
 

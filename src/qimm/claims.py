@@ -9,31 +9,43 @@ lem22, rem20, a0-identity, oracle-equivalence.
 
 from __future__ import annotations
 
+import csv
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import (JSONEncoder, c_make_encoder,
+                          encode_basestring_ascii)
 from math import factorial, isqrt
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
                          two_row_shape)
 from .immanants import (
     BRUTEFORCE_MAX_N,
+    COR10,
+    LEM6,
+    LEM9,
+    LEM11,
+    LEM13,
+    OUTCOME_FLAGS,
+    REM12,
     THEOREM_MIN_N,
     InequalityVerdict,
+    RatioForm,
     a_coeff_arrays,
-    cor10_verdict,
+    cor10_row,
     default_q_grid,
     eq5_holds,
     hook_margins,
-    lem6_verdict,
-    lem9_verdict,
-    lem11_verdict,
-    lem13_verdict,
+    lem6_row,
+    lem9_row,
+    lem11_row,
+    lem13_row,
     oracle_equivalence_report,
-    rem12_verdict,
+    rem12_row,
     sr_differences,
     two_row_gaps,
 )
@@ -73,8 +85,9 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 
 # Upper caps on the alpha and last tables, for `qimm alpha-table N` /
 # `last-table L` and for alpha_n_max / last_l_max: at the cap the costlier
-# user, verify alpha-ratios, takes about 13-16 s at 50 MB, nearly all
-# of it the ratio verdicts, made and written one at a time.
+# user, verify alpha-ratios, takes about 5.5-7 s at 50 MB (3-3.5 s at
+# 18 MB at --l-max 150), nearly all of it the ratio verdict lines, each
+# one % of its claim's template over one row of integers.
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps, each with the other at its default: about
@@ -324,55 +337,54 @@ def _by_str(start: int, stop: int) -> list[int]:
 
 def verify_alpha_ratios(config: SweepConfig) -> Verdicts:
     """lem6 and lem13 for n up to alpha_n_max; lem9, cor10, lem11 for rows
-    of the last-row triangle up to last_l_max.  Each claim is a plan that
-    makes its verdicts one at a time, in key order: (i, k, n) for lem13
-    and lem6, (k, l) for lem9 and lem11, (k, l, r) for cor10."""
+    of the last-row triangle up to last_l_max.  Each claim is a plan whose
+    row maker gives its verdicts one at a time, in key order: (i, k, n)
+    for lem13 and lem6, (k, l) for lem9 and lem11, (k, l, r) for cor10."""
     n_max, l_max = config.alpha_n_max, config.last_l_max
     halves = [n // 2 for n in config.span("alpha_n_max")]
-    rows = config.span("last_l_max")
+    l_span = config.span("last_l_max")
 
-    def alpha(make, lem6):
+    def alpha(row, lem6):
         # i <= n//2 (i < n//2 for lem6) and k < n//2, so n starts at
         # 2 max(i + lem6, k + 1), which is at least the sweep's start 2
-        def verdicts():
+        def rows():
             for i in _by_str(0, n_max // 2 + 1 - lem6):
                 for k in _by_str(0, n_max // 2):
                     for n in _by_str(2 * max(i + lem6, k + 1), n_max + 1):
-                        yield make(n, k, i)
-        return verdicts
+                        yield row(n, k, i)
+        return rows
 
-    def last(make):  # 1 <= k < l
-        def verdicts():
+    def last(row):  # 1 <= k < l
+        def rows():
             for k in _by_str(1, l_max):
                 for l in _by_str(k + 1, l_max + 1):
-                    yield make(l, k)
-        return verdicts
+                    yield row(l, k)
+        return rows
 
     def cor10():  # 1 <= r <= k < l
         for k in _by_str(1, l_max):
             rs = _by_str(1, k + 1)
             for l in _by_str(k + 1, l_max + 1):
                 for r in rs:
-                    yield cor10_verdict(l, k, r)
+                    yield cor10_row(l, k, r)
 
     return Verdicts(plans=(
-        _Plan("lem13", sum(h * (h + 1) for h in halves),
-              alpha(lem13_verdict, 0)),
-        _Plan("lem6", sum(h * h for h in halves), alpha(lem6_verdict, 1)),
-        _Plan("lem9", sum(l - 1 for l in rows), last(lem9_verdict)),
-        _Plan("cor10", sum(l * (l - 1) // 2 for l in rows), cor10),
-        _Plan("lem11", sum(l - 1 for l in rows), last(lem11_verdict)),
+        _Plan(LEM13, sum(h * (h + 1) for h in halves), alpha(lem13_row, 0)),
+        _Plan(LEM6, sum(h * h for h in halves), alpha(lem6_row, 1)),
+        _Plan(LEM9, sum(l - 1 for l in l_span), last(lem9_row)),
+        _Plan(COR10, sum(l * (l - 1) // 2 for l in l_span), cor10),
+        _Plan(LEM11, sum(l - 1 for l in l_span), last(lem11_row)),
     ))
 
 
 def verify_general_sr(config: SweepConfig) -> Verdicts:
     """rem12 for s, r <= sr_max and l <= sr_l_max, one plan in key order
     (k, l, r, s); each pass computes the rows D_c, c <= 2 sr_max, once per
-    l and holds them while it makes the verdicts."""
+    l and holds them while it makes the rows."""
     sides = _by_str(1, config.sr_max + 1)
     l_max = config.sr_l_max
 
-    def verdicts():
+    def rows():
         diffs = {l: [None, *(sr_differences(l, c)
                              for c in range(1, 2 * config.sr_max + 1))]
                  for l in config.span("sr_l_max")}
@@ -381,10 +393,10 @@ def verify_general_sr(config: SweepConfig) -> Verdicts:
                 row = diffs[l]
                 for r in sides:
                     for s in sides:
-                        yield rem12_verdict(l, s, r, k, row[s], row[r + s])
+                        yield rem12_row(l, s, r, k, row[s], row[r + s])
 
     return Verdicts(plans=[_Plan(
-        "rem12", _sr_verdicts(config.sr_max, l_max), verdicts)])
+        REM12, _sr_verdicts(config.sr_max, l_max), rows)])
 
 
 # -- path claims ---------------------------------------------------------------
@@ -623,6 +635,57 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
     return verdicts
 
 
+# -- verdict lines ---------------------------------------------------------------
+
+# A verify JSON line is json.dumps(v.to_json(), sort_keys=True): one % of
+# VERDICT_LINE over the fields in name order, typed as VERDICT_SLOTS says:
+# bools from _BOOL, strings by json's ASCII escaper, params by a C
+# encoder with json.dumps' sorted-key settings, built once here.  A CSV
+# row is csv_row of to_json()'s values, params as its JSON text.
+VERDICT_SLOTS = dict(asserted="bool", claim="str", degenerate="bool",
+                     detail="str", holds="bool", params="dict", witness="str")
+VERDICT_LINE = "{%s}\n" % ", ".join(
+    f"{encode_basestring_ascii(name)}: %s" for name in VERDICT_SLOTS)
+_BOOL = ("false", "true")
+# each slot's JSON text, a params slot already being JSON
+_JSON_SLOT = dict(bool=_BOOL.__getitem__, str=encode_basestring_ascii,
+                  dict=str)
+_params_chunks = c_make_encoder(None, JSONEncoder().default,
+                                encode_basestring_ascii, None, ": ", ", ",
+                                True, False, True)
+# csv.writer's writerow returns what its file's write returns: with str
+# as write, the CSV line itself
+csv_row = csv.writer(SimpleNamespace(write=str)).writerow
+
+
+def json_line(v: InequalityVerdict) -> str:
+    return VERDICT_LINE % (
+        _BOOL[v.asserted], encode_basestring_ascii(v.claim),
+        _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
+        _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
+        encode_basestring_ascii(v.witness))
+
+
+def csv_line(v: InequalityVerdict) -> str:
+    return csv_row({**v.to_json(), "params": "".join(
+        _params_chunks(v.params, 0))}.values())
+
+
+def check_slots(verdict_fields) -> None:
+    """Refuse a verdict whose fields are not VERDICT_SLOTS."""
+    typed = {f.name: f.type for f in verdict_fields}
+    if typed != VERDICT_SLOTS:
+        raise TypeError(f"InequalityVerdict fields {typed} are not the "
+                        f"slots a verdict line writes, {VERDICT_SLOTS}")
+
+
+check_slots(fields(InequalityVerdict))
+
+
+def _literal(text: str) -> str:
+    return text.replace("%", "%%")
+
+
 # -- dispatcher ------------------------------------------------------------------
 
 
@@ -647,14 +710,38 @@ def _sort_key(v: InequalityVerdict) -> str:
 
 
 class _Plan:
-    """One claim's verdicts, made one at a time in key order by `make`,
-    and how many it makes."""
+    """One ratio claim's verdicts as rows (see RatioForm), made one at a
+    time in key order by `rows`, and how many it makes."""
 
-    __slots__ = ("claim", "count", "make")
+    __slots__ = ("form", "claim", "count", "rows")
 
-    def __init__(self, claim: str, count: int,
-                 make: Callable[[], Iterator[InequalityVerdict]]):
-        self.claim, self.count, self.make = claim, count, make
+    def __init__(self, form: RatioForm, count: int,
+                 rows: Callable[[], Iterator[tuple]]):
+        self.form, self.claim, self.count, self.rows = (form, form.claim,
+                                                        count, rows)
+
+    def lines(self, fmt: str) -> list[list[str]]:
+        """The claim's JSON or CSV (fmt "csv") line for each outcome and
+        detail, with the row's values left as %d: a row's line is one % of
+        lines[outcome][detail] over its values.  Built per call, as a CSV
+        writer's first row allocates a 128 KiB buffer it keeps."""
+        form = self.form
+        params = "{%s}" % ", ".join(
+            f"{_literal(encode_basestring_ascii(name))}: %d"
+            for name in form.names)
+        order = [f.name for f in fields(InequalityVerdict)]
+
+        def line(flags, detail):
+            slots = dict(zip(("holds", "asserted", "degenerate"), flags),
+                         claim=_literal(form.claim), params=params,
+                         witness=form.witness, detail=_literal(detail))
+            if fmt == "csv":
+                return csv_row(slots[name] for name in order)
+            return VERDICT_LINE % tuple(
+                _JSON_SLOT[kind](slots[name])
+                for name, kind in VERDICT_SLOTS.items())
+        return [[line(flags, detail) for detail in form.details]
+                for flags in OUTCOME_FLAGS]
 
 
 class Verdicts:
@@ -675,15 +762,22 @@ class Verdicts:
     def __len__(self) -> int:
         return len(self.eager) + sum(plan.count for plan in self.plans)
 
-    def __iter__(self) -> Iterator[InequalityVerdict]:
+    def parts(self) -> Iterator[InequalityVerdict | _Plan]:
+        """The eager verdicts in order, each plan in its place among them."""
         pending = self.plans[::-1]  # the next plan last
         for v in self.eager:
             # a claim name that sorts first has the keys that sort first
             while pending and pending[-1].claim < v.claim:
-                yield from pending.pop().make()
+                yield pending.pop()
             yield v
-        for plan in reversed(pending):
-            yield from plan.make()
+        yield from reversed(pending)
+
+    def __iter__(self) -> Iterator[InequalityVerdict]:
+        for part in self.parts():
+            if isinstance(part, _Plan):
+                yield from map(part.form.verdict, part.rows())
+            else:
+                yield part
 
 
 VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
@@ -719,7 +813,7 @@ def run_claims(which: str, config: SweepConfig) -> Verdicts:
 
 # A tally counts verdicts per claim by outcome, at index
 # holds << 2 | asserted << 1 | degenerate.
-OUTCOMES = 8
+OUTCOMES = len(OUTCOME_FLAGS)
 
 
 def summary(tally: dict[str, Sequence[int]]) -> dict:

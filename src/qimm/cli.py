@@ -20,7 +20,6 @@ _write, the one code that writes to stdout or an --out file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -28,9 +27,7 @@ import sys
 from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from .characters import alpha_table, as_partition, last_table, mn_character
@@ -40,7 +37,11 @@ from .claims import (
     OUTCOMES,
     VERIFY_NAMES,
     SweepConfig,
+    Verdicts,
     check_cap,
+    csv_line,
+    csv_row,
+    json_line,
     run_claims,
     summary,
 )
@@ -69,30 +70,6 @@ _EMIT_CHUNK = 1 << 16  # characters per piece in _emit
 # JSONEncoder per call when given sort_keys; tables are indented
 _JSON = json.JSONEncoder(sort_keys=True)
 _JSON_TABLE = json.JSONEncoder(indent=2, sort_keys=True)
-# csv.writer's writerow returns what its file's write returns: with str
-# as write, the CSV line itself
-_csv_row = csv.writer(SimpleNamespace(write=str)).writerow
-
-# A verify JSON line is _JSON.encode(v.to_json()): one % of _VERDICT_LINE
-# over the fields in name order, bools from _BOOL, strings by _JSON's
-# escaper, params by a C encoder with _JSON's settings built once here.
-_VERDICT_SLOTS = dict(asserted="bool", claim="str", degenerate="bool",
-                      detail="str", holds="bool", params="dict", witness="str")
-_VERDICT_LINE = "{%s}\n" % ", ".join(
-    f"{encode_basestring_ascii(name)}: %s" for name in _VERDICT_SLOTS)
-_BOOL = ("false", "true")
-_params_chunks = c_make_encoder(None, _JSON.default, encode_basestring_ascii,
-                                None, ": ", ", ", True, False, True)
-
-
-def _check_slots(verdict_fields) -> None:
-    typed = {f.name: f.type for f in verdict_fields}
-    if typed != _VERDICT_SLOTS:
-        raise TypeError(f"InequalityVerdict fields {typed} are not the "
-                        f"slots render_verdicts writes, {_VERDICT_SLOTS}")
-
-
-_check_slots(fields(InequalityVerdict))
 
 # The verify sweep-cap flags: flag, the SweepConfig field it sets (its
 # default lives there only), help.
@@ -199,9 +176,9 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
         })
         yield "\n"
     elif fmt == "csv":
-        yield _csv_row([f"{row_name}\\{col_name}", *range(width)])
+        yield csv_row([f"{row_name}\\{col_name}", *range(width)])
         for idx, row in enumerate(rows):
-            yield _csv_row([idx, *row])
+            yield csv_row([idx, *row])
     else:
         cell = max(max(len(str(v)) for row in rows for v in row),
                    len(str(width - 1)), len(f"{row_name}{len(rows) - 1}"))
@@ -212,34 +189,31 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
             yield f"{row_name}{idx}".rjust(cell + 2) + " " + cells + "\n"
 
 
-def _json_line(v: InequalityVerdict) -> str:
-    return _VERDICT_LINE % (
-        _BOOL[v.asserted], encode_basestring_ascii(v.claim),
-        _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
-        _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
-        encode_basestring_ascii(v.witness))
-
-
-def _csv_line(v: InequalityVerdict) -> str:
-    return _csv_row({**v.to_json(), "params": "".join(
-        _params_chunks(v.params, 0))}.values())
-
-
 def render_verdicts(verdicts: Iterable[InequalityVerdict], fmt: str,
                     out: str | None) -> dict[str, list[int]]:
     """The verify stream to `out`, or stdout when None: one CSV row or
     JSON line per verdict, JSON closing on the summary line.  Each line is
     written as it is made, and the loop that makes it tallies its verdict
-    (claims.summary reads the tally); the tally is returned."""
+    (claims.summary reads the tally); the tally is returned.  A planned
+    claim of claims.Verdicts makes no verdict: each of its rows is one %
+    of the plan's line for the row's outcome and detail."""
     tally = defaultdict(lambda: [0] * OUTCOMES)
-    line = _csv_line if fmt == "csv" else _json_line
+    line = csv_line if fmt == "csv" else json_line
+    parts = verdicts.parts() if isinstance(verdicts, Verdicts) else verdicts
 
     def lines():
         if fmt == "csv":
-            yield _csv_row(f.name for f in fields(InequalityVerdict))
-        for v in verdicts:
-            tally[v.claim][v.holds << 2 | v.asserted << 1 | v.degenerate] += 1
-            yield line(v)
+            yield csv_row(f.name for f in fields(InequalityVerdict))
+        for part in parts:
+            if isinstance(part, InequalityVerdict):
+                tally[part.claim][part.holds << 2 | part.asserted << 1
+                                  | part.degenerate] += 1
+                yield line(part)
+            else:
+                counts, templates = tally[part.claim], part.lines(fmt)
+                for outcome, detail, values in part.rows():
+                    counts[outcome] += 1
+                    yield templates[outcome][detail] % values
         if fmt != "csv":
             yield _JSON.encode({"summary": summary(tally)}) + "\n"
 

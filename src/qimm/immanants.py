@@ -29,12 +29,13 @@ The oracle expands the q-Laplacian's integer q-coefficient lists
 directly.  RatPoly appears only where a polynomial leaves the module.
 
 Verifier results are InequalityVerdict records (sweeps read the gaps
-from hook_margins and two_row_gaps).  `holds` is the honest outcome of
-the exact check; `degenerate` marks instances whose ratio form divides by
-zero; `asserted` marks instances inside the range this artifact vouches
-for.  The stated ranges of the last-row ratio lemmas contain a few small
-counterexamples refuted by the published triangle itself (see
-LEMMA9_ERRATA); those are reported, not asserted.
+from hook_margins and two_row_gaps); a ratio lemma's maker gives a row of
+plain values, which its RatioForm turns into one.  `holds` is the honest
+outcome of the exact check; `degenerate` marks instances whose ratio form
+divides by zero; `asserted` marks instances inside the range this
+artifact vouches for.  The stated ranges of the last-row ratio lemmas
+contain a few small counterexamples refuted by the published triangle
+itself (see LEMMA9_ERRATA); those are reported, not asserted.
 """
 
 from __future__ import annotations
@@ -406,44 +407,83 @@ def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
 # -- alpha ratio inequalities -----------------------------------------------
 
 
-def _ratio_verdict(claim: str, params: dict, num_l: int, den_l: int,
-                   num_r: int, den_r: int, asserted: bool,
-                   detail: str = "") -> InequalityVerdict:
-    """Cross-multiplied num_l/den_l <= num_r/den_r with degeneracy flag."""
+# a verdict's outcome index, holds << 2 | asserted << 1 | degenerate, as
+# its three flags (holds, asserted, degenerate)
+OUTCOME_FLAGS = tuple((bool(o & 4), bool(o & 2), bool(o & 1))
+                      for o in range(8))
+
+
+@dataclass(frozen=True, slots=True)
+class RatioForm:
+    """What every verdict of one ratio claim shares.  Its row makers give
+    a verdict as a row (outcome, detail, values): outcome is holds << 2 |
+    asserted << 1 | degenerate, detail indexes `details`, and values are
+    the params in `names` order (sorted), then the integers of the
+    `witness` %-form."""
+
+    claim: str
+    names: tuple[str, ...]
+    witness: str
+    details: tuple[str, ...]
+
+    def verdict(self, row: tuple) -> InequalityVerdict:
+        """The InequalityVerdict of one row."""
+        outcome, detail, values = row
+        holds, asserted, degenerate = OUTCOME_FLAGS[outcome]
+        width = len(self.names)
+        return InequalityVerdict(
+            self.claim, dict(zip(self.names, values[:width])), holds,
+            degenerate, asserted, self.witness % values[width:],
+            self.details[detail])
+
+
+# detail 1 of every cross-multiplied ratio, detail 2 its claim's own
+_CROSS = "gap %d = %d*%d - %d*%d"
+_RATIO_DETAILS = ("", "zero denominator")
+LEM13 = RatioForm("lem13", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
+LEM6 = RatioForm("lem6", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
+LEM9 = RatioForm("lem9", ("k", "l"), _CROSS, (
+    *_RATIO_DETAILS, "published triangle refutes the stated range here"))
+COR10 = RatioForm("cor10", ("k", "l", "r"), _CROSS, (
+    *_RATIO_DETAILS,
+    "derivation chain passes through a refuted or degenerate instance"))
+LEM11 = RatioForm("lem11", ("k", "l"), _CROSS, _RATIO_DETAILS)
+REM12 = RatioForm("rem12", ("k", "l", "r", "s"), "gap %d", (
+    "", "zero successive difference on the s side",
+    "the r=s=1 case needs l >= 3; this is its excluded l = 2 instance"))
+
+
+def _ratio_row(params: tuple, num_l: int, den_l: int, num_r: int,
+               den_r: int, asserted: bool, detail: int = 0) -> tuple:
+    """Cross-multiplied num_l/den_l <= num_r/den_r with degeneracy flag;
+    a zero denominator is detail 1 unless the claim names a detail."""
     lhs = num_l * den_r
     rhs = num_r * den_l
     degenerate = den_l == 0 or den_r == 0
-    return InequalityVerdict(
-        claim=claim,
-        params=params,
-        holds=lhs <= rhs,
-        witness=f"gap {rhs - lhs} = {num_r}*{den_l} - {num_l}*{den_r}",
-        degenerate=degenerate,
-        asserted=asserted and not degenerate,
-        detail=detail if detail else ("zero denominator" if degenerate else ""),
-    )
+    return ((lhs <= rhs) << 2 | (asserted and not degenerate) << 1
+            | degenerate, detail or degenerate,
+            (*params, rhs - lhs, num_r, den_l, num_l, den_r))
 
 
-def _alpha_ratio(claim: str, n: int, k: int, i: int,
-                 asserted: bool) -> InequalityVerdict:
+def _alpha_row(n: int, k: int, i: int, asserted: bool) -> tuple:
     """alpha_{n,k,i}/alpha_{n,k,0} >= alpha_{n,k+1,i}/alpha_{n,k+1,0}: the
     denominators are the degrees f_k, f_{k+1} > 0 (k < n//2), so this is
     never degenerate."""
     rows = alpha_table(n).rows  # rows[i][k] is alpha_{n,k,i}
     row = rows[i]
-    return _ratio_verdict(claim, {"n": n, "k": k, "i": i}, row[k + 1],
-                          rows[0][k + 1], row[k], rows[0][k], asserted)
+    return _ratio_row((i, k, n), row[k + 1], rows[0][k + 1], row[k],
+                      rows[0][k], asserted)
 
 
-def lem13_verdict(n: int, k: int, i: int) -> InequalityVerdict:
+def lem13_row(n: int, k: int, i: int) -> tuple:
     """lem13 at one (n, k, i), i <= n//2, k < n//2; asserted from
     THEOREM_MIN_N."""
-    return _alpha_ratio("lem13", n, k, i, n >= THEOREM_MIN_N)
+    return _alpha_row(n, k, i, n >= THEOREM_MIN_N)
 
 
-def lem6_verdict(n: int, k: int, i: int) -> InequalityVerdict:
+def lem6_row(n: int, k: int, i: int) -> tuple:
     """lem6, the same ratio as lem13 for i < n//2, asserted at every n."""
-    return _alpha_ratio("lem6", n, k, i, True)
+    return _alpha_row(n, k, i, True)
 
 
 def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
@@ -456,52 +496,43 @@ def check_alpha_ratios(n: int) -> list[InequalityVerdict]:
         raise ValueError("need n >= 2")
     half = n // 2
     return [v for i in range(half + 1) for k in range(half)
-            for v in ((lem13_verdict(n, k, i), lem6_verdict(n, k, i))
-                      if i < half else (lem13_verdict(n, k, i),))]
+            for v in ((LEM13.verdict(lem13_row(n, k, i)),
+                       LEM6.verdict(lem6_row(n, k, i)))
+                      if i < half else (LEM13.verdict(lem13_row(n, k, i)),))]
 
 
-def lem9_verdict(l: int, k: int) -> InequalityVerdict:
+def lem9_row(l: int, k: int) -> tuple:
     """lem9 at one (l, k), 1 <= k < l: last_{l,k+1}/last_{l-1,k} <=
     last_{l,k}/last_{l-1,k-1}; degenerate at l = 2, refuted at the
     LEMMA9_ERRATA."""
     errata = (l, k) in LEMMA9_ERRATA
     above, here = last_pair(l, k)
     below_above, below = last_pair(l - 1, k - 1)
-    return _ratio_verdict(
-        "lem9", {"l": l, "k": k}, above, below_above, here, below,
-        asserted=l >= 3 and not errata,
-        detail="published triangle refutes the stated range here"
-        if errata else "")
+    return _ratio_row((k, l), above, below_above, here, below,
+                      l >= 3 and not errata, 2 if errata else 0)
 
 
 # every refuted lem9 instance sits at l <= this
 _ERRATA_L_MAX = max(a for a, _ in LEMMA9_ERRATA)
 
 
-def cor10_verdict(l: int, k: int, r: int) -> InequalityVerdict:
+def cor10_row(l: int, k: int, r: int) -> tuple:
     """cor10 at one (l, k, r), 1 <= r <= k < l: last_{l,k+1}/last_{l,k} <=
     last_{l-r,k+1-r}/last_{l-r,k-r}.  Its derivation chains the lem9
     instances (l-t, k-t), t < r, and is broken when one is degenerate
     (l - t < 3) or refuted (only possible once l - r < _ERRATA_L_MAX)."""
     broken = l - r < 2 or (l - r < _ERRATA_L_MAX and any(
         0 <= l - a == k - b < r for a, b in LEMMA9_ERRATA))
-    return _ratio_verdict(
-        "cor10", {"l": l, "k": k, "r": r},
-        *last_pair(l, k), *last_pair(l - r, k - r),
-        asserted=l >= 3 and not broken,
-        detail="derivation chain passes through a refuted or degenerate "
-        "instance" if broken else "")
+    return _ratio_row((k, l, r), *last_pair(l, k), *last_pair(l - r, k - r),
+                      l >= 3 and not broken, 2 if broken else 0)
 
 
-def lem11_verdict(l: int, k: int) -> InequalityVerdict:
+def lem11_row(l: int, k: int) -> tuple:
     """lem11 at one (l, k), 1 <= k < l: last_{l,k+1}/(C(2l,k+1)-C(2l,k))
     <= last_{l,k}/(C(2l,k)-C(2l,k-1)), asserted from l = 3."""
     above, here = last_pair(l, k)
-    return _ratio_verdict(
-        "lem11", {"l": l, "k": k},
-        above, comb(2 * l, k + 1) - comb(2 * l, k),
-        here, comb(2 * l, k) - comb(2 * l, k - 1),
-        asserted=l >= 3)
+    return _ratio_row((k, l), above, comb(2 * l, k + 1) - comb(2 * l, k),
+                      here, comb(2 * l, k) - comb(2 * l, k - 1), l >= 3)
 
 
 def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
@@ -515,9 +546,10 @@ def check_last_row_ratios(l: int) -> list[InequalityVerdict]:
     if l < 1:
         raise ValueError("need l >= 1")
     return [v for k in range(1, l)
-            for v in (lem9_verdict(l, k),
-                      *(cor10_verdict(l, k, r) for r in range(1, k + 1)),
-                      lem11_verdict(l, k))]
+            for v in (LEM9.verdict(lem9_row(l, k)),
+                      *(COR10.verdict(cor10_row(l, k, r))
+                        for r in range(1, k + 1)),
+                      LEM11.verdict(lem11_row(l, k)))]
 
 
 def sr_differences(l: int, c: int) -> list[int]:
@@ -526,8 +558,8 @@ def sr_differences(l: int, c: int) -> list[int]:
     return successive_differences(trinomial_power(l, c, top=l))
 
 
-def rem12_verdict(l: int, s: int, r: int, k: int, da: Sequence[int],
-                  db: Sequence[int]) -> InequalityVerdict:
+def rem12_row(l: int, s: int, r: int, k: int, da: Sequence[int],
+              db: Sequence[int]) -> tuple:
     """rem12 at one (l, s, r, k), k < l, from da = sr_differences(l, s)
     and db = sr_differences(l, r + s): D_{r+s}(k+1) D_s(k) >= D_{r+s}(k)
     D_s(k+1)."""
@@ -535,22 +567,9 @@ def rem12_verdict(l: int, s: int, r: int, k: int, da: Sequence[int],
     rhs = db[k] * da[k + 1]
     degenerate = da[k] == 0 or da[k + 1] == 0
     erratum = (s, r, l, k) in REM12_ERRATA
-    if degenerate:
-        detail = "zero successive difference on the s side"
-    elif erratum:
-        detail = ("the r=s=1 case needs l >= 3; this is its excluded "
-                  "l = 2 instance")
-    else:
-        detail = ""
-    return InequalityVerdict(
-        claim="rem12",
-        params={"l": l, "s": s, "r": r, "k": k},
-        holds=lhs >= rhs,
-        witness=f"gap {lhs - rhs}",
-        degenerate=degenerate,
-        asserted=not degenerate and not erratum,
-        detail=detail,
-    )
+    return ((lhs >= rhs) << 2 | (not degenerate and not erratum) << 1
+            | degenerate, 1 if degenerate else 2 if erratum else 0,
+            (k, l, r, s, lhs - rhs))
 
 
 def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
@@ -567,7 +586,7 @@ def check_general_sr(l: int, s: int, r: int) -> list[InequalityVerdict]:
     if l < 1 or s < 1 or r < 1:
         raise ValueError("need l, s, r >= 1")
     da, db = sr_differences(l, s), sr_differences(l, r + s)
-    return [rem12_verdict(l, s, r, k, da, db) for k in range(l)]
+    return [REM12.verdict(rem12_row(l, s, r, k, da, db)) for k in range(l)]
 
 
 # -- cross-algorithm sweeps --------------------------------------------------

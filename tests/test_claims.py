@@ -18,6 +18,7 @@ from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
 from qimm.immanants import (
     InequalityVerdict,
+    RatioForm,
     check_alpha_ratios,
     check_general_sr,
     check_last_row_ratios,
@@ -320,9 +321,9 @@ def test_verdicts_iterate_claims_in_name_order():
     def verdict(claim, x):
         return InequalityVerdict(claim=claim, params={"x": x}, holds=True)
 
-    def plan(claim, xs):
-        return claims._Plan(claim, len(xs),
-                            lambda: (verdict(claim, x) for x in xs))
+    def plan(claim, xs):  # rows that hold, asserted, with no witness
+        return claims._Plan(RatioForm(claim, ("x",), "", ("",)), len(xs),
+                            lambda: ((0b110, 0, (x,)) for x in xs))
 
     stream = claims.Verdicts(
         [verdict("lem15", 2), verdict("c", 1), verdict("lem15", 10)],
@@ -333,6 +334,61 @@ def test_verdicts_iterate_claims_in_name_order():
         ("lem15", 2), ("z", 1)]
     assert len(stream) == 7
     assert list(claims.Verdicts()) == [] and len(claims.Verdicts()) == 0
+
+
+# (which, caps, deep, the (claim, detail) pairs the rows must reach):
+# lem9 degenerate at l = 2 and refuted at each LEMMA9_ERRATA, broken cor10
+# chains, the rem12 erratum and its zero s-side differences
+ROUTE_CASES = [
+    ("all", {}, False, set()),
+    ("all", {}, True, set()),
+    ("alpha-ratios", dict(alpha_n_max=3), False, set()),
+    ("alpha-ratios", dict(alpha_n_max=11), False, set()),
+    ("alpha-ratios", dict(alpha_n_max=60), False, set()),
+    ("alpha-ratios", dict(last_l_max=2), False, {("lem9", 1), ("cor10", 2)}),
+    ("alpha-ratios", dict(last_l_max=3), False,
+     {("lem9", 1), ("lem9", 2), ("cor10", 2)}),
+    ("alpha-ratios", dict(last_l_max=7), False,
+     {("lem9", 1), ("lem9", 2), ("cor10", 2)}),
+    ("alpha-ratios", dict(last_l_max=60), False,
+     {("lem9", 1), ("lem9", 2), ("cor10", 2)}),
+    ("general-sr", dict(sr_max=3, sr_l_max=4), False,
+     {("rem12", 1), ("rem12", 2)}),
+]
+
+
+@pytest.mark.parametrize(
+    "which, caps, deep, reached", ROUTE_CASES,
+    ids=[f"{w}{'-deep' * d}" + "".join(f"-{k}-{v}" for k, v in c.items())
+         for w, c, d, _ in ROUTE_CASES])
+def test_plan_lines_are_the_verdicts_lines(which, caps, deep, reached):
+    # a planned row's JSON line and CSV row, one % of its plan's line for
+    # the row's outcome and detail, are json_line and csv_line of the
+    # verdict made from the same row; the whole stream, rendered from the
+    # plans or from the verdicts, is the same text with the same tally
+    config = SweepConfig(**caps)
+    stream = claims.run_claims(which, config.deepen() if deep else config)
+    seen = set()
+    for plan in stream.plans:
+        json_lines, csv_lines = plan.lines("json"), plan.lines("csv")
+        for row in plan.rows():
+            outcome, detail, values = row
+            v = plan.form.verdict(row)
+            assert outcome == v.holds << 2 | v.asserted << 1 | v.degenerate
+            assert json_lines[outcome][detail] % values == claims.json_line(v)
+            assert csv_lines[outcome][detail] % values == claims.csv_line(v)
+            seen.add((plan.claim, detail))
+    assert reached <= seen
+    made = list(stream)
+    for fmt in ("json", "csv"):
+        routes = []
+        for verdicts in (stream, made):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                tally = cli.render_verdicts(verdicts, fmt, None)
+            routes.append((out.getvalue(), tally))
+        assert routes[0] == routes[1]
+        assert claims.summary(routes[0][1]) == claims.summarize(made)
 
 
 @pytest.mark.parametrize("deep, want", [(False, GOLDEN_DEFAULT),

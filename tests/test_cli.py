@@ -11,10 +11,10 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qimm import claims, cli, immanants
-from qimm.immanants import InequalityVerdict, check_two_row_chain
+from qimm.immanants import InequalityVerdict, RatioForm, check_two_row_chain
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import Tree, all_labeled_trees, path_tree, star_tree
@@ -465,12 +465,12 @@ def test_table_sizes_refused_above_cap_before_work(monkeypatch, capsys, argv,
     def work(*args):
         raise Computed(args)
 
-    # verify alpha-ratios makes each verdict as the stream reaches it, so
-    # the computation is the claims' makers, called while rendering
+    # verify alpha-ratios makes each row as the stream reaches it, so the
+    # computation is the claims' row makers, called while rendering
     for module, attr in ((cli, "alpha_table"), (cli, "last_table"),
-                         (claims, "lem13_verdict"), (claims, "lem6_verdict"),
-                         (claims, "lem9_verdict"), (claims, "cor10_verdict"),
-                         (claims, "lem11_verdict")):
+                         (claims, "lem13_row"), (claims, "lem6_row"),
+                         (claims, "lem9_row"), (claims, "cor10_row"),
+                         (claims, "lem11_row")):
         monkeypatch.setattr(module, attr, work)
     with pytest.raises(Computed):
         main([a.format(cap) for a in argv])
@@ -537,6 +537,32 @@ def test_json_lines_are_json_dumps_of_each_verdict():
     witness=st.text(max_size=12), detail=st.text(max_size=12)), max_size=5))
 def test_json_lines_match_json_dumps_on_any_text(verdicts):
     assert rendered(verdicts) == expected_json_stream(verdicts)
+
+
+@given(claim=st.text(max_size=8),
+       names=st.lists(st.text(max_size=4), unique=True, max_size=3),
+       details=st.lists(st.text(max_size=12), min_size=1, max_size=3),
+       prefix=st.text(max_size=6),
+       rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2),
+                               st.lists(st.integers(), min_size=4,
+                                        max_size=4)), max_size=5))
+@example(claim='50% "c"', names=["%s", "n\u00e9"],
+         details=["", "two\nlines\r", "back\\slash, 100%"], prefix="%d",
+         rows=[(6, 1, [1, -2, 10**30, 7]), (1, 2, [0, 0, 0, -5])])
+def test_plan_lines_match_json_dumps_on_any_text(claim, names, details,
+                                                 prefix, rows):
+    # a plan's lines, built once with its text escaped, write what the
+    # verdicts made from its rows write, in both formats
+    form = RatioForm(claim, tuple(sorted(names)),
+                     prefix.replace("%", "%%") + " %d", tuple(details))
+    rows = [(outcome, detail % len(details), (*values[:len(names)],
+                                               values[-1]))
+            for outcome, detail, values in rows]
+    made = [form.verdict(row) for row in rows]
+    planned = claims.Verdicts(plans=[claims._Plan(form, len(rows),
+                                                  lambda: iter(rows))])
+    assert rendered(planned) == expected_json_stream(made)
+    assert rendered(planned, "csv") == rendered(made, "csv")
 
 
 VERIFY_WHICH = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
@@ -646,8 +672,8 @@ def test_verdict_field_without_encoder_fails_at_import():
     # the line has one slot per InequalityVerdict field; a verdict with a
     # field of another type, or with one more field of any type, is
     # refused, not dropped from the line
-    cli._check_slots(fields(InequalityVerdict))
-    assert cli._VERDICT_LINE.count("%s") == len(fields(InequalityVerdict))
+    claims.check_slots(fields(InequalityVerdict))
+    assert claims.VERDICT_LINE.count("%s") == len(fields(InequalityVerdict))
 
     @dataclass
     class Widened(InequalityVerdict):
@@ -663,7 +689,7 @@ def test_verdict_field_without_encoder_fails_at_import():
 
     for cls in (Widened, Flagged, Retyped):
         with pytest.raises(TypeError, match="not the slots"):
-            cli._check_slots(fields(cls))
+            claims.check_slots(fields(cls))
 
 
 def test_verify_tree_flag_rejected_elsewhere(capsys):
