@@ -3,14 +3,16 @@
 stream plus a CSV summary.
 
 Usage:
-    python scripts/run_full_verification.py [OUTDIR] [--deep]
+    python scripts/run_full_verification.py [-h] [OUTDIR] [--deep]
 
 OUTDIR defaults to ./verification-out (or $QIMM_OUT_DIR when set).
 Exit status 0 iff every asserted verdict holds, 1 when one fails, and 2
-with one `error:` line when the output cannot be written (a closed pipe
-on stdout included).
+with one `error:` line when the arguments are not understood (an unknown
+flag, a second OUTDIR) or the output cannot be written (a closed pipe on
+stdout included).  Nothing is created before the arguments are read.
 """
 
+import argparse
 import os
 import sys
 import time
@@ -22,17 +24,26 @@ from qimm.claims import SweepConfig, csv_row, run_claims, summary  # noqa: E402
 from qimm.cli import _write, render_verdicts  # noqa: E402
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, as every other refusal of this script
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv):
-    deep = "--deep" in argv
-    argv = [a for a in argv if a != "--deep"]
-    outdir = Path(
-        argv[0] if argv else os.environ.get("QIMM_OUT_DIR",
-                                            "verification-out")
-    )
+    parser = _Parser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", nargs="?", metavar="OUTDIR",
+                        default=os.environ.get("QIMM_OUT_DIR",
+                                               "verification-out"),
+                        help="default $QIMM_OUT_DIR or ./verification-out")
+    parser.add_argument("--deep", action="store_true",
+                        help="raise the sweep caps")
+    args = parser.parse_args(argv)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     config = SweepConfig()
-    if deep:
+    if args.deep:
         config = config.deepen()
 
     # the ratio verdicts are made as they are written, so the time covers

@@ -11,17 +11,14 @@ coefficients p_{l,k} - p_{l,k-1}, with p_{l,k} the coefficient of x^k in
 (1 + x + x^2)^l.
 
 This module is the one owner of character lookups: callers ask by public
-name, and the choice of route stays here.  Both Murnaghan-Nakayama routes
-key a shape by one n-bead mask, its beta-set padded to n parts (_checked).
-`_character` picks by n, and `mn_character` asks through it: for
-n <= COLUMN_MAX_N it reads `_column(n, rho)`, which expands p_rho in Schur
-functions once per cycle type and serves every shape (the S17 table,
-88,209 values, takes about 0.2 s cold on a 2-vCPU host with CPython
-3.11); above it `_mn` removes border strips from the one shape.
-`involution_characters` gives one shape's values at the few cycle types
-2^j 1^(n-2j), for `alpha` and the matching route, always by removal (its
-docstring says why).  Two-row characters have closed-form columns,
-`two_row_column`; `_mn` is also the tests' independent route.
+name, and the choice of route stays here.  For n <= COLUMN_MAX_N,
+`mn_character` reads a shape's place, its index in partitions(n), in the
+column `_column(n, rho)`, built once per cycle type from its suffix column
+by a move table per (m, t) (the S17 table, 88,209 values, about 0.05 s
+cold on a 2-vCPU host, CPython 3.11); above it `_mn` removes border strips
+from the one shape, as `involution_characters` always does (its docstring
+says why).  Two-row characters have closed-form columns, `two_row_column`;
+`_mn` is also the tests' independent route.
 """
 
 from __future__ import annotations
@@ -125,31 +122,62 @@ def _mn(beads: int, cycles: tuple[int, ...]) -> int:
 
 
 @cache
-def _column(n: int, rho: tuple[int, ...]) -> dict[int, int]:
-    """chi_lambda(rho) for every lambda of n where it is nonzero, keyed by
-    lambda's n-bead mask.  This is MN read as multiplication by p_t, with
-    t = rho[0]: the column of rho[1:] gains t beads at the bottom, then a
-    t-strip moves a bead from b to an empty b + t, signed by the beads
-    strictly between.  Each suffix column is shared by every cycle type
-    that ends in it."""
-    if not rho:
-        return {0: 1}
-    t = rho[0]
-    fill = (1 << t) - 1
-    out: dict[int, int] = {}
-    for mask, value in _column(n - t, rho[1:]).items():
-        beads = mask << t | fill
+def _shapes(n: int) -> tuple[list[int], dict[int, int]]:
+    """The n-bead masks of the partitions of n, descending as partitions(n)
+    is, and each mask's place.  A shape's one parent lacks a box of its last
+    part: the parent's mask, given a bottom bead, moves up its bottom run's
+    top bead (a new part 1) or, into an empty slot, the next bead."""
+    if not n:
+        return [0], {0: 0}
+    grown = []
+    for mask in _shapes(n - 1)[0]:
+        beads = mask << 1 | 1
+        run = beads & ~(beads + 1)
+        grown.append(beads + (run + 1 >> 1))
+        last = beads ^ run
+        last &= -last
+        if last and not beads & last << 1:
+            grown.append(beads + last)
+    masks = sorted(grown, reverse=True)
+    return masks, {mask: place for place, mask in enumerate(masks)}
+
+
+@cache
+def _moves(m: int, t: int) -> tuple[list[tuple[int, int]], ...]:
+    """By place of a shape of m, the (place in m + t, odd leg) of every
+    t-strip it can gain: its mask gains t beads at the bottom, then a bead
+    moves from b to an empty b + t, signed by the beads strictly between."""
+    places = _shapes(m + t)[1]
+    table = []
+    for mask in _shapes(m)[0]:
+        beads = mask << t | (1 << t) - 1
         # the beads at b whose slot b + t is empty
         movable = beads & ~(beads >> t)
+        moves = []
         while movable:
             low = movable & -movable
             movable ^= low
             dest = low << t
-            new = beads ^ low ^ dest
-            # the leg: beads strictly between, as slot b + t is empty
             odd_leg = (beads & (dest - (low << 1))).bit_count() & 1
-            out[new] = out.get(new, 0) + (-value if odd_leg else value)
-    return {mask: value for mask, value in out.items() if value}
+            moves.append((places[beads - low + dest], odd_leg))
+        table.append(moves)
+    return tuple(table)
+
+
+@cache
+def _column(n: int, rho: tuple[int, ...]) -> tuple[int, ...]:
+    """chi_lambda(rho) for every lambda of n by place: MN read as
+    multiplication by p_t, t = rho[0], on the column of rho[1:] through the
+    move table of (n - t, t).  Every cycle type ending in rho shares it."""
+    if not rho:
+        return (1,)
+    t = rho[0]
+    out = [0] * len(_shapes(n)[0])
+    for value, moves in zip(_column(n - t, rho[1:]), _moves(n - t, t)):
+        if value:
+            for place, odd_leg in moves:
+                out[place] += -value if odd_leg else value
+    return tuple(out)
 
 
 # largest n whose characters come from _column; above it, from _mn
@@ -157,37 +185,28 @@ COLUMN_MAX_N = 20
 
 
 @cache
-def _checked(parts: tuple, cycle_type: bool
-             ) -> tuple[tuple[int, ...], int, int]:
-    """A validated shape, or a cycle type sorted after conversion, with its
-    size n and its n-bead mask, the key of both _column and _mn: part i of
-    the shape padded to n parts puts a bead at part + n - 1 - i.  Cached on
-    the input as given (a refusal raises, uncached)."""
+def _probe(parts: tuple, cycle_type: bool) -> tuple[int, int | tuple]:
+    """Size n and key of a validated shape, or of a cycle type sorted after
+    conversion: the shape's place and rho's column for n <= COLUMN_MAX_N,
+    above it _mn's keys, the n-bead mask (part i of n parts puts a bead at
+    part + n - 1 - i) and rho.  Cached as given (a refusal raises)."""
     t = as_partition(sorted(map(int, parts), reverse=True) if cycle_type
                      else parts)
     n = sum(t)
-    return t, n, (sum(1 << (p + n - 1 - i) for i, p in enumerate(t))
-                  | (1 << n - len(t)) - 1)
-
-
-def _character(shape: tuple[tuple[int, ...], int, int],
-               rho: tuple[int, ...]) -> int:
-    """chi_shape(rho) for a _checked shape and a canonical cycle type of
-    its size: read off the cached column of rho for n <= COLUMN_MAX_N, by
-    border-strip removal above it."""
-    _, n, mask = shape
-    if n <= COLUMN_MAX_N:
-        return _column(n, rho).get(mask, 0)
-    return _mn(mask, rho)
+    if cycle_type:
+        return n, _column(n, t) if n <= COLUMN_MAX_N else t
+    mask = (sum(1 << (p + n - 1 - i) for i, p in enumerate(t))
+            | (1 << n - len(t)) - 1)
+    return n, _shapes(n)[1][mask] if n <= COLUMN_MAX_N else mask
 
 
 def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
-    """chi_lambda(rho), by Murnaghan-Nakayama (see _character)."""
-    checked = _checked(tuple(shape), False)
-    rho, rho_size, _ = _checked(tuple(cycle_type), True)
-    if checked[1] != rho_size:
-        raise ValueError(f"|shape|={checked[1]} != |cycle type|={rho_size}")
-    return _character(checked, rho)
+    """chi_lambda(rho), by Murnaghan-Nakayama (see _probe)."""
+    n, shape_key = _probe(tuple(shape), False)
+    rho_size, rho_key = _probe(tuple(cycle_type), True)
+    if n != rho_size:
+        raise ValueError(f"|shape|={n} != |cycle type|={rho_size}")
+    return rho_key[shape_key] if n <= COLUMN_MAX_N else _mn(shape_key, rho_key)
 
 
 @lru_cache(maxsize=None)
@@ -220,8 +239,9 @@ def two_row_column(n: int, j: int) -> tuple[int, ...]:
 def involution_characters(shape: Sequence[int], width: int) -> list[int]:
     """chi_shape(2^j 1^(n-2j)) for j < width, by border-strip removal from
     the one shape: the columns _column builds at these few cycle types cost
-    15-40 ms per n at n = 18..20, against under 1 ms pointwise."""
-    _, n, mask = _checked(tuple(shape), False)
+    6-10 ms per n at n = 18..20, against about 1 ms pointwise."""
+    n, key = _probe(tuple(shape), False)
+    mask = _shapes(n)[0][key] if n <= COLUMN_MAX_N else key
     return [_mn(mask, two_cycle_type(n, j)) for j in range(width)]
 
 

@@ -9,6 +9,7 @@ from qimm.characters import (
     COLUMN_MAX_N,
     _column,
     _mn,
+    _shapes,
     alpha,
     alpha_table,
     as_partition,
@@ -163,15 +164,18 @@ def bead_mask(lam):
 
 
 def test_column_route_matches_removal_route():
-    # every column holds only nonzero values, and reading it agrees with
-    # border-strip removal on every (lambda, rho) with n <= 12
+    # every column holds one value per partition of n, in partitions(n)
+    # order (the descending order of the n-bead masks), and reading it
+    # agrees with border-strip removal on every (lambda, rho) with n <= 12
     for n in range(13):
         parts = list(partitions(n))
+        assert _shapes(n)[0] == [bead_mask(lam) for lam in parts]
         for rho in parts:
-            assert 0 not in _column(n, rho).values()
-            for lam in parts:
-                assert mn_character(lam, rho) == _mn(bead_mask(lam), rho), (
-                    lam, rho)
+            column = _column(n, rho)
+            assert len(column) == len(parts)
+            for lam, by_place in zip(parts, column):
+                assert mn_character(lam, rho) == by_place == _mn(
+                    bead_mask(lam), rho), (lam, rho)
 
 
 def test_selector_covers_both_routes():
@@ -188,9 +192,9 @@ def test_selector_covers_both_routes():
             asked_mn = _mn.cache_info() != before
             assert asked_mn == (n > COLUMN_MAX_N), (n, rho)
             column = _column(n, rho)
-            for lam, value in zip(parts, values):
-                mask = bead_mask(lam)
-                assert value == column.get(mask, 0) == _mn(mask, rho)
+            assert len(column) == len(parts)
+            for lam, value, by_place in zip(parts, values, column):
+                assert value == by_place == _mn(bead_mask(lam), rho)
                 if rho == (1,) * n:
                     assert value == syt_count(lam)
                 elif rho == (n,):
@@ -209,6 +213,17 @@ def test_s12_character_table_pinned():
     rows = [[mn_character(lam, rho) for rho in parts] for lam in parts]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "3b5f82d4905713ff4964a97cad29c11a502c8b807f282193455830bf09d06b69")
+
+
+def test_s17_character_table_pinned_and_orthogonal():
+    # the table the tables-paths benchmark workload reads: the digest the
+    # CI workflow pins, and each column's squares summing to z_rho
+    parts = list(partitions(17))
+    rows = [[mn_character(lam, rho) for rho in parts] for lam in parts]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "bfccd58615357f22e2d11c007db2864c6d8e8960e9864882ab9495ce89f749d5")
+    for b, rho in enumerate(parts):
+        assert sum(row[b] ** 2 for row in rows) == centralizer_size(rho), rho
 
 
 def test_murnaghan_nakayama_edge_values():

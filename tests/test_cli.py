@@ -762,6 +762,25 @@ def test_full_verification_script_reader_gone(tmp_path):
     assert (tmp_path / "verdicts.jsonl").exists()
 
 
+def test_full_verification_script_reads_its_arguments_first(tmp_path):
+    # --help prints the usage; an unknown flag or a second OUTDIR exits 2
+    # with one error line; neither creates a directory
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "run_full_verification.py")
+    for args, code in ((["--help"], 0), (["--bogus"], 2), (["-x"], 2),
+                       (["a", "b"], 2), (["a", "--deep", "b"], 2)):
+        proc = subprocess.run([sys.executable, str(script), *args],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == code, (args, proc.stderr)
+        if code:
+            assert proc.stderr.startswith("error: ") and (
+                proc.stderr.count("\n") == 1), args
+        else:
+            assert proc.stdout.startswith("usage: ") and not proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "alpha-table", "0")
     assert code == 2 and "error" in err
