@@ -185,27 +185,32 @@ COLUMN_MAX_N = 20
 
 
 @cache
-def _probe(parts: tuple, cycle_type: bool) -> tuple[int, int | tuple]:
-    """Size n and key of a validated shape, or of a cycle type sorted after
-    conversion: the shape's place and rho's column for n <= COLUMN_MAX_N,
-    above it _mn's keys, the n-bead mask (part i of n parts puts a bead at
-    part + n - 1 - i) and rho.  Cached as given (a refusal raises)."""
-    t = as_partition(sorted(map(int, parts), reverse=True) if cycle_type
-                     else parts)
-    n = sum(t)
-    if cycle_type:
-        return n, _column(n, t) if n <= COLUMN_MAX_N else t
-    mask = (sum(1 << (p + n - 1 - i) for i, p in enumerate(t))
-            | (1 << n - len(t)) - 1)
-    return n, _shapes(n)[1][mask] if n <= COLUMN_MAX_N else mask
+def _shape(parts: tuple, placed: bool) -> tuple[int, int]:
+    """Size n and n-bead mask of a validated shape, cached as given (part
+    i puts a bead at part + n - 1 - i, empty rows fill the lowest slots),
+    or, `placed`, its key: its place, or above COLUMN_MAX_N its mask."""
+    shape = as_partition(parts)
+    n = sum(shape)
+    mask = (sum(1 << (p + n - 1 - i) for i, p in enumerate(shape))
+            | (1 << n - len(shape)) - 1)
+    return n, _shapes(n)[1][mask] if placed and n <= COLUMN_MAX_N else mask
+
+
+@cache
+def _cycles(parts: tuple, n: int) -> tuple[int, ...]:
+    """The key of a cycle type of a shape of n, sorted after conversion:
+    its column, or above COLUMN_MAX_N rho; a refusal builds no column."""
+    rho = as_partition(sorted(map(int, parts), reverse=True))
+    if sum(rho) != n:
+        raise ValueError(f"|shape|={n} != |cycle type|={sum(rho)}")
+    return _column(n, rho) if n <= COLUMN_MAX_N else rho
 
 
 def mn_character(shape: Sequence[int], cycle_type: Sequence[int]) -> int:
-    """chi_lambda(rho), by Murnaghan-Nakayama (see _probe)."""
-    n, shape_key = _probe(tuple(shape), False)
-    rho_size, rho_key = _probe(tuple(cycle_type), True)
-    if n != rho_size:
-        raise ValueError(f"|shape|={n} != |cycle type|={rho_size}")
+    """chi_lambda(rho), by Murnaghan-Nakayama: one cached probe per
+    argument, the shape's (_shape), then the cycle type's (_cycles)."""
+    n, shape_key = _shape(tuple(shape), True)
+    rho_key = _cycles(tuple(cycle_type), n)
     return rho_key[shape_key] if n <= COLUMN_MAX_N else _mn(shape_key, rho_key)
 
 
@@ -240,8 +245,7 @@ def involution_characters(shape: Sequence[int], width: int) -> list[int]:
     """chi_shape(2^j 1^(n-2j)) for j < width, by border-strip removal from
     the one shape: the columns _column builds at these few cycle types cost
     6-10 ms per n at n = 18..20, against about 1 ms pointwise."""
-    n, key = _probe(tuple(shape), False)
-    mask = _shapes(n)[0][key] if n <= COLUMN_MAX_N else key
+    n, mask = _shape(tuple(shape), False)
     return [_mn(mask, two_cycle_type(n, j)) for j in range(width)]
 
 

@@ -1,6 +1,7 @@
-"""One function per verifiable claim, each returning InequalityVerdict
-records.  The CLI `verify` subcommands and the acceptance suite both drive
-these; results are deterministic given the parameters.
+"""One function per verifiable claim, each returning Verdicts: plans of
+rows in key order, one per claim form.  The CLI `verify` subcommands and
+the acceptance suite both drive these; results are deterministic given
+the parameters.
 
 Claim ids: thm1-weak, thm1-strong, thm2, lem6, lem9, cor10, lem11, lem13,
 rem12, lem15-bij, lem16-bij, lem17-conv, lem18, lem19, lem20, lem21,
@@ -9,17 +10,14 @@ lem22, rem20, a0-identity, oracle-equivalence.
 
 from __future__ import annotations
 
-import csv
+import re
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
-from json.encoder import (JSONEncoder, c_make_encoder,
-                          encode_basestring_ascii)
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from math import factorial, isqrt
-from operator import attrgetter, itemgetter
-from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
                          two_row_shape)
@@ -33,8 +31,10 @@ from .immanants import (
     OUTCOME_FLAGS,
     REM12,
     THEOREM_MIN_N,
+    Form,
     InequalityVerdict,
-    RatioForm,
+    Plan,
+    Verdicts,
     a_coeff_arrays,
     cor10_row,
     default_q_grid,
@@ -240,22 +240,29 @@ def _class_walk(n: int, check: Callable) -> tuple[int, dict]:
     return covered, defaultdict(list)
 
 
-def _tree_verdict(claim, params, fails, witness) -> InequalityVerdict:
-    """Holds when no tree failed; detail names the first five failures."""
-    return InequalityVerdict(claim=claim, params=params, holds=not fails,
-                             witness=witness, detail="; ".join(fails[:5]))
+# A row made up front: holds << 2 | asserted (2), its detail, its values.
+# A tree sweep's detail, its one %s, names the first five failures.  Each
+# form's rows are sorted once by their params as strings (_verdicts): the
+# key order, since every row of a form has its param names.
+_FAILURES = ("%s",)
 
 
-def _two_row_failures(n: int, weights: Sequence[Sequence[int]]
-                      ) -> tuple[str, ...]:
-    """thm2 on an n-vertex tree with c_j t-arrays `weights`: each k whose
-    gap has a negative coefficient, worded as the sweep reports it."""
-    return tuple(f"k={k}: {gap}"
-                 for k, gap in enumerate(two_row_gaps(n, weights), 1)
-                 if any(c < 0 for c in gap))
+def _row(holds: bool, values: tuple, detail: int = 0) -> tuple:
+    return holds << 2 | 2, detail, values
 
 
-def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
+def _tree_row(fails: list[str], *values) -> tuple:
+    return _row(not fails, (*values, "; ".join(fails[:5])))
+
+
+def _verdicts(*plans: tuple[Form, list[tuple]]) -> Verdicts:
+    for form, rows in plans:
+        rows.sort(key=lambda row: [str(v) for v in row[2][:len(form.names)]])
+    return Verdicts([Plan(form, len(rows), rows.__iter__)
+                     for form, rows in plans])
+
+
+def verify_two_row(config: SweepConfig) -> Verdicts:
     """Theorem 2 sweep: exhaustive for small n, over one tree per
     isomorphism class (`_class_walk`), and seeded random sampling of
     labeled trees above the exhaustive cap."""
@@ -269,13 +276,14 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
         weights = matching_weight_arrays(tree)
         key = tuple(map(tuple, weights))
         fails = memo.get(key)
-        if fails is None:
-            fails = _two_row_failures(tree.n, weights)
+        if fails is None:  # each k whose gap has a negative coefficient
+            fails = tuple(f"k={k}: {gap}" for k, gap in enumerate(
+                two_row_gaps(tree.n, weights), 1) if any(c < 0 for c in gap))
             if len(memo) < THM2_MEMO_MAX:
                 memo[key] = fails
         for what in fails:
             yield "thm2", what
-    verdicts = []
+    rows = []
     for n in config.span("n_max"):
         memo.clear()
         if n <= config.exhaustive_tree_max:
@@ -286,20 +294,21 @@ def verify_two_row(config: SweepConfig) -> list[InequalityVerdict]:
             checked, failures = _walk(
                 random_trees(n, config.random_count, config.seed), check)
         fails = failures["thm2"]
-        verdicts.append(_tree_verdict(
-            "thm2", {"n": n, "trees": src_label, "k": f"1..{n // 2}"}, fails,
-            f"{checked} trees, {len(fails)} violations"))
-    return verdicts
+        rows.append(_tree_row(fails, f"1..{n // 2}", n, src_label, checked,
+                              len(fails)))
+    return _verdicts((Form("thm2", ("k", "n", "trees"),
+                           "%d trees, %d violations", _FAILURES,
+                           ("k", "trees")), rows))
 
 
-def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_hook(config: SweepConfig) -> Verdicts:
     """Theorem 1 weak and strong hook chains on the default exact q grid,
     over one tree per isomorphism class (`_class_walk`).  The smallest
     margin per claim is named by the first labeled tree in Pruefer order,
     at its first k, whose hook_margins gap attains it; that walk stops as
     soon as every claim has one."""
     grid = default_q_grid()
-    verdicts = []
+    rows = defaultdict(list)
     for n in config.span("hook_n_max"):
         low: dict[str, Fraction] = {}  # weak, strong
 
@@ -322,16 +331,18 @@ def verify_hook(config: SweepConfig) -> list[InequalityVerdict]:
                 break
         for claim, gap in low.items():
             tree, k = witness[claim]
-            verdicts.append(_tree_verdict(
-                claim, {"n": n, "trees": "all", "grid": f"{len(grid)} points"},
-                failures[claim],
-                f"{checked} trees; min gap {gap} ({tree.label()}, k={k})"))
-    return verdicts
+            rows[claim].append(_tree_row(
+                failures[claim], f"{len(grid)} points", n, "all", checked,
+                str(gap), tree.label(), k))
+    return _verdicts(*((Form(claim, ("grid", "n", "trees"),
+                             "%d trees; min gap %s (%s, k=%d)", _FAILURES,
+                             ("grid", "trees")), rows[claim])
+                       for claim in sorted(rows)))
 
 
 def _by_str(start: int, stop: int) -> list[int]:
-    """range(start, stop) in the order of its values as strings: the order
-    _sort_key puts a parameter in."""
+    """range(start, stop) in the order of its values as strings: a
+    parameter's order in the key."""
     return sorted(range(start, stop), key=str)
 
 
@@ -347,19 +358,15 @@ def verify_alpha_ratios(config: SweepConfig) -> Verdicts:
     def alpha(row, lem6):
         # i <= n//2 (i < n//2 for lem6) and k < n//2, so n starts at
         # 2 max(i + lem6, k + 1), which is at least the sweep's start 2
-        def rows():
-            for i in _by_str(0, n_max // 2 + 1 - lem6):
-                for k in _by_str(0, n_max // 2):
-                    for n in _by_str(2 * max(i + lem6, k + 1), n_max + 1):
-                        yield row(n, k, i)
-        return rows
+        for i in _by_str(0, n_max // 2 + 1 - lem6):
+            for k in _by_str(0, n_max // 2):
+                for n in _by_str(2 * max(i + lem6, k + 1), n_max + 1):
+                    yield row(n, k, i)
 
     def last(row):  # 1 <= k < l
-        def rows():
-            for k in _by_str(1, l_max):
-                for l in _by_str(k + 1, l_max + 1):
-                    yield row(l, k)
-        return rows
+        for k in _by_str(1, l_max):
+            for l in _by_str(k + 1, l_max + 1):
+                yield row(l, k)
 
     def cor10():  # 1 <= r <= k < l
         for k in _by_str(1, l_max):
@@ -368,13 +375,14 @@ def verify_alpha_ratios(config: SweepConfig) -> Verdicts:
                 for r in rs:
                     yield cor10_row(l, k, r)
 
-    return Verdicts(plans=(
-        _Plan(LEM13, sum(h * (h + 1) for h in halves), alpha(lem13_row, 0)),
-        _Plan(LEM6, sum(h * h for h in halves), alpha(lem6_row, 1)),
-        _Plan(LEM9, sum(l - 1 for l in l_span), last(lem9_row)),
-        _Plan(COR10, sum(l * (l - 1) // 2 for l in l_span), cor10),
-        _Plan(LEM11, sum(l - 1 for l in l_span), last(lem11_row)),
-    ))
+    return Verdicts([
+        Plan(COR10, sum(l * (l - 1) // 2 for l in l_span), cor10),
+        Plan(LEM11, sum(l - 1 for l in l_span), partial(last, lem11_row)),
+        Plan(LEM13, sum(h * (h + 1) for h in halves),
+             partial(alpha, lem13_row, 0)),
+        Plan(LEM6, sum(h * h for h in halves), partial(alpha, lem6_row, 1)),
+        Plan(LEM9, sum(l - 1 for l in l_span), partial(last, lem9_row)),
+    ])
 
 
 def verify_general_sr(config: SweepConfig) -> Verdicts:
@@ -395,29 +403,20 @@ def verify_general_sr(config: SweepConfig) -> Verdicts:
                     for s in sides:
                         yield rem12_row(l, s, r, k, row[s], row[r + s])
 
-    return Verdicts(plans=[_Plan(
-        REM12, _sr_verdicts(config.sr_max, l_max), rows)])
+    return Verdicts([Plan(REM12, _sr_verdicts(config.sr_max, l_max), rows)])
 
 
 # -- path claims ---------------------------------------------------------------
 
 
-def verify_callan(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_callan(config: SweepConfig) -> Verdicts:
     """lem15-bij: exhaustive round trips plus the published example pair.
     UHD(l, l-k+1), the target of slice k, is the row listed for k - 1."""
-    verdicts = []
     golden_ok = (
         str(callan_fwd(LatticePath("UDDUUUUH"))) == "DUUHUUUH"
         and str(callan_inv(LatticePath("UDDHDUUU"))) == "DUUHUDDH"
     )
-    verdicts.append(
-        InequalityVerdict(
-            claim="lem15-bij",
-            params={"case": "published-examples"},
-            holds=golden_ok,
-            witness="f(UDDUUUUH), f^-1(UDDHDUUU)",
-        )
-    )
+    rows = []
     for l in config.span("callan_l_max"):
         u_up: list[LatticePath] = []
         for k in range(l + 1):
@@ -434,22 +433,18 @@ def verify_callan(config: SweepConfig) -> list[InequalityVerdict]:
                 and len(grp) == last_value(l, k)
                 and len(u_here) - len(grp) == len(u_up)
             )
-            verdicts.append(
-                InequalityVerdict(
-                    claim="lem15-bij",
-                    params={"l": l, "k": k},
-                    holds=ok,
-                    witness=f"|UHD|={len(u_here)}, |GRP|={len(grp)}, "
-                            f"|UHD+1|={len(u_up)}",
-                )
-            )
+            rows.append(_row(ok, (k, l, len(u_here), len(grp), len(u_up))))
             u_up = u_here
-    return verdicts
+    return _verdicts(
+        (Form("lem15-bij", ("case",), "f(UDDUUUUH), f^-1(UDDHDUUU)",
+              strings=("case",)), [_row(golden_ok, ("published-examples",))]),
+        (Form("lem15-bij", ("k", "l"), "|UHD|=%d, |GRP|=%d, |UHD+1|=%d"),
+         rows))
 
 
-def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_doubling(config: SweepConfig) -> Verdicts:
     """lem16-bij: the doubled image is exactly the odd-peak-free slice."""
-    verdicts = []
+    rows = []
     for l in config.span("double_l_max"):
         for k in range(l + 1):
             grp = enumerate_paths("GRP", l, l - k)
@@ -470,23 +465,16 @@ def verify_doubling(config: SweepConfig) -> list[InequalityVerdict]:
                 == restricted_count_histogram(2 * l, k)[0]
                 and len(grp) == last_value(l, k)
             )
-            verdicts.append(
-                InequalityVerdict(
-                    claim="lem16-bij",
-                    params={"l": l, "k": k},
-                    holds=ok,
-                    witness=f"|GRP|={len(grp)}, image={len(images)}",
-                )
-            )
-    return verdicts
+            rows.append(_row(ok, (k, l, len(grp), len(images))))
+    return _verdicts((Form("lem16-bij", ("k", "l"), "|GRP|=%d, image=%d"),
+                      rows))
 
 
-def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_counting(config: SweepConfig) -> Verdicts:
     """lem18 (even n) and lem19 (odd n): restricted path counts equal the
     alpha table entrywise."""
-    verdicts = []
+    rows = defaultdict(list)
     for n in config.span("count_n_max"):
-        claim = "lem18" if n % 2 == 0 else "lem19"
         half = n // 2
         table = alpha_table(n)
         for k in range(half + 1):
@@ -494,80 +482,50 @@ def verify_counting(config: SweepConfig) -> list[InequalityVerdict]:
             for i in range(half + 1):
                 counted = allowed_count(hist, n, i)
                 expect = table.get(k, i)
-                verdicts.append(
-                    InequalityVerdict(
-                        claim=claim,
-                        params={"n": n, "k": k, "i": i},
-                        holds=counted == expect,
-                        witness=f"paths {counted}, alpha {expect}",
-                    )
-                )
-    return verdicts
+                rows["lem19" if n % 2 else "lem18"].append(
+                    _row(counted == expect, (i, k, n, counted, expect)))
+    return _verdicts(*((Form(claim, ("i", "k", "n"), "paths %d, alpha %d"),
+                        rows[claim]) for claim in sorted(rows)))
 
 
-def verify_probability(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_probability(config: SweepConfig) -> Verdicts:
     """lem20 on paths and lem21 on tableaux, with exact rationals.  Each
     path class and tableau shape has its histogram counted once per n, by
     two separately written state transfers (restricted_count_histogram,
     syt_descent_histogram), so no path or tableau is listed; every i
     reads a prefix of a histogram."""
-    verdicts = []
+    lem20, lem21 = [], []
     for n in config.span("prob_n_max"):
         path_seqs = probability_sequences(n)
-        for i, seq in enumerate(path_seqs):
-            verdicts.append(
-                InequalityVerdict(
-                    claim="lem20",
-                    params={"n": n, "i": i},
-                    holds=weakly_decreasing(seq),
-                    witness=", ".join(f"k={k}:{p}" for k, p in seq),
-                )
-            )
         # tableau side: descents with odd RowDiff, counted from the rows
         syt_hists = [syt_descent_histogram(n, k) for k in range(n // 2 + 1)]
-        for i, path_seq in enumerate(path_seqs):
+        for i, seq in enumerate(path_seqs):
             seq2 = [(k, Fraction(allowed_count(h, n, i), sum(h)))
                     for k, h in enumerate(syt_hists)]
-            verdicts.append(
-                InequalityVerdict(
-                    claim="lem21",
-                    params={"n": n, "i": i},
-                    holds=weakly_decreasing(seq2) and seq2 == path_seq,
-                    witness=", ".join(f"k={k}:{p}" for k, p in seq2),
-                    detail="" if seq2 == path_seq
-                    else "tableau and path probabilities disagree",
-                )
-            )
-    return verdicts
+            for rows, holds, probs, detail in (
+                    (lem20, weakly_decreasing(seq), seq, 0),
+                    (lem21, weakly_decreasing(seq2) and seq2 == seq, seq2,
+                     seq2 != seq)):
+                rows.append(_row(holds, (i, n, ", ".join(
+                    f"k={k}:{p}" for k, p in probs)), detail))
+    return _verdicts((Form("lem20", ("i", "n"), "%s"), lem20),
+                     (Form("lem21", ("i", "n"), "%s",
+                           ("", "tableau and path probabilities disagree")),
+                      lem21))
 
 
-def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_identities(config: SweepConfig) -> Verdicts:
     """rem20 (Catalan-Riordan), lem17-conv (binomial-Riordan expansion),
     and lem22: successive differences of (1+x)^(n-2i) (1+x+x^2)^i by
     convolution against alpha(n, (n-k, k), i), alpha's definition through
     general Murnaghan-Nakayama (alpha_table is that product)."""
-    verdicts = []
     report = sequence_identities(RIORDAN_L_MAX)
-    for l, lhs, rhs, ok in report["catalan_riordan"]:
-        verdicts.append(
-            InequalityVerdict(
-                claim="rem20",
-                params={"l": l},
-                holds=ok,
-                witness=f"C_{l}={lhs}, convolution={rhs}",
-            )
-        )
-    for (l, k, i), lhs, rhs, ok in report["convolution"]:
-        if l > CONV_L_MAX:
-            break
-        verdicts.append(
-            InequalityVerdict(
-                claim="lem17-conv",
-                params={"l": l, "k": k, "i": i},
-                holds=ok,
-                witness=f"alpha={lhs}, sum={rhs}",
-            )
-        )
+    rem20 = [_row(ok, (l, l, lhs, rhs))
+             for l, lhs, rhs, ok in report["catalan_riordan"]]
+    lem17 = [_row(ok, (i, k, l, lhs, rhs))
+             for (l, k, i), lhs, rhs, ok in report["convolution"]
+             if l <= CONV_L_MAX]
+    lem22 = []
     for n in config.span("count_n_max"):
         half = n // 2
         for i in range(half + 1):
@@ -576,21 +534,17 @@ def verify_identities(config: SweepConfig) -> list[InequalityVerdict]:
             diffs = successive_differences(conv(coeffs, tri))
             for k, diff in enumerate(diffs[:half + 1]):
                 value = alpha(n, two_row_shape(n, k), i)
-                verdicts.append(
-                    InequalityVerdict(
-                        claim="lem22",
-                        params={"n": n, "k": k, "i": i},
-                        holds=diff == value,
-                        witness=f"diff {diff}, alpha {value}",
-                    )
-                )
-    return verdicts
+                lem22.append(_row(diff == value, (i, k, n, diff, value)))
+    return _verdicts(
+        (Form("lem17-conv", ("i", "k", "l"), "alpha=%d, sum=%d"), lem17),
+        (Form("lem22", ("i", "k", "n"), "diff %d, alpha %d"), lem22),
+        (Form("rem20", ("l",), "C_%d=%d, convolution=%d"), rem20))
 
 
 # -- immanant infrastructure claims --------------------------------------------
 
 
-def verify_oracle(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_oracle(config: SweepConfig) -> Verdicts:
     """oracle-equivalence: matching route equals brute force for every
     labeled tree and every shape, n <= oracle_n_max, over one tree per
     isomorphism class (`_class_walk`).  Relabeling conjugates the
@@ -601,17 +555,16 @@ def verify_oracle(config: SweepConfig) -> list[InequalityVerdict]:
         for shape, ok in oracle_equivalence_report(tree):
             if not ok:
                 yield "oracle-equivalence", str(shape)
-    verdicts = []
+    rows = []
     for n in config.span("oracle_n_max"):
         checked, failures = _class_walk(n, check)
-        verdicts.append(_tree_verdict(
-            "oracle-equivalence",
-            {"n": n, "trees": "all", "shapes": "all partitions"},
-            failures["oracle-equivalence"], f"{checked} trees"))
-    return verdicts
+        rows.append(_tree_row(failures["oracle-equivalence"], n,
+                              "all partitions", "all", checked))
+    return _verdicts((Form("oracle-equivalence", ("n", "shapes", "trees"),
+                           "%d trees", _FAILURES, ("shapes", "trees")), rows))
 
 
-def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
+def verify_a_coeffs(config: SweepConfig) -> Verdicts:
     """a0-identity: a_0 = 1 - q^2; a_i even with nonnegative coefficients
     for i >= 1; reconstruction through the alpha table is exact.  On t =
     q^2 arrays a_i is even by construction and a_0 reads [1, -1]."""
@@ -626,158 +579,97 @@ def verify_a_coeffs(config: SweepConfig) -> list[InequalityVerdict]:
                 yield "a0-identity", f"a{i}"
         if not eq5_holds(tree.n, weights, a):
             yield "a0-identity", "reconstruction"
-    verdicts = []
+    rows = []
     for n in config.span("oracle_n_max"):
         checked, failures = _class_walk(n, check)
-        verdicts.append(_tree_verdict(
-            "a0-identity", {"n": n, "trees": "all"}, failures["a0-identity"],
-            f"{checked} trees"))
-    return verdicts
+        rows.append(_tree_row(failures["a0-identity"], n, "all", checked))
+    return _verdicts((Form("a0-identity", ("n", "trees"), "%d trees",
+                           _FAILURES, ("trees",)), rows))
 
 
 # -- verdict lines ---------------------------------------------------------------
 
-# A verify JSON line is json.dumps(v.to_json(), sort_keys=True): one % of
-# VERDICT_LINE over the fields in name order, typed as VERDICT_SLOTS says:
-# bools from _BOOL, strings by json's ASCII escaper, params by a C
-# encoder with json.dumps' sorted-key settings, built once here.  A CSV
-# row is csv_row of to_json()'s values, params as its JSON text.
-VERDICT_SLOTS = dict(asserted="bool", claim="str", degenerate="bool",
-                     detail="str", holds="bool", params="dict", witness="str")
-VERDICT_LINE = "{%s}\n" % ", ".join(
-    f"{encode_basestring_ascii(name)}: %s" for name in VERDICT_SLOTS)
+# A verify line is one % of a template `writers` makes per claim form,
+# outcome and detail: in JSON, json.dumps(v.to_json(), sort_keys=True);
+# in CSV, the row csv.writer writes of to_json()'s values, params as that
+# JSON's text.  A %d slot stays in the template; a field with a %s slot is
+# one %s there, made whole per row and escaped once.
+_CSV_ORDER = [f.name for f in fields(InequalityVerdict)]
+_JSON_ORDER = sorted(_CSV_ORDER)
 _BOOL = ("false", "true")
-# each slot's JSON text, a params slot already being JSON
-_JSON_SLOT = dict(bool=_BOOL.__getitem__, str=encode_basestring_ascii,
-                  dict=str)
-_params_chunks = c_make_encoder(None, JSONEncoder().default,
-                                encode_basestring_ascii, None, ": ", ", ",
-                                True, False, True)
-# csv.writer's writerow returns what its file's write returns: with str
-# as write, the CSV line itself
-csv_row = csv.writer(SimpleNamespace(write=str)).writerow
+_CSV_QUOTED = re.compile('[,"\r\n]')  # what makes csv.writer quote a field
 
 
-def json_line(v: InequalityVerdict) -> str:
-    return VERDICT_LINE % (
-        _BOOL[v.asserted], encode_basestring_ascii(v.claim),
-        _BOOL[v.degenerate], encode_basestring_ascii(v.detail),
-        _BOOL[v.holds], "".join(_params_chunks(v.params, 0)),
-        encode_basestring_ascii(v.witness))
+def csv_field(text: str) -> str:
+    """One field as csv.writer writes it (quoted where _CSV_QUOTED)."""
+    return ('"%s"' % text.replace('"', '""') if _CSV_QUOTED.search(text)
+            else text)
 
 
-def csv_line(v: InequalityVerdict) -> str:
-    return csv_row({**v.to_json(), "params": "".join(
-        _params_chunks(v.params, 0))}.values())
+def csv_row(values: Iterable) -> str:
+    """The line csv.writer writes for `values`."""
+    return ",".join(csv_field(str(v)) for v in values) + "\r\n"
 
 
-def check_slots(verdict_fields) -> None:
-    """Refuse a verdict whose fields are not VERDICT_SLOTS."""
-    typed = {f.name: f.type for f in verdict_fields}
-    if typed != VERDICT_SLOTS:
-        raise TypeError(f"InequalityVerdict fields {typed} are not the "
-                        f"slots a verdict line writes, {VERDICT_SLOTS}")
+def _field(text: str, outer: Callable[[str], str],
+           quote: Callable[[str], str] = str) -> tuple:
+    """A field's template piece, its slots' kinds, and what makes its %
+    arguments from their values (None: the values as they are): outer(text)
+    with its %d slots left in, or, with a %s slot, one %s made per row as
+    outer(text % the values), each str value through quote first."""
+    kinds = "".join(re.findall("%([%ds])", text)).replace("%", "")
+    if "s" not in kinds:
+        return outer(text), kinds, None
+    return "%s", kinds, lambda values: (outer(text % tuple(
+        quote(v) if kind == "s" else v for kind, v in zip(kinds, values))),)
 
 
-check_slots(fields(InequalityVerdict))
+def writers(form: Form, fmt: str) -> list[list[Callable[[tuple], str]]]:
+    """For each outcome and detail, what makes a row's JSON (or, under fmt
+    "csv", CSV) line from its values: one % of the line's template, the
+    bound % itself where the slots take the values as they come."""
+    csv = fmt == "csv"
+    text = csv_field if csv else encode_basestring_ascii
+    params = _field("{%s}" % ", ".join(
+        f"{encode_basestring_ascii(name).replace('%', '%%')}: "
+        f"%{'s' if name in form.strings else 'd'}" for name in form.names),
+        csv_field if csv else str, encode_basestring_ascii)
+    witness = _field(form.witness, text)
 
+    def writer(outcome, detail):
+        by_name = {"claim": (text(form.claim.replace("%", "%%")), "", None),
+                   "params": params, "witness": witness,
+                   "detail": _field(form.details[detail], text)}
+        for name, flag in zip(("holds", "asserted", "degenerate"),
+                              OUTCOME_FLAGS[outcome]):
+            by_name[name] = (str(flag) if csv else _BOOL[flag], "", None)
+        # a row's values fill the params, then the witness, then the detail
+        first = {"params": 0, "witness": len(params[1]),
+                 "detail": len(params[1]) + len(witness[1])}
+        pieces, parts = [], []  # parts: (the field's values, make)
+        for name in (_CSV_ORDER if csv else _JSON_ORDER):
+            piece, kinds, make = by_name[name]
+            pieces.append(piece if csv else f'"{name}": {piece}')
+            if kinds:
+                parts.append((slice(first[name], first[name] + len(kinds)),
+                              make))
+        template = (",".join(pieces) + "\r\n" if csv
+                    else "{%s}\n" % ", ".join(pieces))
+        starts = [taken.start for taken, _ in parts]
+        if starts == sorted(starts) and not any(make for _, make in parts):
+            return template.__mod__
 
-def _literal(text: str) -> str:
-    return text.replace("%", "%%")
+        def write(values):
+            args = []
+            for taken, make in parts:
+                args += make(values[taken]) if make else values[taken]
+            return template % tuple(args)
+        return write
+    return [[writer(outcome, detail) for detail in range(len(form.details))]
+            for outcome in range(len(OUTCOME_FLAGS))]
 
 
 # -- dispatcher ------------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _sort_layout(names: tuple) -> tuple[str, Callable]:
-    """_sort_key's %-template and value getter for params of these names."""
-    order = sorted(names)
-    get = itemgetter(*order) if len(order) > 1 else (
-        lambda params: tuple(params[name] for name in order))
-    return "\0".join(["%s", *(name.replace("%", "%%") + "\0%s"
-                              for name in order)]), get
-
-
-def _sort_key(v: InequalityVerdict) -> str:
-    """One string: the claim, then each parameter name and str(value) in
-    name order, joined by NUL.  NUL sorts below every character a claim,
-    name or value holds, so where one string ends first, here or in the
-    tuple (claim, sorted((name, str(value)), ...)), it sorts first in
-    both: the two keys order verdicts alike."""
-    template, values = _sort_layout(tuple(v.params))
-    return template % (v.claim, *values(v.params))
-
-
-class _Plan:
-    """One ratio claim's verdicts as rows (see RatioForm), made one at a
-    time in key order by `rows`, and how many it makes."""
-
-    __slots__ = ("form", "claim", "count", "rows")
-
-    def __init__(self, form: RatioForm, count: int,
-                 rows: Callable[[], Iterator[tuple]]):
-        self.form, self.claim, self.count, self.rows = (form, form.claim,
-                                                        count, rows)
-
-    def lines(self, fmt: str) -> list[list[str]]:
-        """The claim's JSON or CSV (fmt "csv") line for each outcome and
-        detail, with the row's values left as %d: a row's line is one % of
-        lines[outcome][detail] over its values.  Built per call, as a CSV
-        writer's first row allocates a 128 KiB buffer it keeps."""
-        form = self.form
-        params = "{%s}" % ", ".join(
-            f"{_literal(encode_basestring_ascii(name))}: %d"
-            for name in form.names)
-        order = [f.name for f in fields(InequalityVerdict)]
-
-        def line(flags, detail):
-            slots = dict(zip(("holds", "asserted", "degenerate"), flags),
-                         claim=_literal(form.claim), params=params,
-                         witness=form.witness, detail=_literal(detail))
-            if fmt == "csv":
-                return csv_row(slots[name] for name in order)
-            return VERDICT_LINE % tuple(
-                _JSON_SLOT[kind](slots[name])
-                for name, kind in VERDICT_SLOTS.items())
-        return [[line(flags, detail) for detail in form.details]
-                for flags in OUTCOME_FLAGS]
-
-
-class Verdicts:
-    """Verdicts in canonical (_sort_key) order: the eager ones, sorted
-    once when built, and each planned claim's, made as iteration reaches
-    them.  _sort_key puts the claim first, then NUL, so the stream is each
-    claim's verdicts in turn, in claim-name order, and a plan makes its
-    claim's verdicts in key order.  Sized and re-iterable: each pass makes
-    the planned verdicts anew and holds none of them."""
-
-    __slots__ = ("eager", "plans")
-
-    def __init__(self, eager: Iterable[InequalityVerdict] = (),
-                 plans: Iterable[_Plan] = ()):
-        self.eager = sorted(eager, key=_sort_key)
-        self.plans = sorted(plans, key=attrgetter("claim"))
-
-    def __len__(self) -> int:
-        return len(self.eager) + sum(plan.count for plan in self.plans)
-
-    def parts(self) -> Iterator[InequalityVerdict | _Plan]:
-        """The eager verdicts in order, each plan in its place among them."""
-        pending = self.plans[::-1]  # the next plan last
-        for v in self.eager:
-            # a claim name that sorts first has the keys that sort first
-            while pending and pending[-1].claim < v.claim:
-                yield pending.pop()
-            yield v
-        yield from reversed(pending)
-
-    def __iter__(self) -> Iterator[InequalityVerdict]:
-        for part in self.parts():
-            if isinstance(part, _Plan):
-                yield from map(part.form.verdict, part.rows())
-            else:
-                yield part
 
 
 VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
@@ -785,9 +677,9 @@ VERIFY_NAMES = ("two-row", "hook", "alpha-ratios", "general-sr", "paths",
 
 
 def run_claims(which: str, config: SweepConfig) -> Verdicts:
-    """The claim set of one of VERIFY_NAMES, in canonical order.  The
-    ratio claims (alpha-ratios, general-sr) are plans, made as the
-    sequence is iterated; every other verdict is made here."""
+    """The claim set of one of VERIFY_NAMES, in canonical order: every
+    sweep's plans, merged by claim.  The ratio claims' rows are made as
+    the sequence is iterated; every other claim's are made here."""
     if which not in VERIFY_NAMES:
         raise ValueError(f"unknown claim set {which!r}; use one of "
                          f"{', '.join(VERIFY_NAMES)}")
@@ -798,17 +690,9 @@ def run_claims(which: str, config: SweepConfig) -> Verdicts:
               "probability": (verify_probability,),
               "identities": (verify_identities,),
               "all": (verify_oracle, verify_a_coeffs)}
-    eager, plans = [], []
-    for name, group in sweeps.items():
-        if which in (name, "all"):
-            for sweep in group:
-                part = sweep(config)
-                if isinstance(part, Verdicts):
-                    eager += part.eager
-                    plans += part.plans
-                else:
-                    eager += part
-    return Verdicts(eager, plans)
+    plans = [plan for name, group in sweeps.items() if which in (name, "all")
+             for sweep in group for plan in sweep(config).plans]
+    return Verdicts(sorted(plans, key=lambda plan: plan.form.claim))
 
 
 # A tally counts verdicts per claim by outcome, at index

@@ -37,21 +37,20 @@ from .claims import (
     OUTCOMES,
     VERIFY_NAMES,
     SweepConfig,
-    Verdicts,
     check_cap,
-    csv_line,
     csv_row,
-    json_line,
     run_claims,
     summary,
+    writers,
 )
 from .immanants import (
     InequalityVerdict,
-    check_hook_chain,
-    check_two_row_chain,
+    Verdicts,
     extract_a_coeffs,
+    hook_chain,
     immanant_bruteforce,
     immanant_tree,
+    two_row_chain,
 )
 from .trees import (
     Tree,
@@ -189,31 +188,22 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
             yield f"{row_name}{idx}".rjust(cell + 2) + " " + cells + "\n"
 
 
-def render_verdicts(verdicts: Iterable[InequalityVerdict], fmt: str,
+def render_verdicts(verdicts: Verdicts, fmt: str,
                     out: str | None) -> dict[str, list[int]]:
     """The verify stream to `out`, or stdout when None: one CSV row or
-    JSON line per verdict, JSON closing on the summary line.  Each line is
-    written as it is made, and the loop that makes it tallies its verdict
-    (claims.summary reads the tally); the tally is returned.  A planned
-    claim of claims.Verdicts makes no verdict: each of its rows is one %
-    of the plan's line for the row's outcome and detail."""
+    JSON line per row of each plan, each one % of its outcome and detail's
+    line (claims.writers), written as it is made and tallied in the loop
+    that makes it; JSON closes on the summary line.  Returns the tally."""
     tally = defaultdict(lambda: [0] * OUTCOMES)
-    line = csv_line if fmt == "csv" else json_line
-    parts = verdicts.parts() if isinstance(verdicts, Verdicts) else verdicts
 
     def lines():
         if fmt == "csv":
             yield csv_row(f.name for f in fields(InequalityVerdict))
-        for part in parts:
-            if isinstance(part, InequalityVerdict):
-                tally[part.claim][part.holds << 2 | part.asserted << 1
-                                  | part.degenerate] += 1
-                yield line(part)
-            else:
-                counts, templates = tally[part.claim], part.lines(fmt)
-                for outcome, detail, values in part.rows():
-                    counts[outcome] += 1
-                    yield templates[outcome][detail] % values
+        for plan in verdicts.plans:
+            counts, line = tally[plan.form.claim], writers(plan.form, fmt)
+            for outcome, detail, values in plan.rows():
+                counts[outcome] += 1
+                yield line[outcome][detail](values)
         if fmt != "csv":
             yield _JSON.encode({"summary": summary(tally)}) + "\n"
 
@@ -311,10 +301,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if tree.n < 2:
             raise ValueError("--tree needs a tree on at least 2 vertices")
         if args.which == "two-row":
-            verdicts = check_two_row_chain(tree)
+            verdicts = two_row_chain(tree)
         else:
             grid = parse_q_grid(args.q_grid) if args.q_grid else None
-            verdicts = check_hook_chain(tree, grid)
+            verdicts = hook_chain(tree, grid)
     else:
         verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
     fmt = args.format if args.format != "text" else "json"

@@ -28,14 +28,16 @@ two-row sums and degrees read whole two_row_column columns.
 The oracle expands the q-Laplacian's integer q-coefficient lists
 directly.  RatPoly appears only where a polynomial leaves the module.
 
-Verifier results are InequalityVerdict records (sweeps read the gaps
-from hook_margins and two_row_gaps); a ratio lemma's maker gives a row of
-plain values, which its RatioForm turns into one.  `holds` is the honest
-outcome of the exact check; `degenerate` marks instances whose ratio form
-divides by zero; `asserted` marks instances inside the range this
-artifact vouches for.  The stated ranges of the last-row ratio lemmas
-contain a few small counterexamples refuted by the published triangle
-itself (see LEMMA9_ERRATA); those are reported, not asserted.
+A verdict is a row of plain values, which its claim's Form turns into
+an InequalityVerdict record: the ratio lemmas' makers here, the --tree
+chains (two_row_chain, hook_chain) and the sweeps in `claims`, which
+read the gaps from hook_margins and two_row_gaps, all give rows.
+`holds` is the honest outcome of the exact check; `degenerate` marks
+instances whose ratio form divides by zero; `asserted` marks instances
+inside the range this artifact vouches for.  The stated ranges of the
+last-row ratio lemmas contain a few small counterexamples refuted by the
+published triangle itself (see LEMMA9_ERRATA); those are reported, not
+asserted.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .characters import (
     alpha_table,
@@ -94,6 +96,64 @@ class InequalityVerdict:
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# a verdict's outcome index, holds << 2 | asserted << 1 | degenerate, as
+# its three flags (holds, asserted, degenerate)
+OUTCOME_FLAGS = tuple((bool(o & 4), bool(o & 2), bool(o & 1))
+                      for o in range(8))
+
+
+@dataclass(frozen=True, slots=True)
+class Form:
+    """What every verdict of one claim shares: its param names (sorted),
+    those with str values, a witness %-form and detail %-forms.  A verdict
+    is a row (outcome, detail, values): outcome is holds << 2 | asserted
+    << 1 | degenerate, detail indexes `details`, and values fill the
+    params in name order, then the witness's slots, then the detail's."""
+
+    claim: str
+    names: tuple[str, ...]
+    witness: str
+    details: tuple[str, ...] = ("",)
+    strings: tuple[str, ...] = ()
+
+    def verdict(self, row: tuple) -> InequalityVerdict:
+        """The InequalityVerdict of one row."""
+        outcome, detail, values = row
+        holds, asserted, degenerate = OUTCOME_FLAGS[outcome]
+        width = len(self.names)
+        # the witness's slots: one per %, less two per literal %%
+        split = width + self.witness.count("%") - 2 * self.witness.count("%%")
+        return InequalityVerdict(
+            self.claim, dict(zip(self.names, values[:width])), holds,
+            degenerate, asserted, self.witness % values[width:split],
+            self.details[detail] % values[split:])
+
+
+class Plan(NamedTuple):
+    """One claim form's verdicts as rows, how many, and what makes them
+    anew, in order, at each call."""
+
+    form: Form
+    count: int
+    rows: Callable[[], Iterator[tuple]]
+
+
+@dataclass
+class Verdicts:
+    """Plans of rows: from the sweeps each in key order (the claim, then
+    each param's str value in name order), merged by claim in run_claims.
+    Sized and re-iterable; each pass makes the verdicts anew."""
+
+    plans: list[Plan]
+
+    def __len__(self) -> int:
+        return sum(plan.count for plan in self.plans)
+
+    def __iter__(self) -> Iterator[InequalityVerdict]:
+        for plan in self.plans:
+            yield from map(plan.form.verdict, plan.rows())
 
 
 def default_q_grid() -> tuple[Fraction, ...]:
@@ -272,8 +332,9 @@ def two_row_gaps(n: int, weights: Sequence[Sequence[int]]
             for row in _two_row_gap_table(n, len(weights))]
 
 
-def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
-    """Per k: imm_{k-1} - imm_k must be even in q with coefficients >= 0.
+def two_row_chain(tree: Tree) -> Verdicts:
+    """Per k, in order: imm_{k-1} - imm_k must be even in q with
+    coefficients >= 0.
 
     That certificate is sufficient for the inequality at every real q and
     is what the term-by-term proof produces.  On t = q^2 arrays evenness
@@ -281,27 +342,23 @@ def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
     Instances with n < THEOREM_MIN_N are reported but not asserted (the
     path on four vertices genuinely fails at k = 2 for large |q|).
     """
-    n = tree.n
+    n, label = tree.n, tree.label()
     dims = two_row_column(n, 0)
-    label = tree.label()
-    verdicts = []
+    rows = []
     for k, arr in enumerate(two_row_gaps(n, matching_weight_arrays(tree)), 1):
         holds = all(c >= 0 for c in arr)
         witness = str(from_t(arr, dims[k] * dims[k - 1]))
-        detail = ""
-        if not holds:
-            detail = f"difference imm_{k-1} - imm_{k} = {witness}"
-        verdicts.append(
-            InequalityVerdict(
-                claim="thm2",
-                params={"n": n, "tree": label, "k": k},
-                holds=holds,
-                witness=witness,
-                asserted=n >= THEOREM_MIN_N,
-                detail=detail,
-            )
-        )
-    return verdicts
+        rows.append((holds << 2 | (n >= THEOREM_MIN_N) << 1, not holds,
+                     (k, n, label, witness)
+                     + ((), (k - 1, k, witness))[not holds]))
+    form = Form("thm2", ("k", "n", "tree"), "%s",
+                ("", "difference imm_%d - imm_%d = %s"), ("tree",))
+    return Verdicts([Plan(form, len(rows), rows.__iter__)])
+
+
+def check_two_row_chain(tree: Tree) -> list[InequalityVerdict]:
+    """The verdicts of two_row_chain."""
+    return list(two_row_chain(tree))
 
 
 # -- Theorem 1: the hook chain ----------------------------------------------
@@ -388,67 +445,43 @@ def hook_margins(tree: Tree, q_grid: Sequence[Fraction] | None = None
     return margins
 
 
+def hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
+               ) -> Verdicts:
+    """One row per hook_margins entry, in its order, holding when its gap
+    is >= 0."""
+    n, label = tree.n, tree.label()
+    chains: dict[str, list[tuple]] = {"thm1-weak": [], "thm1-strong": []}
+    for claim, k, gap, q in hook_margins(tree, q_grid):
+        at = (str(gap), str(q))
+        chains[claim].append(((gap >= 0) << 2 | 2, gap < 0,
+                              (k, n, label, *at) + at * (gap < 0)))
+    return Verdicts([Plan(Form(claim, ("k", "n", "tree"), "min gap %s at q=%s",
+                               ("", "negative gap %s at q=%s"), ("tree",)),
+                          len(rows), rows.__iter__)
+                     for claim, rows in chains.items()])
+
+
 def check_hook_chain(tree: Tree, q_grid: Sequence[Fraction] | None = None
                      ) -> list[InequalityVerdict]:
-    """One verdict per hook_margins entry, holding when its gap is >= 0."""
-    n, label = tree.n, tree.label()
-    return [
-        InequalityVerdict(
-            claim=claim,
-            params={"n": n, "tree": label, "k": k},
-            holds=gap >= 0,
-            witness=f"min gap {gap} at q={q}",
-            detail="" if gap >= 0 else f"negative gap {gap} at q={q}",
-        )
-        for claim, k, gap, q in hook_margins(tree, q_grid)
-    ]
+    """The verdicts of hook_chain."""
+    return list(hook_chain(tree, q_grid))
 
 
 # -- alpha ratio inequalities -----------------------------------------------
 
 
-# a verdict's outcome index, holds << 2 | asserted << 1 | degenerate, as
-# its three flags (holds, asserted, degenerate)
-OUTCOME_FLAGS = tuple((bool(o & 4), bool(o & 2), bool(o & 1))
-                      for o in range(8))
-
-
-@dataclass(frozen=True, slots=True)
-class RatioForm:
-    """What every verdict of one ratio claim shares.  Its row makers give
-    a verdict as a row (outcome, detail, values): outcome is holds << 2 |
-    asserted << 1 | degenerate, detail indexes `details`, and values are
-    the params in `names` order (sorted), then the integers of the
-    `witness` %-form."""
-
-    claim: str
-    names: tuple[str, ...]
-    witness: str
-    details: tuple[str, ...]
-
-    def verdict(self, row: tuple) -> InequalityVerdict:
-        """The InequalityVerdict of one row."""
-        outcome, detail, values = row
-        holds, asserted, degenerate = OUTCOME_FLAGS[outcome]
-        width = len(self.names)
-        return InequalityVerdict(
-            self.claim, dict(zip(self.names, values[:width])), holds,
-            degenerate, asserted, self.witness % values[width:],
-            self.details[detail])
-
-
 # detail 1 of every cross-multiplied ratio, detail 2 its claim's own
 _CROSS = "gap %d = %d*%d - %d*%d"
 _RATIO_DETAILS = ("", "zero denominator")
-LEM13 = RatioForm("lem13", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
-LEM6 = RatioForm("lem6", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
-LEM9 = RatioForm("lem9", ("k", "l"), _CROSS, (
+LEM13 = Form("lem13", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
+LEM6 = Form("lem6", ("i", "k", "n"), _CROSS, _RATIO_DETAILS)
+LEM9 = Form("lem9", ("k", "l"), _CROSS, (
     *_RATIO_DETAILS, "published triangle refutes the stated range here"))
-COR10 = RatioForm("cor10", ("k", "l", "r"), _CROSS, (
+COR10 = Form("cor10", ("k", "l", "r"), _CROSS, (
     *_RATIO_DETAILS,
     "derivation chain passes through a refuted or degenerate instance"))
-LEM11 = RatioForm("lem11", ("k", "l"), _CROSS, _RATIO_DETAILS)
-REM12 = RatioForm("rem12", ("k", "l", "r", "s"), "gap %d", (
+LEM11 = Form("lem11", ("k", "l"), _CROSS, _RATIO_DETAILS)
+REM12 = Form("rem12", ("k", "l", "r", "s"), "gap %d", (
     "", "zero successive difference on the s side",
     "the r=s=1 case needs l >= 3; this is its excluded l = 2 instance"))
 

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from qimm import characters
 from qimm.characters import (
     COLUMN_MAX_N,
     _column,
@@ -204,6 +205,29 @@ def test_selector_covers_both_routes():
             assert involution_characters(lam, width) == [
                 mn_character(lam, two_cycle_type(n, j))
                 for j in range(width)], lam
+
+
+def test_refused_character_builds_no_column():
+    # a size mismatch is refused before the cycle type's column or any
+    # move table is built
+    characters._moves.cache_clear()
+    characters._column.cache_clear()
+    with pytest.raises(ValueError, match=r"\|shape\|=3 != \|cycle type\|=20"):
+        mn_character((2, 1), (1,) * 20)
+    assert characters._moves.cache_info().currsize == 0
+    assert characters._column.cache_info().currsize == 0
+    assert mn_character((2, 1), (2, 1)) == 0
+
+
+def test_involution_characters_list_no_shapes():
+    # border-strip removal reads the shape's mask, made from its parts by
+    # the formula the places are looked up with, not from a listing
+    characters._shapes.cache_clear()
+    assert involution_characters((16, 2), 10) == [
+        _mn(bead_mask((16, 2)), two_cycle_type(18, j)) for j in range(10)]
+    assert characters._shapes.cache_info().currsize == 0
+    assert mn_character((16, 2), (1,) * 18) == syt_count((16, 2))
+    assert characters._shapes.cache_info().currsize == 19
 
 
 def test_s12_character_table_pinned():

@@ -9,6 +9,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import fields
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,18 @@ from hypothesis import example, given, strategies as st
 from qimm import characters, claims, cli, paths
 from qimm.claims import SweepConfig
 from qimm.immanants import (
+    Form,
     InequalityVerdict,
-    RatioForm,
     check_alpha_ratios,
     check_general_sr,
     check_last_row_ratios,
+    cor10_row,
+    lem6_row,
+    lem9_row,
+    lem11_row,
+    lem13_row,
+    rem12_row,
+    sr_differences,
 )
 from qimm.cli import build_parser, main
 from qimm.paths import restricted_count_histogram
@@ -32,6 +40,9 @@ from qimm.trees import (
     random_trees,
     star_tree,
 )
+from verdict_reference import csv_line, json_line, sort_key
+from verdict_reference import plan as rows_plan
+from verdict_reference import stream as reference_stream
 
 # SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
 # json`, recorded before the probability sweep read every i from one
@@ -209,7 +220,7 @@ def test_run_claims_runs_only_a_verify_name(monkeypatch):
         if name.startswith("verify_"):
             monkeypatch.setattr(claims, name,
                                 lambda config, name=name: ran.append(name)
-                                or [])
+                                or claims.Verdicts([]))
     for which in claims.VERIFY_NAMES:
         ran.clear()
         assert list(claims.run_claims(which, SweepConfig())) == [], which
@@ -238,28 +249,33 @@ def per_instance_general_sr(config):
                 yield from check_general_sr(l, s, r)
 
 
-def eager_ratio_sweeps(monkeypatch):
-    """run_claims with every ratio verdict made up front, as a list."""
-    monkeypatch.setattr(claims, "verify_alpha_ratios",
-                        lambda config: list(per_instance_ratios(config)))
-    monkeypatch.setattr(claims, "verify_general_sr",
-                        lambda config: list(per_instance_general_sr(config)))
+def checker_verdicts(monkeypatch, which, config):
+    """run_claims' verdicts, as a list, with the ratio claims' made by the
+    per-instance checkers: the route the plans replace."""
+    for sweep in ("verify_alpha_ratios", "verify_general_sr"):
+        monkeypatch.setattr(claims, sweep, lambda config: claims.Verdicts([]))
+    made = list(claims.run_claims(which, config))
+    if which in ("alpha-ratios", "all"):
+        made += per_instance_ratios(config)
+    if which in ("general-sr", "all"):
+        made += per_instance_general_sr(config)
+    return made
 
 
 @pytest.mark.parametrize("deep", [False, True], ids=["default", "deep"])
 @pytest.mark.parametrize("which", claims.VERIFY_NAMES)
 def test_run_claims_streams_the_sorted_verdicts(monkeypatch, which, deep):
-    # the ratio claims are made as the sequence is iterated, in the order
-    # a full sort by _sort_key gives the verdicts made up front; its len()
+    # the ratio claims are made as the sequence is iterated, and every
+    # claim's verdicts come in the order the tests' reference key gives
+    # the verdicts with the ratio claims' made by the checkers; its len()
     # is the count it yields, and a second pass makes the same verdicts
     config = SweepConfig().deepen() if deep else SweepConfig()
     stream = claims.run_claims(which, config)
     made = list(stream)
     assert len(stream) == len(made)
     assert list(stream) == made
-    eager_ratio_sweeps(monkeypatch)
-    assert made == sorted(claims.run_claims(which, config),
-                          key=claims._sort_key)
+    assert made == sorted(checker_verdicts(monkeypatch, which, config),
+                          key=sort_key)
 
 
 SMALL_RATIO_CAPS = [
@@ -280,60 +296,104 @@ def test_ratio_plans_at_small_caps(monkeypatch, which, caps):
     stream = claims.run_claims(which, config)
     made = list(stream)
     assert len(stream) == len(made) and list(stream) == made
-    eager_ratio_sweeps(monkeypatch)
-    assert made == sorted(claims.run_claims(which, config),
-                          key=claims._sort_key)
+    assert made == sorted(checker_verdicts(monkeypatch, which, config),
+                          key=sort_key)
+    # the large-cap test's per-instance rows are the checkers' rows
+    forms = {plan.form.claim: plan.form for plan in stream.plans}
+    for name, rows, checked in (
+            ("alpha-ratios", ratio_rows, per_instance_ratios),
+            ("general-sr", general_sr_rows, per_instance_general_sr)):
+        if which in (name, "all"):
+            assert [forms[claim].verdict(row) for claim, row
+                    in rows(config)] == list(checked(config))
 
 
-def _fingerprint(v):
-    return hash((v.claim, tuple(sorted(v.params.items())), v.holds,
-                 v.degenerate, v.asserted, v.witness, v.detail))
+def ratio_rows(config):
+    """(claim, row) of the alpha-ratios claims, one instance at a time, as
+    check_alpha_ratios and check_last_row_ratios make them."""
+    for n in config.span("alpha_n_max"):
+        half = n // 2
+        for i in range(half + 1):
+            for k in range(half):
+                yield "lem13", lem13_row(n, k, i)
+                if i < half:
+                    yield "lem6", lem6_row(n, k, i)
+    for l in config.span("last_l_max"):
+        for k in range(1, l):
+            yield "lem9", lem9_row(l, k)
+            for r in range(1, k + 1):
+                yield "cor10", cor10_row(l, k, r)
+            yield "lem11", lem11_row(l, k)
+
+
+def general_sr_rows(config):
+    """(claim, row) of rem12, as check_general_sr makes them."""
+    for s in config.span("sr_max"):
+        for r in config.span("sr_max"):
+            for l in config.span("sr_l_max"):
+                da, db = sr_differences(l, s), sr_differences(l, r + s)
+                for k in range(l):
+                    yield "rem12", rem12_row(l, s, r, k, da, db)
 
 
 @pytest.mark.parametrize("which, caps, route", [
-    ("alpha-ratios", dict(alpha_n_max=100), per_instance_ratios),
-    ("alpha-ratios", dict(last_l_max=150), per_instance_ratios),
-    ("general-sr", dict(sr_max=6, sr_l_max=100), per_instance_general_sr),
+    ("alpha-ratios", dict(alpha_n_max=100), ratio_rows),
+    ("alpha-ratios", dict(last_l_max=150), ratio_rows),
+    ("general-sr", dict(sr_max=6, sr_l_max=100), general_sr_rows),
 ], ids=["alpha-n-max-100", "l-max-150", "sr-max-6-sr-l-max-100"])
 def test_ratio_plans_at_large_caps(which, caps, route):
-    # too many verdicts to hold twice (up to 570,000): the stream's keys
-    # strictly increase, so it is sorted with no repeat, and it holds the
-    # per-instance checkers' verdicts, as many, with the same sum of
-    # fingerprints
+    # too many verdicts to hold twice (up to 585,000), so rows, not
+    # verdicts: the claims come in name order and each plan's keys, its
+    # rows' params by str, strictly increase, so the stream is sorted with
+    # no repeat; per claim it holds the rows the per-instance checkers
+    # make, as many, with the same sum of fingerprints.  A key is the str
+    # of the params tuple: with ints only, "," and ")" after each value
+    # sort below its digits, so these strings order as the tuples of
+    # each value's str do
     config = SweepConfig(**caps)
     stream = claims.run_claims(which, config)
-    count, total, last = 0, 0, ""
-    for v in stream:
-        key = claims._sort_key(v)
-        assert key > last, (last, key)
-        count, total, last = count + 1, total + _fingerprint(v), key
-    assert count == len(stream)
-    made = [0, 0]
-    for v in route(config):
-        made[0] += 1
-        made[1] += _fingerprint(v)
-    assert made == [count, total]
+    names = [plan.form.claim for plan in stream.plans]
+    assert names == sorted(set(names))
+    seen = {}
+    for plan in stream.plans:
+        width, last, count, total = len(plan.form.names), "", 0, 0
+        for row in plan.rows():
+            key = str(row[2][:width])
+            assert key > last, (last, key)
+            last, count, total = key, count + 1, total + hash(row)
+        seen[plan.form.claim] = [count, total]
+    assert sum(count for count, _ in seen.values()) == len(stream)
+    made = {claim: [0, 0] for claim in seen}
+    for claim, row in route(config):
+        made[claim][0] += 1
+        made[claim][1] += hash(row)
+    assert made == seen
 
 
-def test_verdicts_iterate_claims_in_name_order():
-    # eager verdicts and plans of claims that sort before, between and
-    # after them, a claim name that is a prefix of another included
-    def verdict(claim, x):
-        return InequalityVerdict(claim=claim, params={"x": x}, holds=True)
+def test_verdicts_iterate_claims_in_name_order(monkeypatch):
+    # run_claims merges the sweeps' plans by claim name, a claim name that
+    # is a prefix of another included; plans of one claim keep their
+    # sweep's order, as lem15-bij's published-examples row before its
+    # (k, l) rows; Verdicts makes each plan's rows in turn
+    def plan(claim, name, xs):  # rows that hold, asserted, with no witness
+        return rows_plan(Form(claim, (name,), ""),
+                         [(0b110, 0, (x,)) for x in xs])
 
-    def plan(claim, xs):  # rows that hold, asserted, with no witness
-        return claims._Plan(RatioForm(claim, ("x",), "", ("",)), len(xs),
-                            lambda: ((0b110, 0, (x,)) for x in xs))
-
-    stream = claims.Verdicts(
-        [verdict("lem15", 2), verdict("c", 1), verdict("lem15", 10)],
-        [plan("z", [1]), plan("lem1", [3, 4]), plan("a", [5]),
-         plan("lem15-bij", [])])
-    assert [(v.claim, v.params["x"]) for v in stream] == [
-        ("a", 5), ("c", 1), ("lem1", 3), ("lem1", 4), ("lem15", 10),
-        ("lem15", 2), ("z", 1)]
+    made = {"verify_two_row": [plan("lem15", "x", [2]), plan("c", "x", [1]),
+                               plan("lem15", "y", [10])],
+            "verify_hook": [plan("z", "x", [1]), plan("lem1", "x", [3, 4])],
+            "verify_oracle": [plan("a", "x", [5]), plan("lem15-bij", "x", [])]}
+    for name in dir(claims):
+        if name.startswith("verify_"):
+            monkeypatch.setattr(claims, name, lambda config, name=name:
+                                claims.Verdicts(made.get(name, [])))
+    stream = claims.run_claims("all", SweepConfig())
+    assert [(v.claim, v.params) for v in stream] == [
+        ("a", {"x": 5}), ("c", {"x": 1}), ("lem1", {"x": 3}),
+        ("lem1", {"x": 4}), ("lem15", {"x": 2}), ("lem15", {"y": 10}),
+        ("z", {"x": 1})]
     assert len(stream) == 7
-    assert list(claims.Verdicts()) == [] and len(claims.Verdicts()) == 0
+    assert list(claims.Verdicts([])) == [] and len(claims.Verdicts([])) == 0
 
 
 # (which, caps, deep, the (claim, detail) pairs the rows must reach):
@@ -363,32 +423,34 @@ ROUTE_CASES = [
          for w, c, d, _ in ROUTE_CASES])
 def test_plan_lines_are_the_verdicts_lines(which, caps, deep, reached):
     # a planned row's JSON line and CSV row, one % of its plan's line for
-    # the row's outcome and detail, are json_line and csv_line of the
-    # verdict made from the same row; the whole stream, rendered from the
-    # plans or from the verdicts, is the same text with the same tally
+    # the row's outcome and detail, are the tests' reference json_line and
+    # csv_line of the verdict made from the same row; the whole stream
+    # rendered from the plans is the reference stream of those verdicts,
+    # with the same tally
     config = SweepConfig(**caps)
     stream = claims.run_claims(which, config.deepen() if deep else config)
-    seen = set()
+    seen, made = set(), []
+    lines = {"json": [], "csv": [reference_stream([], "csv")]}
     for plan in stream.plans:
-        json_lines, csv_lines = plan.lines("json"), plan.lines("csv")
+        writers = {fmt: claims.writers(plan.form, fmt) for fmt in lines}
         for row in plan.rows():
             outcome, detail, values = row
             v = plan.form.verdict(row)
             assert outcome == v.holds << 2 | v.asserted << 1 | v.degenerate
-            assert json_lines[outcome][detail] % values == claims.json_line(v)
-            assert csv_lines[outcome][detail] % values == claims.csv_line(v)
-            seen.add((plan.claim, detail))
+            for fmt, line in (("json", json_line(v)), ("csv", csv_line(v))):
+                assert writers[fmt][outcome][detail](values) == line
+                lines[fmt].append(line)
+            seen.add((plan.form.claim, detail))
+            made.append(v)
     assert reached <= seen
-    made = list(stream)
-    for fmt in ("json", "csv"):
-        routes = []
-        for verdicts in (stream, made):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                tally = cli.render_verdicts(verdicts, fmt, None)
-            routes.append((out.getvalue(), tally))
-        assert routes[0] == routes[1]
-        assert claims.summary(routes[0][1]) == claims.summarize(made)
+    lines["json"].append(json.dumps({"summary": claims.summarize(made)},
+                                    sort_keys=True) + "\n")
+    for fmt, want in lines.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            tally = cli.render_verdicts(stream, fmt, None)
+        assert out.getvalue() == "".join(want)
+        assert claims.summary(tally) == claims.summarize(made)
 
 
 @pytest.mark.parametrize("deep, want", [(False, GOLDEN_DEFAULT),
@@ -496,7 +558,8 @@ def test_cap_flag_defaults_are_sweep_config_defaults(monkeypatch, capsys):
     assert not any(hasattr(args, f.name) for f in fields(SweepConfig))
     built = []
     monkeypatch.setattr(cli, "run_claims",
-                        lambda which, sweep: built.append(sweep) or [])
+                        lambda which, sweep: built.append(sweep)
+                        or claims.Verdicts([]))
     assert main(["verify", "all"]) == 0
     assert built.pop() == SweepConfig()
     flags = {"--n-max": "n_max", "--hook-n-max": "hook_n_max",
@@ -562,9 +625,12 @@ def failing_tree_sweeps(monkeypatch):
         monkeypatch.setattr(claims, name, fake)
     config = SweepConfig(n_max=7, exhaustive_tree_max=6, random_count=7,
                          seed=3, hook_n_max=6, oracle_n_max=5)
+    # each sweep's verdicts in the order the digest was recorded in: per
+    # n, thm1-weak before thm1-strong
     return [v for sweep in (claims.verify_two_row, claims.verify_hook,
                             claims.verify_oracle, claims.verify_a_coeffs)
-            for v in sweep(config)]
+            for v in sorted(sweep(config), key=lambda v: (
+                v.params["n"], v.claim == "thm1-strong"))]
 
 
 def test_failing_tree_sweeps_report_unchanged(monkeypatch):
@@ -618,7 +684,11 @@ def failing_bijection_sweeps(monkeypatch):
                         colliding(double_fwd, first_grp))
     monkeypatch.setattr(claims, "enumerate_paths", dropping)
     config = SweepConfig(callan_l_max=6, double_l_max=7)
-    return claims.verify_callan(config) + claims.verify_doubling(config)
+    # each sweep's verdicts in the order the digest was recorded in: the
+    # published examples, then per l and k
+    return [v for sweep in (claims.verify_callan, claims.verify_doubling)
+            for v in sorted(sweep(config), key=lambda v: (
+                "case" not in v.params, v.params.get("l"), v.params.get("k")))]
 
 
 def test_failing_bijection_sweeps_report_unchanged(monkeypatch):
@@ -713,12 +783,12 @@ def test_class_walk_falls_back_to_labeled_trees(monkeypatch):
     monkeypatch.setattr(claims, "two_row_gaps", gaps)
     monkeypatch.setattr(claims, "a_coeff_arrays", a_arrays)
     config = SweepConfig(n_max=7, oracle_n_max=7)
-    thm2 = claims.verify_two_row(config)
+    thm2 = list(claims.verify_two_row(config))
     assert [(v.holds, v.witness) for v in thm2] == [
         (True, "125 trees, 0 violations"), (True, "1296 trees, 0 violations"),
         (False, "16807 trees, 7 violations")]
     assert thm2[-1].detail == _first_stars(7, f"k=1: {bad_gap}")
-    a0 = claims.verify_a_coeffs(config)
+    a0 = list(claims.verify_a_coeffs(config))
     assert [v.holds for v in a0] == [True] * 5 + [False]
     assert a0[-1].witness == "16807 trees"
     assert a0[-1].detail == _first_stars(7, "a0")
@@ -736,7 +806,7 @@ def test_thm2_memo_past_its_cap(monkeypatch):
 
     monkeypatch.setattr(claims, "two_row_gaps", gaps)
     config = SweepConfig(n_max=8, exhaustive_tree_max=0, random_count=200)
-    memoized = claims.verify_two_row(config)
+    memoized = list(claims.verify_two_row(config))
     assert [v.witness for v in memoized] == \
         ["200 trees, 200 violations"] * len(config.span("n_max"))
     distinct = {tuple(map(tuple, matching_weight_arrays(t)))
@@ -744,7 +814,7 @@ def test_thm2_memo_past_its_cap(monkeypatch):
     assert calls[8] == len(distinct)
     calls.clear()
     monkeypatch.setattr(claims, "THM2_MEMO_MAX", 1)
-    assert claims.verify_two_row(config) == memoized
+    assert list(claims.verify_two_row(config)) == memoized
     assert calls[8] > len(distinct)
 
 
@@ -852,9 +922,11 @@ def test_hook_witness_matches_labeled_walk(monkeypatch, case):
     monkeypatch.setattr(claims, "hook_margins", shifted)
     config = SweepConfig()
     verdicts = claims.verify_hook(config)
-    assert [(v.claim, v.holds, v.witness, v.detail) for v in verdicts] == [
-        row for n in config.span("hook_n_max")
-        for row in _labeled_hook_reference(n, shifted)]
+    # in key order: per claim, then n
+    assert [(v.claim, v.holds, v.witness, v.detail) for v in verdicts] == \
+        sorted((row for n in config.span("hook_n_max")
+                for row in _labeled_hook_reference(n, shifted)),
+               key=itemgetter(0))
     for v in verdicts:
         n = v.params["n"]
         named = [fail.split()[0] for fail in v.detail.split("; ") if fail]
@@ -866,39 +938,6 @@ def test_hook_witness_matches_labeled_walk(monkeypatch, case):
             path = next(t for t in all_labeled_trees(n)
                         if max(t.degrees()) == 2)
             assert f"({path.label()}, k=3)" in v.witness
-
-
-# text without NUL, often from a few low characters so that prefixes and
-# ties are common; ints negative or of many digits
-_KEY_TEXT = st.one_of(st.text("ab\x01", max_size=3),
-                      st.text(st.characters(blacklist_characters="\0"),
-                              max_size=5))
-_VALUES = st.one_of(st.integers(-20, 20), st.integers(-10**40, 10**40),
-                    _KEY_TEXT)
-
-
-def _verdicts(*params):
-    return [InequalityVerdict(claim=claim, params=p, holds=True)
-            for claim in ("lem9", "%s") for p in params]
-
-
-@given(st.lists(st.builds(
-    InequalityVerdict, claim=_KEY_TEXT,
-    params=st.dictionaries(_KEY_TEXT, _VALUES, max_size=4),
-    holds=st.booleans()), max_size=12))
-# the names and param counts a %-template of the key can get wrong
-@example(_verdicts({"50%": 1}, {"%s": "%d", "n": 2}, {"%": "%%"}))
-@example(_verdicts({}, {"n": 3}, {"n": "3"}, {"k": (1, 2)}))
-def test_sort_key_orders_as_the_tuple_key(verdicts):
-    def tuple_key(v):
-        return (v.claim, sorted((k, str(val)) for k, val in v.params.items()))
-
-    for v in verdicts:
-        assert claims._sort_key(v) == "\0".join(
-            [v.claim, *(f"{k}\0{v.params[k]!s}" for k in sorted(v.params))])
-    by_tuple = sorted(verdicts, key=tuple_key)
-    by_string = sorted(verdicts, key=claims._sort_key)
-    assert [id(v) for v in by_string] == [id(v) for v in by_tuple]
 
 
 @given(st.lists(st.builds(
