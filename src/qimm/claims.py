@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from math import factorial, isqrt
+from math import isqrt
 from typing import Callable, Iterable, Sequence
 
 from .characters import (alpha, alpha_table, last_value, poly_power_coeffs,
@@ -94,13 +94,14 @@ LAST_TABLE_MAX_L = 150
 # 1.1-1.9 s at --sr-max 50 and 0.7-0.8 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
-# The random thm2 sample: 100,000 labeled trees at n = 8 take about 9 s.
+# The random thm2 sample: its classes cover it at n <= ALL_TREES_MAX_N, so
+# 100,000 trees at n = 8 take about 0.1 s, and 3.5 s if a class fails.
 RANDOM_TREES_MAX = 100_000
-# One sampled thm2 tree on n vertices costs about 100,000 + n^4 ns (fitted
+# One walked thm2 tree on n vertices costs about 100,000 + n^4 ns (fitted
 # to n = 8..200, an over-estimate from n = 50 on, where big-integer
 # matching weights dominate); the sampled sweep, random_count trees for
 # each n past exhaustive_tree_max, may cost as much as RANDOM_TREES_MAX
-# trees at the default n_max = 8.
+# trees at the default n_max = 8 if every one of them were walked.
 SAMPLE_TREE_NS = 100_000
 # distinct c_j arrays the thm2 sweep memoizes per n: every class up to
 # n = 11 (235 free trees); above that most sampled trees have their own
@@ -220,24 +221,23 @@ def _walk(trees: Iterable[Tree], check: Callable) -> tuple[int, dict]:
     return checked, failures
 
 
-def _class_walk(n: int, check: Callable) -> tuple[int, dict]:
-    """`_walk` over every labeled tree on n vertices, for a `check` whose
-    outcome relabeling does not change (one that reads a tree only
-    through n and its matching weights, or through an expansion of its
-    q-Laplacian by permutation cycle type), so `check` runs once per
-    isomorphism class of `free_trees(n)`, which covers its n!/|Aut T|
-    labeled trees.
-    If any class fails, n is walked labeled, so failures name labeled
-    trees in Pruefer order.  Whatever else `check` records comes from
-    class representatives, which are labeled trees but not the first in
-    Pruefer order: `verify_hook` keeps only gap values and finds the
-    labeled tree that attains each by a walk of its own."""
-    covered = 0
-    for tree, aut in free_trees(n):
+def _class_walk(n: int, check: Callable, labeled: Iterable[Tree] | None = None,
+                count: int | None = None) -> tuple[int, dict]:
+    """`_walk` over `labeled`, `count` labeled trees on n vertices (all
+    n^(n-2) by default), for a `check` whose outcome relabeling does not
+    change (one that reads a tree only through n and its matching
+    weights, or through an expansion of its q-Laplacian by permutation
+    cycle type), so `check` runs once per isomorphism class of
+    `free_trees(n)`: when every class holds, so does every tree.
+    If any class fails, `labeled` is walked, so failures name its trees
+    in its order (Pruefer order by default).  Whatever else `check`
+    records comes from class representatives, which are labeled trees
+    but not the first in Pruefer order: `verify_hook` keeps only gap
+    values and finds the labeled tree that attains each by a walk."""
+    for tree, _ in free_trees(n):
         if any(check(tree)):
-            return _walk(all_labeled_trees(n), check)
-        covered += factorial(n) // aut
-    return covered, defaultdict(list)
+            return _walk(labeled or all_labeled_trees(n), check)
+    return (n ** (n - 2) if count is None else count), defaultdict(list)
 
 
 # A row made up front: holds << 2 | asserted (2), its detail, its values.
@@ -263,13 +263,14 @@ def _verdicts(*plans: tuple[Form, list[tuple]]) -> Verdicts:
 
 
 def verify_two_row(config: SweepConfig) -> Verdicts:
-    """Theorem 2 sweep: exhaustive for small n, over one tree per
-    isomorphism class (`_class_walk`), and seeded random sampling of
-    labeled trees above the exhaustive cap."""
-    # n and the c_j arrays fix a tree's failures, and a random sample
-    # repeats arrays (22 distinct ones among 1,000 trees at n = 8): the
-    # memo keeps each n's first THM2_MEMO_MAX arrays, so it stays small
-    # however many trees are sampled
+    """Theorem 2 sweep: exhaustive for small n and seeded random sampling
+    of labeled trees above the exhaustive cap.  For n <= ALL_TREES_MAX_N
+    either is covered by one tree per isomorphism class (`_class_walk`),
+    and only a failing class makes the sample be walked, tree by tree."""
+    # n and the c_j arrays fix a tree's failures, and a walked sample
+    # repeats arrays (no more distinct ones than classes: 106 at n = 10):
+    # the memo keeps each n's first THM2_MEMO_MAX arrays, class probes
+    # first, so it stays small however many trees are sampled
     memo: dict[tuple, tuple[str, ...]] = {}
 
     def check(tree):
@@ -286,13 +287,14 @@ def verify_two_row(config: SweepConfig) -> Verdicts:
     rows = []
     for n in config.span("n_max"):
         memo.clear()
-        if n <= config.exhaustive_tree_max:
-            src_label = "all"
-            checked, failures = _class_walk(n, check)
-        else:
+        src_label, labeled, count = "all", None, None
+        if n > config.exhaustive_tree_max:
             src_label = f"random:{config.random_count}:seed={config.seed}"
-            checked, failures = _walk(
-                random_trees(n, config.random_count, config.seed), check)
+            labeled = random_trees(n, config.random_count, config.seed)
+            count = config.random_count
+        checked, failures = (
+            _class_walk(n, check, labeled, count) if n <= ALL_TREES_MAX_N
+            else _walk(labeled, check))
         fails = failures["thm2"]
         rows.append(_tree_row(fails, f"1..{n // 2}", n, src_label, checked,
                               len(fails)))
@@ -519,12 +521,11 @@ def verify_identities(config: SweepConfig) -> Verdicts:
     and lem22: successive differences of (1+x)^(n-2i) (1+x+x^2)^i by
     convolution against alpha(n, (n-k, k), i), alpha's definition through
     general Murnaghan-Nakayama (alpha_table is that product)."""
-    report = sequence_identities(RIORDAN_L_MAX)
+    report = sequence_identities(RIORDAN_L_MAX, CONV_L_MAX)
     rem20 = [_row(ok, (l, l, lhs, rhs))
              for l, lhs, rhs, ok in report["catalan_riordan"]]
     lem17 = [_row(ok, (i, k, l, lhs, rhs))
-             for (l, k, i), lhs, rhs, ok in report["convolution"]
-             if l <= CONV_L_MAX]
+             for (l, k, i), lhs, rhs, ok in report["convolution"]]
     lem22 = []
     for n in config.span("count_n_max"):
         half = n // 2

@@ -414,9 +414,9 @@ def riordan_number(l: int) -> int:
     return last_value(l, l)
 
 
-def sequence_identities(l_max: int) -> dict:
-    """Catalan-Riordan convolution and the binomial-Riordan expansion of
-    every alpha_{2l,k,i}, checked exactly for l <= l_max."""
+def sequence_identities(l_max: int, conv_l_max: int | None = None) -> dict:
+    """Catalan-Riordan convolution for l <= l_max and the binomial-Riordan
+    expansion of every alpha_{2l,k,i} for l <= conv_l_max (or l_max)."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     catalan_riordan = []
@@ -424,7 +424,7 @@ def sequence_identities(l_max: int) -> dict:
         rhs = sum(comb(l, t) * riordan_number(l - t) for t in range(l + 1))
         catalan_riordan.append((l, catalan(l), rhs, catalan(l) == rhs))
     convolution = []
-    for l in range(1, l_max + 1):
+    for l in range(1, (l_max if conv_l_max is None else conv_l_max) + 1):
         table = alpha_table(2 * l)
         for k in range(l + 1):
             for i in range(l + 1):

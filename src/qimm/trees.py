@@ -49,6 +49,7 @@ ALL_TREES_MAX_N = 9
 # free_trees(15) lists 7,741 classes in about 5 s on a 2-vCPU host; the
 # cost grows about threefold per vertex, so larger n is refused up front
 FREE_TREES_MAX_N = 15
+_GROWN = [[((0, 0, 1), 2)]]  # free_trees' (parent, |Aut|) on m = 2, 3, ...
 
 
 @dataclass(frozen=True)
@@ -276,26 +277,25 @@ def _center_code(parent: Sequence[int], codes: dict) -> tuple[tuple, int]:
 def free_trees(n: int) -> list[tuple[Tree, int]]:
     """One tree per isomorphism class on n vertices, with |Aut T|.
 
-    The classes on m vertices come from those on m - 1 by adding leaf m
-    to every vertex, deduplicated by `_center_code`; no step recurses.
-    Every call certifies the list by Cayley's count: the classes cover
-    sum n!/|Aut T| = n^(n-2) labeled trees, each labeled tree once.
+    The classes on m vertices, grown once per process, come from those on
+    m - 1 by adding leaf m to every vertex, deduplicated by `_center_code`;
+    no step recurses.  Every call certifies a fresh list by Cayley's count:
+    sum n!/|Aut T| = n^(n-2), each labeled tree covered once.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if n > FREE_TREES_MAX_N:
         raise ValueError(f"tree classes capped at n <= {FREE_TREES_MAX_N}")
-    classes = [((0, 0, 1), 2)]  # the one tree on 2 vertices: parent, |Aut|
-    for m in range(3, n + 1):
+    for m in range(len(_GROWN) + 2, n + 1):
         codes: dict[tuple[int, ...], int] = {}
         grown: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for parent, _ in classes:
+        for parent, _ in _GROWN[-1]:
             for v in range(1, m):
                 key, aut = _center_code(parent + (v,), codes)
                 grown.setdefault(key, (parent + (v,), aut))
-        classes = list(grown.values())
+        _GROWN.append(list(grown.values()))
     out = [(Tree(n, tuple((parent[v], v) for v in range(2, n + 1))), aut)
-           for parent, aut in classes]
+           for parent, aut in _GROWN[n - 2]]
     covered = sum(factorial(n) // aut for _, aut in out)
     if covered != n ** (n - 2):
         raise ArithmeticError(f"{len(out)} tree classes on {n} vertices "

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qimm import characters, claims, cli, paths
+from qimm import characters, claims, cli, paths, trees
 from qimm.claims import SweepConfig
 from qimm.immanants import (
     Form,
@@ -797,7 +797,8 @@ def test_class_walk_falls_back_to_labeled_trees(monkeypatch):
 def test_thm2_memo_past_its_cap(monkeypatch):
     # each n keeps the failures of its first THM2_MEMO_MAX distinct c_j
     # arrays; arrays past the cap are checked afresh, and every sampled
-    # tree reports its own failure either way
+    # tree reports its own failure either way.  The first class of n is
+    # probed, fails and is memoized before the sample is walked
     calls = Counter()
 
     def gaps(n, weights):
@@ -811,7 +812,8 @@ def test_thm2_memo_past_its_cap(monkeypatch):
         ["200 trees, 200 violations"] * len(config.span("n_max"))
     distinct = {tuple(map(tuple, matching_weight_arrays(t)))
                 for t in random_trees(8, 200, config.seed)}
-    assert calls[8] == len(distinct)
+    probe = tuple(map(tuple, matching_weight_arrays(free_trees(8)[0][0])))
+    assert calls[8] == len(distinct | {probe})
     calls.clear()
     monkeypatch.setattr(claims, "THM2_MEMO_MAX", 1)
     assert list(claims.verify_two_row(config)) == memoized
@@ -819,8 +821,9 @@ def test_thm2_memo_past_its_cap(monkeypatch):
 
 
 def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):
-    # thm2 and a0-identity read one tree per isomorphism class; only the
-    # random sample above the exhaustive cap is labeled
+    # thm2 and a0-identity read one tree per isomorphism class, and so
+    # does the random sample at n = 8 <= ALL_TREES_MAX_N while every
+    # class holds: no sampled tree is read
     calls = Counter()
     weights = claims.matching_weight_arrays
 
@@ -832,11 +835,69 @@ def test_each_exhaustive_tree_sweep_visits_classes(monkeypatch):
     config = SweepConfig()
     claims.verify_two_row(config)
     claims.verify_a_coeffs(config)
-    exhaustive = range(claims.SWEEP_START["n_max"],
-                       config.exhaustive_tree_max + 1)
-    classes = sum(len(free_trees(n)) for n in (*exhaustive,
-                                               *config.span("oracle_n_max")))
-    assert sum(calls.values()) <= classes + config.random_count
+    assert calls == Counter(n for span in ("n_max", "oracle_n_max")
+                            for n in config.span(span)
+                            for _ in free_trees(n))
+
+
+def _sampled_thm2_reference(n, count, seed, gaps):
+    # (params, holds, witness, detail) of the sampled thm2 verdict at n,
+    # from a walk over the seeded labeled trees themselves
+    def check(tree):
+        for k, gap in enumerate(gaps(n, matching_weight_arrays(tree)), 1):
+            if any(c < 0 for c in gap):
+                yield "thm2", f"k={k}: {gap}"
+
+    checked, failures = claims._walk(random_trees(n, count, seed), check)
+    fails = failures["thm2"]
+    return ({"k": f"1..{n // 2}", "n": n,
+             "trees": f"random:{count}:seed={seed}"}, not fails,
+            f"{checked} trees, {len(fails)} violations", "; ".join(fails[:5]))
+
+
+def _thm2_rows(config):
+    return [(v.params, v.holds, v.witness, v.detail)
+            for v in claims.verify_two_row(config)]
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+def test_sampled_thm2_rows_match_the_sample_walk(count):
+    # a sampled n <= ALL_TREES_MAX_N is covered by its classes, and its
+    # row reads as the walk over the sampled labeled trees does
+    for seed in range(5):
+        config = SweepConfig(n_max=9, exhaustive_tree_max=7,
+                             random_count=count, seed=seed)
+        assert _thm2_rows(config)[-2:] == [_sampled_thm2_reference(
+            n, count, seed, claims.two_row_gaps) for n in (8, 9)]
+
+
+def test_sampled_thm2_failing_class_walks_the_sample(monkeypatch):
+    # with the stars patched to fail, each sampled n falls back to its
+    # sample and names the sampled stars as the labeled walk names them
+    two_row_gaps = claims.two_row_gaps
+    stars = {n: matching_weight_arrays(star_tree(n)) for n in range(5, 9)}
+
+    def gaps(n, weights):
+        out = two_row_gaps(n, weights)
+        return [[-1, *out[0]], *out[1:]] if weights == stars[n] else out
+
+    monkeypatch.setattr(claims, "two_row_gaps", gaps)
+    config = SweepConfig(n_max=8, exhaustive_tree_max=4, seed=3)
+    rows = _thm2_rows(config)
+    assert rows == [_sampled_thm2_reference(n, config.random_count, 3, gaps)
+                    for n in config.span("n_max")]
+    assert not rows[0][1]  # n = 5: stars are 1 in 25 labeled trees
+
+
+def test_default_two_row_decodes_no_tree(monkeypatch):
+    # the default sample at n = 8 is covered by the 23 classes of n = 8,
+    # so no Pruefer sequence is decoded
+    def decode(seq, n):
+        raise AssertionError(f"a tree on {n} vertices was decoded")
+
+    monkeypatch.setattr(trees, "pruefer_decode", decode)
+    assert [v.witness for v in claims.verify_two_row(SweepConfig())][-1] \
+        == "1000 trees, 0 violations"
 
 
 def test_oracle_sweep_visits_classes(monkeypatch):

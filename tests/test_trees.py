@@ -339,6 +339,19 @@ def test_free_trees_refused_above_cap_before_growth(monkeypatch):
         free_trees(trees.FREE_TREES_MAX_N + 1)
 
 
+def test_free_trees_grows_each_size_once(monkeypatch):
+    # the classes of n <= 8 are grown once; later calls only read them,
+    # each into a fresh list that the caller may change
+    free_trees(8).clear()
+
+    def grow(parent, codes):
+        raise AssertionError("a class was grown again")
+
+    monkeypatch.setattr(trees, "_center_code", grow)
+    assert [len(free_trees(n)) for n in range(2, 9)] == \
+        [1, 1, 2, 3, 6, 11, 23]
+
+
 def test_free_trees_automorphisms_by_brute_force():
     for n in range(2, 8):
         for tree, aut in free_trees(n):
@@ -366,13 +379,16 @@ def test_free_trees_weights_match_labeled_trees():
 @pytest.mark.parametrize("merge", [True, False],
                          ids=["too-coarse", "too-fine"])
 def test_free_trees_certified_on_every_call(monkeypatch, merge):
-    # a code that merges classes, or splits one, breaks Cayley's count
+    # a code that merges classes, or splits one, breaks Cayley's count;
+    # the growth cache starts from n = 2 again, so every class is grown
+    # by the broken code, and the cache is put back afterwards
     real = trees._center_code
 
     def code(parent, codes):
         aut = real(parent, codes)[1]
         return ((), aut) if merge else (tuple(parent), aut)
 
+    monkeypatch.setattr(trees, "_GROWN", trees._GROWN[:1])
     monkeypatch.setattr(trees, "_center_code", code)
     with pytest.raises(ArithmeticError, match=r"not 6\^4"):
         free_trees(6)
