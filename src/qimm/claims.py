@@ -10,6 +10,7 @@ lem22, rem20, a0-identity, oracle-equivalence.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
@@ -94,14 +95,13 @@ LAST_TABLE_MAX_L = 150
 # 1.1-1.9 s at --sr-max 50 and 0.7-0.8 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
-# The random thm2 sample: its classes cover it at n <= ALL_TREES_MAX_N, so
-# 100,000 trees at n = 8 take about 0.1 s, and 3.5 s if a class fails.
+# The random thm2 sample: covered by classes at n <= ALL_TREES_MAX_N (about
+# 0.1 s at n = 8 at the cap); a failing class walks it unpriced, ~10 s per n.
 RANDOM_TREES_MAX = 100_000
 # One walked thm2 tree on n vertices costs about 100,000 + n^4 ns (fitted
 # to n = 8..200, an over-estimate from n = 50 on, where big-integer
-# matching weights dominate); the sampled sweep, random_count trees for
-# each n past exhaustive_tree_max, may cost as much as RANDOM_TREES_MAX
-# trees at the default n_max = 8 if every one of them were walked.
+# matching weights dominate); the sample past exhaustive_tree_max and
+# ALL_TREES_MAX_N may cost as much as RANDOM_TREES_MAX walked at n = 8.
 SAMPLE_TREE_NS = 100_000
 # distinct c_j arrays the thm2 sweep memoizes per n: every class up to
 # n = 11 (235 free trees); above that most sampled trees have their own
@@ -147,7 +147,7 @@ class SweepConfig:
     these fields as their destinations and defaults.  A config, deepened
     or not, is checked when built, so no sweep starts above its SWEEP_MAX
     or below its SWEEP_START, the general-sr sweep writes at most
-    SR_VERDICTS_MAX verdicts and the sampled thm2 sweep costs at most
+    SR_VERDICTS_MAX verdicts and the walked thm2 sample costs at most
     SAMPLE_NS_MAX; exhaustive_tree_max is cut to n_max."""
 
     n_max: int = 8
@@ -177,9 +177,10 @@ class SweepConfig:
         check_cap("sr_max", self.sr_max,
                   isqrt(SR_VERDICTS_MAX // _sr_verdicts(1, self.sr_l_max)),
                   f" at sr_l_max = {self.sr_l_max}")
-        if self.n_max > self.exhaustive_tree_max:
-            check_cap("random_count", self.random_count, SAMPLE_NS_MAX
-                      // _sample_ns(self.exhaustive_tree_max + 1, self.n_max),
+        covered = max(self.exhaustive_tree_max, ALL_TREES_MAX_N)
+        if self.n_max > covered:
+            check_cap("random_count", self.random_count,
+                      SAMPLE_NS_MAX // _sample_ns(covered + 1, self.n_max),
                       f" at n_max = {self.n_max}")
 
     def deepen(self) -> "SweepConfig":
@@ -205,8 +206,8 @@ class SweepConfig:
 # flag cap, with the other flag at its default (195,000, at --sr-max 50)
 SR_VERDICTS_MAX = max(_sr_verdicts(SR_MAX, SweepConfig.sr_l_max),
                       _sr_verdicts(SweepConfig.sr_max, SR_L_MAX))
-# the sampled thm2 sweep: the cost of its random_count cap at the default
-# n_max, about 10 s
+# the walked thm2 sample: the cost of its random_count cap at the default
+# n_max if walked, about 10 s
 SAMPLE_NS_MAX = RANDOM_TREES_MAX * _sample_ns(SweepConfig.n_max,
                                               SweepConfig.n_max)
 
@@ -590,13 +591,15 @@ def verify_a_coeffs(config: SweepConfig) -> Verdicts:
 
 # -- verdict lines ---------------------------------------------------------------
 
-# A verify line is one % of a template `writers` makes per claim form,
-# outcome and detail: in JSON, json.dumps(v.to_json(), sort_keys=True);
-# in CSV, the row csv.writer writes of to_json()'s values, params as that
-# JSON's text.  A %d slot stays in the template; a field with a %s slot is
-# one %s there, made whole per row and escaped once.
-_CSV_ORDER = [f.name for f in fields(InequalityVerdict)]
-_JSON_ORDER = sorted(_CSV_ORDER)
+# A verify line is json.dumps(v.to_json(), sort_keys=True), made by JSON
+# like every sorted-key line, or in CSV the row csv.writer writes of
+# to_json()'s values, in CSV_ORDER, params as that JSON's text.  A form
+# whose slots are all %d (no str param, no %s in its witness, no % in any
+# detail) writes a row as one % of its outcome and detail's template, its
+# slots in field order in either format; any other form writes each line
+# from the row's verdict.
+CSV_ORDER = [f.name for f in fields(InequalityVerdict)]
+JSON = json.JSONEncoder(sort_keys=True)
 _BOOL = ("false", "true")
 _CSV_QUOTED = re.compile('[,"\r\n]')  # what makes csv.writer quote a field
 
@@ -612,61 +615,38 @@ def csv_row(values: Iterable) -> str:
     return ",".join(csv_field(str(v)) for v in values) + "\r\n"
 
 
-def _field(text: str, outer: Callable[[str], str],
-           quote: Callable[[str], str] = str) -> tuple:
-    """A field's template piece, its slots' kinds, and what makes its %
-    arguments from their values (None: the values as they are): outer(text)
-    with its %d slots left in, or, with a %s slot, one %s made per row as
-    outer(text % the values), each str value through quote first."""
-    kinds = "".join(re.findall("%([%ds])", text)).replace("%", "")
-    if "s" not in kinds:
-        return outer(text), kinds, None
-    return "%s", kinds, lambda values: (outer(text % tuple(
-        quote(v) if kind == "s" else v for kind, v in zip(kinds, values))),)
-
-
 def writers(form: Form, fmt: str) -> list[list[Callable[[tuple], str]]]:
     """For each outcome and detail, what makes a row's JSON (or, under fmt
-    "csv", CSV) line from its values: one % of the line's template, the
-    bound % itself where the slots take the values as they come."""
+    "csv", CSV) line from its values."""
     csv = fmt == "csv"
     text = csv_field if csv else encode_basestring_ascii
-    params = _field("{%s}" % ", ".join(
-        f"{encode_basestring_ascii(name).replace('%', '%%')}: "
-        f"%{'s' if name in form.strings else 'd'}" for name in form.names),
-        csv_field if csv else str, encode_basestring_ascii)
-    witness = _field(form.witness, text)
+    params = "{%s}" % ", ".join(
+        f"{encode_basestring_ascii(name).replace('%', '%%')}: %d"
+        for name in form.names)
 
-    def writer(outcome, detail):
-        by_name = {"claim": (text(form.claim.replace("%", "%%")), "", None),
-                   "params": params, "witness": witness,
-                   "detail": _field(form.details[detail], text)}
-        for name, flag in zip(("holds", "asserted", "degenerate"),
-                              OUTCOME_FLAGS[outcome]):
-            by_name[name] = (str(flag) if csv else _BOOL[flag], "", None)
-        # a row's values fill the params, then the witness, then the detail
-        first = {"params": 0, "witness": len(params[1]),
-                 "detail": len(params[1]) + len(witness[1])}
-        pieces, parts = [], []  # parts: (the field's values, make)
-        for name in (_CSV_ORDER if csv else _JSON_ORDER):
-            piece, kinds, make = by_name[name]
-            pieces.append(piece if csv else f'"{name}": {piece}')
-            if kinds:
-                parts.append((slice(first[name], first[name] + len(kinds)),
-                              make))
-        template = (",".join(pieces) + "\r\n" if csv
-                    else "{%s}\n" % ", ".join(pieces))
-        starts = [taken.start for taken, _ in parts]
-        if starts == sorted(starts) and not any(make for _, make in parts):
-            return template.__mod__
+    def templated(outcome, detail):
+        field = dict(zip(("holds", "asserted", "degenerate"),
+                         (str(flag) if csv else _BOOL[flag]
+                          for flag in OUTCOME_FLAGS[outcome])),
+                     claim=text(form.claim.replace("%", "%%")),
+                     params=csv_field(params) if csv else params,
+                     witness=text(form.witness),
+                     detail=text(form.details[detail]))
+        if csv:
+            return (",".join(map(field.get, CSV_ORDER)) + "\r\n").__mod__
+        return ("{%s}\n" % ", ".join(f'"{name}": {field[name]}'
+                                     for name in sorted(field))).__mod__
 
+    def from_verdict(outcome, detail):
         def write(values):
-            args = []
-            for taken, make in parts:
-                args += make(values[taken]) if make else values[taken]
-            return template % tuple(args)
+            v = form.verdict((outcome, detail, values)).to_json()
+            return (csv_row({**v, "params": JSON.encode(v["params"])}.values())
+                    if csv else JSON.encode(v) + "\n")
         return write
-    return [[writer(outcome, detail) for detail in range(len(form.details))]
+
+    make = (from_verdict if form.strings or "%s" in form.witness
+            or "%" in "".join(form.details) else templated)
+    return [[make(outcome, detail) for detail in range(len(form.details))]
             for outcome in range(len(OUTCOME_FLAGS))]
 
 

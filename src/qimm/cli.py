@@ -25,7 +25,6 @@ import os
 import re
 import sys
 from collections import defaultdict
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -33,6 +32,8 @@ from typing import Iterable, Iterator, Sequence
 from .characters import alpha_table, as_partition, last_table, mn_character
 from .claims import (
     ALPHA_TABLE_MAX_N,
+    CSV_ORDER,
+    JSON,
     LAST_TABLE_MAX_L,
     OUTCOMES,
     VERIFY_NAMES,
@@ -44,7 +45,6 @@ from .claims import (
     writers,
 )
 from .immanants import (
-    InequalityVerdict,
     Verdicts,
     extract_a_coeffs,
     hook_chain,
@@ -65,9 +65,7 @@ USAGE_ERROR = 2
 Q_GRID_MAX_POINTS = 10_000
 _EMIT_CHUNK = 1 << 16  # characters per piece in _emit
 
-# one encoder for every sorted-key JSON line: json.dumps builds a new
-# JSONEncoder per call when given sort_keys; tables are indented
-_JSON = json.JSONEncoder(sort_keys=True)
+# tables are indented; every other JSON line is claims.JSON's
 _JSON_TABLE = json.JSONEncoder(indent=2, sort_keys=True)
 
 # The verify sweep-cap flags: flag, the SweepConfig field it sets (its
@@ -155,7 +153,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_record(args: argparse.Namespace, text: str, record: dict) -> None:
     """Emit `record` as sorted-key JSON under --format json, else `text`."""
-    _emit(_JSON.encode(record) if args.format == "json"
+    _emit(JSON.encode(record) if args.format == "json"
           else text, args.out)
 
 
@@ -191,21 +189,21 @@ def render_int_table(rows: Sequence[Sequence[int]], row_name: str,
 def render_verdicts(verdicts: Verdicts, fmt: str,
                     out: str | None) -> dict[str, list[int]]:
     """The verify stream to `out`, or stdout when None: one CSV row or
-    JSON line per row of each plan, each one % of its outcome and detail's
-    line (claims.writers), written as it is made and tallied in the loop
-    that makes it; JSON closes on the summary line.  Returns the tally."""
+    JSON line per row of each plan, by its outcome and detail's writer
+    (claims.writers), written as it is made and tallied in the loop that
+    makes it; JSON closes on the summary line.  Returns the tally."""
     tally = defaultdict(lambda: [0] * OUTCOMES)
 
     def lines():
         if fmt == "csv":
-            yield csv_row(f.name for f in fields(InequalityVerdict))
+            yield csv_row(CSV_ORDER)
         for plan in verdicts.plans:
             counts, line = tally[plan.form.claim], writers(plan.form, fmt)
             for outcome, detail, values in plan.rows():
                 counts[outcome] += 1
                 yield line[outcome][detail](values)
         if fmt != "csv":
-            yield _JSON.encode({"summary": summary(tally)}) + "\n"
+            yield JSON.encode({"summary": summary(tally)}) + "\n"
 
     _write(lines(), out)
     return tally

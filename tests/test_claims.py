@@ -153,20 +153,23 @@ def test_sweep_config_checked_when_built():
             ("random_count", {"n_max": 40})):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**caps)
-    # the sampled thm2 sweep, random_count trees for each n past the
-    # exhaustive cap, is bounded by its modelled cost: at n_max = 40,
-    # 415 trees (416 when --deep makes n = 8 exhaustive)
-    assert SweepConfig(n_max=40, random_count=415).random_count == 415
-    with pytest.raises(ValueError, match="random_count = 416 is above its "
-                                         "cap 415 at n_max = 40"):
-        SweepConfig(n_max=40, random_count=416)
+    # the sampled thm2 sweep is bounded by the modelled cost of the trees
+    # it walks, random_count for each n past both the exhaustive cap and
+    # ALL_TREES_MAX_N (classes cover the sample below): at n_max = 40,
+    # 418 trees, --deep or not
+    assert SweepConfig(n_max=40, random_count=418).random_count == 418
+    with pytest.raises(ValueError, match="random_count = 419 is above its "
+                                         "cap 418 at n_max = 40"):
+        SweepConfig(n_max=40, random_count=419)
     assert SweepConfig(n_max=40, random_count=83).deepen().random_count == 415
     with pytest.raises(ValueError, match="random_count = 420 is above its "
-                                         "cap 416 at n_max = 40"):
+                                         "cap 418 at n_max = 40"):
         SweepConfig(n_max=40, random_count=84).deepen()
-    # the random_count cap itself stays accepted at the default n_max
-    assert SweepConfig(random_count=claims.RANDOM_TREES_MAX).random_count \
-        == claims.RANDOM_TREES_MAX
+    # the random_count cap itself stays accepted at the default n_max, and
+    # up to ALL_TREES_MAX_N, where classes cover every sampled n
+    for n_max in (SweepConfig.n_max, trees.ALL_TREES_MAX_N):
+        assert SweepConfig(n_max=n_max, random_count=claims.RANDOM_TREES_MAX
+                           ).random_count == claims.RANDOM_TREES_MAX
     with pytest.raises(ValueError, match="hook_n_max"):
         SweepConfig(hook_n_max=9).deepen()
     # every upper cap is itself accepted, all at once but for the two
@@ -422,8 +425,8 @@ ROUTE_CASES = [
     ids=[f"{w}{'-deep' * d}" + "".join(f"-{k}-{v}" for k, v in c.items())
          for w, c, d, _ in ROUTE_CASES])
 def test_plan_lines_are_the_verdicts_lines(which, caps, deep, reached):
-    # a planned row's JSON line and CSV row, one % of its plan's line for
-    # the row's outcome and detail, are the tests' reference json_line and
+    # a planned row's JSON line and CSV row, by its plan's writer for the
+    # row's outcome and detail, are the tests' reference json_line and
     # csv_line of the verdict made from the same row; the whole stream
     # rendered from the plans is the reference stream of those verdicts,
     # with the same tally

@@ -419,9 +419,9 @@ REFUSED_CAPS = [
      "--sr-max = 47 is above its cap 46 at --sr-l-max = 13"),
     (("hook", "--hook-n-max", "4", "--deep"), "--hook-n-max = 4 checks"),
     (("two-row", "--n-max", "40"),
-     "--random-trees = 1000 is above its cap 415 at --n-max = 40"),
+     "--random-trees = 1000 is above its cap 418 at --n-max = 40"),
     (("all", "--n-max", "40", "--random-trees", "100", "--deep"),
-     "--random-trees = 500 is above its cap 416 at --n-max = 40 "
+     "--random-trees = 500 is above its cap 418 at --n-max = 40 "
      "(--deep raised it from 100)"),
     (("two-row", "--n-max", "139", "--random-trees", "1"),
      "--random-trees = 1 is above its cap 0 at --n-max = 139"),
@@ -444,6 +444,19 @@ def test_sweep_caps_refused_before_any_sweep(capsys, argv, message):
     assert_usage_error(code, out, err)
     assert message in err
     assert "deep" not in err or "--deep" in argv
+
+
+def test_random_trees_cap_covered_by_classes_runs(capsys):
+    # at --n-max 9 classes cover every sampled n, so the --random-trees
+    # cap is accepted, and runs as fast as its classes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "two-row", "--n-max", "9",
+                             "--random-trees", "100000")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    at_9 = [v["witness"] for v in map(json.loads, out.splitlines()[:-1])
+            if v["params"]["n"] == 9]
+    assert at_9 == ["100000 trees, 0 violations"]
 
 
 class Computed(Exception):
@@ -657,6 +670,24 @@ def test_verify_summarizes_once(capsys, monkeypatch):
             if fmt == "json":
                 summary = json.loads(out.splitlines()[-1])["summary"]
                 assert summary["total"] == sizes[-1]
+
+
+@pytest.mark.parametrize("which", ["alpha-ratios", "general-sr"])
+def test_ratio_lines_make_no_verdict(monkeypatch, tmp_path, which):
+    # every ratio form's slots are all %d, so each of its lines is one % of
+    # a template and no row becomes an InequalityVerdict: with
+    # Form.verdict raising, the stream is still written, byte for byte
+    def made(*args):
+        raise AssertionError("a verdict object was made")
+
+    verdicts = claims.run_claims(which, claims.SweepConfig())
+    for fmt in ("json", "csv"):
+        want, got = tmp_path / f"want.{fmt}", tmp_path / f"got.{fmt}"
+        cli.render_verdicts(verdicts, fmt, str(want))
+        with monkeypatch.context() as patched:
+            patched.setattr(immanants.Form, "verdict", made)
+            cli.render_verdicts(verdicts, fmt, str(got))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_csv_render_keeps_no_buffer(tmp_path):
