@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qimm.claims import SweepConfig, csv_row, run_claims, summary  # noqa: E402
-from qimm.cli import _write, render_verdicts  # noqa: E402
+from qimm.cli import _error, _write, render_verdicts  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +76,8 @@ if __name__ == "__main__":
         status = main(sys.argv[1:])
     except OSError as exc:
         # exit 1 is kept for a failed verdict; qimm's writer has already
-        # pointed a closed stdout at devnull
-        print(f"error: {exc}", file=sys.stderr)
+        # pointed a closed stdout at devnull, and _error lets a closed
+        # stderr go
+        _error(str(exc))
         status = 2
     sys.exit(status)

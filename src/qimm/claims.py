@@ -92,7 +92,7 @@ SWEEP_START = dict(n_max=THEOREM_MIN_N, hook_n_max=THEOREM_MIN_N,
 ALPHA_TABLE_MAX_N = 200
 LAST_TABLE_MAX_L = 150
 # The general-sr sweep's caps, each with the other at its default: about
-# 1.1-1.9 s at --sr-max 50 and 0.7-0.8 s at --sr-l-max 100.
+# 0.6-1.0 s at --sr-max 50 and 0.4-0.6 s at --sr-l-max 100.
 SR_MAX = 50
 SR_L_MAX = 100
 # The random thm2 sample: covered by classes at n <= ALL_TREES_MAX_N (about

@@ -141,6 +141,17 @@ def _write(lines: Iterable[str], out: str | None) -> None:
         raise
 
 
+def _error(message: str) -> None:
+    """One `error:` line to stderr.  A reader that closed stderr as well
+    (`2>&1 | head -1`) is let go, with stderr pointed at devnull as _write
+    does for stdout, so the exit status stays the caller's."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        if sys.stderr is sys.__stderr__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _emit(text: str, out: str | None) -> None:
     """`text` and a final newline, in pieces of at most _EMIT_CHUNK
     characters: one large write to a pipe whose reader has gone can
@@ -372,15 +383,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return USAGE_ERROR
     except RecursionError:
-        print("error: input beyond capacity: the computation exceeded "
-              "Python's recursion limit", file=sys.stderr)
+        _error("input beyond capacity: the computation exceeded Python's "
+               "recursion limit")
         return USAGE_ERROR
     except MemoryError:
-        print("error: input beyond capacity: the computation ran out of "
-              "memory", file=sys.stderr)
+        _error("input beyond capacity: the computation ran out of memory")
         return USAGE_ERROR
 
 

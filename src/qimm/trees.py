@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 from .ratpoly import RatPoly, from_t
 
 ALL_TREES_MAX_N = 9
-# free_trees(15) lists 7,741 classes in about 5 s on a 2-vCPU host; the
+# free_trees(15) lists 7,741 classes in about 3-4 s on a 2-vCPU host; the
 # cost grows about threefold per vertex, so larger n is refused up front
 FREE_TREES_MAX_N = 15
 _GROWN = [[((0, 0, 1), 2)]]  # free_trees' (parent, |Aut|) on m = 2, 3, ...

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from check_streams import pinned
 from qimm import characters
 from qimm.characters import (
     COLUMN_MAX_N,
@@ -231,21 +232,21 @@ def test_involution_characters_list_no_shapes():
 
 
 def test_s12_character_table_pinned():
-    # SHA-256 of json.dumps of the rows chi_lambda(rho), lambda and rho over
-    # partitions(12), recorded from the shape-tuple recursion
+    # json.dumps of the rows chi_lambda(rho), lambda and rho over
+    # partitions(12)
     parts = list(partitions(12))
     rows = [[mn_character(lam, rho) for rho in parts] for lam in parts]
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "3b5f82d4905713ff4964a97cad29c11a502c8b807f282193455830bf09d06b69")
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned(
+        "S12 character table")
 
 
 def test_s17_character_table_pinned_and_orthogonal():
-    # the table the tables-paths benchmark workload reads: the digest the
-    # CI workflow pins, and each column's squares summing to z_rho
+    # the table the tables-paths benchmark workload reads: its pinned
+    # digest, and each column's squares summing to z_rho
     parts = list(partitions(17))
     rows = [[mn_character(lam, rho) for rho in parts] for lam in parts]
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "bfccd58615357f22e2d11c007db2864c6d8e8960e9864882ab9495ce89f749d5")
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == pinned(
+        "S17 character table")
     for b, rho in enumerate(parts):
         assert sum(row[b] ** 2 for row in rows) == centralizer_size(rho), rho
 

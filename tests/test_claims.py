@@ -40,66 +40,25 @@ from qimm.trees import (
     random_trees,
     star_tree,
 )
+from check_streams import pinned
 from verdict_reference import csv_line, json_line, sort_key
 from verdict_reference import plan as rows_plan
 from verdict_reference import stream as reference_stream
 
-# SHA-256 of stdout of `python -m qimm.cli verify <which> --deep --format
-# json`, recorded before the probability sweep read every i from one
-# histogram per (n, k), and, for two-row (exhaustive up to n = 8) and hook
-# (exhaustive up to n = 7), before those sweeps visited one tree per
-# isomorphism class; the verdict stream must not change.
-GOLDEN_DEEP = {
-    "paths":
-        "3c90a5ff0c4cf4b5498c9a37b1eeb0e5cdbfbae8d22446f95728417828d5aded",
-    "probability":
-        "bfdfe514af8c2af1b9616813e2ab3988cfc13d4d3819ffa995b4251591f4b4c2",
-    "two-row":
-        "e8c09c24f5f8e0432befd79b25342b0b6d8637c4da05e4a0a10deca77e905094",
-    "hook":
-        "fc8210cf395f3d47c332cd64560c777b2c4413305bfd386c203bad81631532fe",
-}
+# Each stream's digest is read from tests/streams.json by its name there.
 
-# SHA-256 of stdout of `python -m qimm.cli verify ...` for two flag sets,
-# recorded before the cap flags took their destinations and defaults from
-# SweepConfig.  The second pins exhaustive_tree_max = min(7, n_max) under
-# --deep.
-GOLDEN_FLAGS = {
+# `verify <which> --deep --format json`
+DEEP_STREAMS = ("paths", "probability", "two-row", "hook")
+
+# `verify ...` under two flag sets; the second pins exhaustive_tree_max =
+# min(7, n_max) under --deep
+FLAG_SETS = [
     ("all", "--n-max", "6", "--hook-n-max", "5", "--oracle-n-max", "5",
      "--random-trees", "3", "--seed", "4", "--alpha-n-max", "12",
-     "--l-max", "10", "--sr-max", "2", "--sr-l-max", "5"):
-        "9a9c06e6ddd854d02ebac03ba52e3709ee41559a1588fc79aeca052c7dcd2fb0",
+     "--l-max", "10", "--sr-max", "2", "--sr-l-max", "5"),
     ("two-row", "--deep", "--n-max", "5", "--random-trees", "2",
-     "--seed", "3"):
-        "32ea16322576a0b19a39af413e53c3fe874b40a43c92e2903b40afff901eeb65",
-}
-
-
-# SHA-256 of stdout of `python -m qimm.cli verify all` at default flags,
-# recorded before the paths module computed each path's heights in the
-# pass that checks its steps.
-GOLDEN_DEFAULT = (
-    "3df2a954fd22a1f7b59b799805ceeb2b43864dfadd09839754ea4fb471708380")
-
-# SHA-256 of stdout of `python -m qimm.cli verify all --deep`, the stream
-# CI pins as the deep verdict stream.
-GOLDEN_DEEP_ALL = (
-    "9a9d826171097b3370e5cff910225040aa96b18c0e1b17f0b728489a582cba3b")
-
-
-# SHA-256 of the JSON lines of the four labeled-tree sweeps with every
-# per-tree check forced to fail on some trees (see `failing_tree_sweeps`),
-# recorded before the four sweeps shared one walk.
-GOLDEN_FORCED_FAILURES = (
-    "60a4ea9df21758b894c53f570d8dd074f73899dd8d87deff028bb14a8874e6dc")
-
-
-# SHA-256 of the JSON lines of the lem15-bij and lem16-bij sweeps with
-# colliding forward maps and shortened listings (see
-# `failing_bijection_sweeps`), recorded before each sweep read every path
-# class from one listing.
-GOLDEN_BIJECTION_FAILURES = (
-    "166af7d0bb5fe7cc17fb168ad1a359b791b803b501abdab51992c3fe73dde2b6")
+     "--seed", "3"),
+]
 
 
 def explicit_deepen(c: SweepConfig) -> SweepConfig:
@@ -456,8 +415,8 @@ def test_plan_lines_are_the_verdicts_lines(which, caps, deep, reached):
         assert claims.summary(tally) == claims.summarize(made)
 
 
-@pytest.mark.parametrize("deep, want", [(False, GOLDEN_DEFAULT),
-                                        (True, GOLDEN_DEEP_ALL)])
+@pytest.mark.parametrize("deep, want", [(False, pinned("verify all")),
+                                        (True, pinned("verify all --deep"))])
 def test_full_verification_script_writes_the_verify_all_stream(tmp_path, deep,
                                                                want):
     # verdicts.jsonl is the `qimm verify all` stream, and the per-claim
@@ -476,10 +435,11 @@ def test_full_verification_script_writes_the_verify_all_stream(tmp_path, deep,
 
 
 def test_deep_paths_and_probability_streams_unchanged(capsys):
-    for which, want in GOLDEN_DEEP.items():
+    for which in DEEP_STREAMS:
         assert main(["verify", which, "--deep", "--format", "json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == want, which
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned(
+            f"verify {which} --deep"), which
 
 
 def count_listings(mp):
@@ -519,7 +479,7 @@ def default_sweep():
 def test_default_verify_all_stream_unchanged(default_sweep):
     status, out = default_sweep[:2]
     assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEFAULT
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned("verify all")
 
 
 def test_one_cache_entry_per_key_in_a_full_run(default_sweep):
@@ -548,10 +508,11 @@ def test_histograms_list_no_path_or_tableau(default_sweep, monkeypatch):
 
 
 def test_cap_flags_streams_unchanged(capsys):
-    for argv, want in GOLDEN_FLAGS.items():
+    for argv in FLAG_SETS:
         assert main(["verify", *argv]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned(
+            " ".join(("verify", *argv))), argv
 
 
 def test_cap_flag_defaults_are_sweep_config_defaults(monkeypatch, capsys):
@@ -645,7 +606,8 @@ def test_failing_tree_sweeps_report_unchanged(monkeypatch):
     assert all(f" {w}" in details for w in ("a0", "a2", "reconstruction"))
     out = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
                   for v in verdicts)
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FORCED_FAILURES
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned(
+        "tests/test_claims.py::test_failing_tree_sweeps_report_unchanged")
 
 
 def _steps_spread(path):
@@ -700,8 +662,8 @@ def test_failing_bijection_sweeps_report_unchanged(monkeypatch):
     assert failed == {"lem15-bij", "lem16-bij"}
     out = "".join(json.dumps(v.to_json(), sort_keys=True) + "\n"
                   for v in verdicts)
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == GOLDEN_BIJECTION_FAILURES
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned(
+        "tests/test_claims.py::test_failing_bijection_sweeps_report_unchanged")
 
 
 def test_doubling_image_outside_target_fails_the_verdict(monkeypatch,

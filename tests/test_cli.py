@@ -20,27 +20,15 @@ from qimm.immanants import Form, InequalityVerdict, check_two_row_chain
 from qimm.characters import partitions
 from qimm.cli import Q_GRID_MAX_POINTS, main, parse_q_grid, parse_tree_spec
 from qimm.trees import Tree, all_labeled_trees, path_tree, star_tree
+from check_streams import pinned
 from verdict_reference import as_plans
 from verdict_reference import plan as rows_plan
 from verdict_reference import stream as reference_stream
 
-# SHA-256 of the stdout of every command `edge_argvs` yields for one
-# subcommand and tree, concatenated in order; recorded before q_laplacian
-# emitted integer coefficient tuples in place of RatPoly entries.
-GOLDEN_EDGE = {
-    ("immanant", "path:6"):
-        "99fc2f9372cc0ee47a0b2f313e87082e9330fd30c879e20c55d12b689f5acaf2",
-    ("immanant", "star:6"):
-        "d20608976dd7c0c64729785c20d7e813b0d6affb6366999bead245ccedf861da",
-    ("immanant", "pruefer:2,2,3,3"):
-        "66513a8e8f912fd69cca51f17f47738ee3caea6f3a81949b0ba61caac6397b7e",
-    ("a-coeffs", "path:6"):
-        "1deaf9920bee556ede3a75c97151adf3e013d28ec92a8566af93fc6b905e0db0",
-    ("a-coeffs", "star:6"):
-        "6ec5c8cca86f7f36701c9840d5829e9db2eae0c86c1cd09181ab1f70494a66c3",
-    ("a-coeffs", "pruefer:2,2,3,3"):
-        "b7078205e5ed9d704af9b509aad88ff71c6cc9acdca91661d24539b9a0c08c4d",
-}
+# the families of edge_argvs whose stdout, concatenated in order, each
+# have a digest in tests/streams.json
+EDGE_FAMILIES = [(command, tree) for command in ("immanant", "a-coeffs")
+                 for tree in ("path:6", "star:6", "pruefer:2,2,3,3")]
 
 
 def edge_argvs(command, tree):
@@ -266,12 +254,14 @@ def test_immanant_bruteforce_agrees(capsys):
 
 
 def test_immanant_and_a_coeffs_output_unchanged(capsys):
-    for (command, tree), want in GOLDEN_EDGE.items():
+    for command, tree in EDGE_FAMILIES:
         digest = hashlib.sha256()
         for argv in edge_argvs(command, tree):
             assert main(list(argv)) == 0
             digest.update(capsys.readouterr().out.encode())
-        assert digest.hexdigest() == want, (command, tree)
+        assert digest.hexdigest() == pinned(
+            "tests/test_cli.py::test_immanant_and_a_coeffs_output_unchanged"
+            f"[{command} {tree}]"), (command, tree)
 
 
 def test_a_coeffs_command(capsys):
@@ -381,12 +371,10 @@ def test_verify_tree_keeps_output_flags(capsys, tmp_path):
 
 
 def test_verify_hook_large_star_output_unchanged(capsys):
-    # SHA-256 of the stdout of `qimm verify hook --tree star:1200`,
-    # recorded before the hook characters came from their closed form
     code, out, err = run_cli(capsys, "verify", "hook", "--tree", "star:1200")
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f20cd4c653383b7570e8ff2e8dd6c221941162290d00794703927dbbd72c2e93")
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned(
+        "verify hook --tree star:1200")
 
 
 # each case is named by its argv alone; the refusal names the flag, and
@@ -746,6 +734,19 @@ def test_reader_gone(argv):
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
+def test_reader_gone_from_stdout_and_stderr():
+    # `2>&1 | head -1`: the error line meets the same closed pipe, and is
+    # let go; the exit status is still 2, not the 1 of a failed verdict
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qimm.cli", "verify", "alpha-ratios"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert proc.wait(timeout=300) == 2
+
+
 def test_verify_tree_flag_rejected_elsewhere(capsys):
     code, _, err = run_cli(capsys, "verify", "paths", "--tree", "path:4")
     assert code == 2
@@ -813,6 +814,18 @@ def test_full_verification_script_reader_gone(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "verdicts.jsonl").exists()
+
+
+def test_full_verification_script_reader_gone_from_stdout_and_stderr(
+        tmp_path):
+    # `2>&1 | true`: the error line meets the same closed pipe; exit 2
+    script = (Path(__file__).resolve().parent.parent / "scripts"
+              / "run_full_verification.py")
+    proc = subprocess.Popen([sys.executable, str(script), str(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc.stdout.close()
+    assert proc.wait(timeout=300) == 2
     assert (tmp_path / "verdicts.jsonl").exists()
 
 
