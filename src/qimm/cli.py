@@ -106,9 +106,10 @@ def parse_q_grid(spec: str) -> tuple[Fraction, ...]:
     """Grid literal lo:hi:step with exact rational endpoints, at most
     Q_GRID_MAX_POINTS points (counted before the grid is built)."""
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"bad grid {spec!r}; use lo:hi:step")
-    lo, hi, step = (Fraction(p) for p in parts)
+    try:
+        lo, hi, step = (Fraction(p) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad grid {spec!r}; use lo:hi:step") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
     count = (hi - lo) // step + 1

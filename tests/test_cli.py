@@ -102,6 +102,9 @@ def test_q_grid_parsing():
     assert [str(q) for q in grid] == ["-1", "-1/2", "0", "1/2", "1"]
     with pytest.raises(ValueError):
         parse_q_grid("1:0:1")
+    for spec in ("1/0:1:1", "0:1:1/0", "a:1:1"):
+        with pytest.raises(ValueError, match="bad grid"):
+            parse_q_grid(spec)
 
 
 def assert_usage_error(code, out, err):
@@ -709,8 +712,8 @@ def test_csv_render_keeps_no_buffer(tmp_path):
     ["last-table", "150"],
     ["last-table", "150", "--format", "json"],
     ["last-table", "150", "--format", "csv"],
-    ["a-coeffs", "--tree", "path:300"],
-    ["a-coeffs", "--tree", "path:300", "--format", "json"],
+    ["a-coeffs", "--tree", "path:150"],
+    ["a-coeffs", "--tree", "path:150", "--format", "json"],
 ], ids=["verify", "verify-csv", "verify-tree", "table", "table-json",
         "table-csv", "last", "last-json", "last-csv", "a-coeffs",
         "a-coeffs-json"])
@@ -718,10 +721,10 @@ def test_reader_gone(argv):
     # a reader that stops after 100 bytes, as `| head -c 100` does: exit 2
     # with one error line, and no traceback or message from the
     # interpreter's flush at exit; every stream is past a pipe's buffer
-    # (345 KB for the verdict lines of path:200, 400 KB to 1.7 MB for the
-    # tables and polynomial lists, 2.7 MB of CSV verdict rows), handed to
-    # the writer in pieces of a line or at most _EMIT_CHUNK characters, so
-    # a later piece meets the closed pipe
+    # (345 KB for the verdict lines of path:200, 400 to 850 KB for the
+    # tables, 200 and 270 KB for the polynomial lists of path:150, 2.7 MB
+    # of CSV verdict rows), handed to the writer in pieces of a line or at
+    # most _EMIT_CHUNK characters, so a later piece meets the closed pipe
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "qimm.cli", *argv],

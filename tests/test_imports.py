@@ -1,5 +1,6 @@
 """Every name imported in the package, the tests and the scripts is used,
-and every function in the package is called from it or exported.
+every function in the package is called from it or exported, and every
+helper of the tests and the scripts is used by them.
 
 A name counts as used when it is read anywhere in its module, or when
 the module lists it in `__all__` (a re-export).
@@ -100,3 +101,26 @@ def test_every_function_in_src_is_called_or_exported():
                 and name not in attributes
                 and (method or name not in names and name not in qimm.__all__)}
     assert uncalled == set(NOT_CALLED_IN_SRC)
+
+
+def test_every_helper_in_tests_and_scripts_is_used():
+    # a top-level function or class of tests/ or scripts/ that is not a
+    # test is read somewhere in tests/ or scripts/: by name, as an
+    # attribute or as a fixture's argument
+    defs, used = set(), set()
+    for path in SOURCES:
+        if path.parent.name == "qimm":
+            continue
+        tree = ast.parse(path.read_text())
+        defs |= {(path.name, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("test_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+    assert len(defs) > 60
+    assert {(where, name) for where, name in defs if name not in used} == set()
