@@ -15,14 +15,16 @@ name, and the choice of route stays here.  For n <= COLUMN_MAX_N,
 `mn_character` reads a shape's place, its index in partitions(n), in the
 column `_column(n, rho)`, built once per cycle type from its suffix column
 by a move table per (m, t) (the S17 table, 88,209 values, about 0.05 s
-cold on a 2-vCPU host, CPython 3.11); above it `_mn` removes border strips
-from the one shape, as `involution_characters` always does (its docstring
-says why).  Two-row characters have closed-form columns, `two_row_column`;
-`_mn` is also the tests' independent route.
+cold on a 2-vCPU host, CPython 3.11); above it `_mn` removes strips from
+the one shape, as `involution_characters` always does (its docstring
+says why).  Both read one strip rule, `_strips`.  Two-row characters
+have closed-form columns, `two_row_column`; `_mn` is also the tests'
+independent route.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb, factorial
@@ -91,34 +93,44 @@ def syt_count(shape: Sequence[int]) -> int:
 # -- Murnaghan-Nakayama ---------------------------------------------------
 
 
-@cache
-def _mn(beads: int, cycles: tuple[int, ...]) -> int:
-    """chi(cycles) of the shape whose n-bead mask is beads, n = sum(cycles):
-    border-strip removal on the abacus, longest cycle first.  A t-strip
-    moves a bead from b to an empty b - t, signed by the beads between;
-    the smaller shape then fills the t lowest positions, so shifting them
-    out gives its (n - t)-bead mask.  Once only 1-cycles are left,
-    chi(1^m) = f^shape ends the descent."""
-    if not cycles or cycles[0] == 1:
-        parts = []  # each bead's position less the beads below it
-        while beads:
-            low = beads & -beads
-            parts.append(low.bit_length() - 1 - len(parts))
-            beads ^= low
-        return syt_count([p for p in reversed(parts) if p])
-    t, rest = cycles[0], cycles[1:]
+def _strips(beads: int, t: int) -> Iterator[tuple[int, int]]:
+    """(mask left, odd leg) of each t-strip of the shape whose n-bead mask
+    is beads: a bead moves from b to an empty b - t, signed by the beads
+    strictly between; the t filled low positions are shifted out."""
     # the beads at b >= t whose slot b - t is empty
     movable = beads & ~(beads << t) & -(1 << t)
-    total = 0
     while movable:
         low = movable & -movable
         movable ^= low
         dest = low >> t
-        value = _mn((beads ^ low ^ dest) >> t, rest)
-        # the leg: beads strictly between, as slot b - t is empty
-        odd_leg = (beads & (low - dest)).bit_count() & 1
-        total += -value if odd_leg else value
-    return total
+        yield (beads ^ low ^ dest) >> t, (beads & (low - dest)).bit_count() & 1
+
+
+@cache
+def _degree(beads: int) -> int:
+    """f^shape of a mask: each bead's position less the beads below it."""
+    parts = []
+    while beads:
+        low = beads & -beads
+        parts.append(low.bit_length() - 1 - len(parts))
+        beads ^= low
+    return syt_count([p for p in reversed(parts) if p])
+
+
+@cache
+def _mn(beads: int, cycles: tuple[int, ...]) -> int:
+    """chi(cycles) of the shape whose n-bead mask is beads, n = sum(cycles),
+    cycles descending: one level of _strips per cycle longer than 1, each
+    level's signed shapes merged by mask; chi(1^m) = f^shape ends it."""
+    level = {beads: 1}
+    for t in cycles:
+        if t == 1:
+            break
+        level, last = defaultdict(int), level
+        for mask, value in last.items():
+            for smaller, odd_leg in _strips(mask, t):
+                level[smaller] += -value if odd_leg else value
+    return sum(value * _degree(mask) for mask, value in level.items())
 
 
 @cache
@@ -145,23 +157,13 @@ def _shapes(n: int) -> tuple[list[int], dict[int, int]]:
 @cache
 def _moves(m: int, t: int) -> tuple[list[tuple[int, int]], ...]:
     """By place of a shape of m, the (place in m + t, odd leg) of every
-    t-strip it can gain: its mask gains t beads at the bottom, then a bead
-    moves from b to an empty b + t, signed by the beads strictly between."""
-    places = _shapes(m + t)[1]
-    table = []
-    for mask in _shapes(m)[0]:
-        beads = mask << t | (1 << t) - 1
-        # the beads at b whose slot b + t is empty
-        movable = beads & ~(beads >> t)
-        moves = []
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            dest = low << t
-            odd_leg = (beads & (dest - (low << 1))).bit_count() & 1
-            moves.append((places[beads - low + dest], odd_leg))
-        table.append(moves)
-    return tuple(table)
+    t-strip it can gain: _strips read upward."""
+    places = _shapes(m)[1]
+    table = tuple([] for _ in places)
+    for place, mask in enumerate(_shapes(m + t)[0]):
+        for smaller, odd_leg in _strips(mask, t):
+            table[places[smaller]].append((place, odd_leg))
+    return table
 
 
 @cache

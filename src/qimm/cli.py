@@ -313,7 +313,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.which == "two-row":
             verdicts = two_row_chain(tree)
         else:
-            grid = parse_q_grid(args.q_grid) if args.q_grid else None
+            grid = None if args.q_grid is None else parse_q_grid(args.q_grid)
             verdicts = hook_chain(tree, grid)
     else:
         verdicts = run_claims(args.which, _sweep_config(caps, args.deep))
@@ -385,10 +385,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         _error(str(exc))
-        return USAGE_ERROR
-    except RecursionError:
-        _error("input beyond capacity: the computation exceeded Python's "
-               "recursion limit")
         return USAGE_ERROR
     except MemoryError:
         _error("input beyond capacity: the computation ran out of memory")

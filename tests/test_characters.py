@@ -257,6 +257,9 @@ def test_murnaghan_nakayama_edge_values():
         934936182295920604800)
     # two beads far apart: f^(2999,1) = 2999
     assert mn_character((2999, 1), (1,) * 3000) == 2999
+    # 1,000 levels, one per 2-cycle, against the closed-form column
+    assert mn_character((1990, 10), (2,) * 1000) == two_row_char(
+        2000, 10, 1000)
 
 
 def fixed_subsets(n, j, m):

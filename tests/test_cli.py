@@ -128,6 +128,14 @@ def test_q_grid_point_cap(capsys):
     assert "capped" in err
 
 
+def test_empty_q_grid_is_a_bad_grid(capsys):
+    # parsed like any other grid, not taken as the default one
+    code, out, err = run_cli(
+        capsys, "verify", "hook", "--tree", "path:3", "--q-grid", "")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: bad grid ''")
+
+
 def test_q_grid_rejected_outside_single_tree_hook(capsys):
     for argv in (
         ("verify", "hook", "--hook-n-max", "5", "--q-grid", "0:1:1"),
@@ -282,12 +290,12 @@ def test_a_coeffs_large_star(capsys):
     assert lines[0] == "a_0 = 1 - q^2"
 
 
-def test_recursion_limit_is_a_capacity_error(capsys):
-    # the border-strip engine still goes one level per cycle longer than 1
+def test_char_past_the_recursion_limit_is_answered(capsys):
+    # border-strip removal goes level by level: 1,000 levels, no recursion
     code, out, err = run_cli(
         capsys, "char", "2000", ",".join(["2"] * 1000))
-    assert_usage_error(code, out, err)
-    assert "beyond capacity" in err
+    assert code == 0 and err == ""
+    assert out == "1\n"
 
 
 def test_immanant_large_star(capsys):

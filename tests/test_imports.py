@@ -7,9 +7,12 @@ the module lists it in `__all__` (a re-export).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import qimm
+from qimm.characters import COLUMN_MAX_N
+from qimm.immanants import BRUTEFORCE_MAX_N
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -124,3 +127,37 @@ def test_every_helper_in_tests_and_scripts_is_used():
                 used.add(node.arg)
     assert len(defs) > 60
     assert {(where, name) for where, name in defs if name not in used} == set()
+
+
+# every function of src/qimm that calls itself, with the bound on its depth
+SELF_CALLING = {
+    "characters._column": COLUMN_MAX_N,  # one level per cycle
+    "characters._shapes": COLUMN_MAX_N,  # one level per box
+    # one level per part; the CLI lists partitions only in the oracle
+    "characters.partitions.rec": BRUTEFORCE_MAX_N,
+    "immanants._bruteforce_buckets.expand": BRUTEFORCE_MAX_N,  # per row
+}
+
+
+def self_calling(node: ast.AST, prefix: str):
+    """The dotted name of every function under `node` that calls its own
+    name, plainly or as an attribute."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{sub.name}"
+            if isinstance(sub, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and sub.name in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None))
+                    for call in ast.walk(sub)):
+                yield name
+            yield from self_calling(sub, name)
+
+
+def test_no_input_reaches_the_recursion_limit():
+    # only the listed functions call themselves, each at most its bound
+    # deep, far below the interpreter's limit
+    found = {name for path in (ROOT / "src" / "qimm").glob("*.py")
+             for name in self_calling(ast.parse(path.read_text()), path.stem)}
+    assert found == set(SELF_CALLING)
+    assert max(SELF_CALLING.values()) < sys.getrecursionlimit() // 10
