@@ -16,17 +16,19 @@ name, and the choice of route stays here.  For n <= COLUMN_MAX_N,
 column `_column(n, rho)`, built once per cycle type from its suffix column
 by a move table per (m, t) (the S17 table, 88,209 values, about 0.05 s
 cold on a 2-vCPU host, CPython 3.11); above it `_mn` removes strips from
-the one shape, as `involution_characters` always does (its docstring
-says why).  Both read one strip rule, `_strips`.  Two-row characters
-have closed-form columns, `two_row_column`; `_mn` is also the tests'
-independent route.
+the one shape, one `_step` per cycle longer than 1.  At every n,
+`involution_characters` walks 2-strip `_step`s once from the one shape
+and reads each level (its docstring says why).  Both routes read one
+strip rule, `_strips`.  Two-row characters have closed-form columns,
+`two_row_column`; `_mn` is also the tests' independent route.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from itertools import accumulate, islice, repeat
 from math import comb, factorial
 from operator import lt
 from typing import Iterator, Sequence
@@ -55,13 +57,6 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(n, n, ())
-
-
-def two_cycle_type(n: int, j: int) -> tuple[int, ...]:
-    """Cycle type 2^j 1^(n-2j)."""
-    if not 0 <= 2 * j <= n:
-        raise ValueError(f"need 0 <= 2j <= n, got n={n}, j={j}")
-    return (2,) * j + (1,) * (n - 2 * j)
 
 
 def two_row_shape(n: int, k: int) -> tuple[int, ...]:
@@ -117,20 +112,27 @@ def _degree(beads: int) -> int:
     return syt_count([p for p in reversed(parts) if p])
 
 
+def _step(level: dict[int, int], t: int) -> dict[int, int]:
+    """The next level of strip removal: each signed shape (mask: value)
+    of a level less each of its t-strips (_strips), merged by mask."""
+    out = defaultdict(int)
+    for mask, value in level.items():
+        for smaller, odd_leg in _strips(mask, t):
+            out[smaller] += -value if odd_leg else value
+    return out
+
+
+def _read(level: dict[int, int]) -> int:
+    """The character a level of signed shapes gives at 1^m: the sum of
+    each value times f^shape."""
+    return sum(value * _degree(mask) for mask, value in level.items())
+
+
 @cache
 def _mn(beads: int, cycles: tuple[int, ...]) -> int:
     """chi(cycles) of the shape whose n-bead mask is beads, n = sum(cycles),
-    cycles descending: one level of _strips per cycle longer than 1, each
-    level's signed shapes merged by mask; chi(1^m) = f^shape ends it."""
-    level = {beads: 1}
-    for t in cycles:
-        if t == 1:
-            break
-        level, last = defaultdict(int), level
-        for mask, value in last.items():
-            for smaller, odd_leg in _strips(mask, t):
-                level[smaller] += -value if odd_leg else value
-    return sum(value * _degree(mask) for mask, value in level.items())
+    cycles descending: one _step per cycle longer than 1, then _read."""
+    return _read(reduce(_step, (t for t in cycles if t > 1), {beads: 1}))
 
 
 @cache
@@ -244,11 +246,13 @@ def two_row_column(n: int, j: int) -> tuple[int, ...]:
 
 
 def involution_characters(shape: Sequence[int], width: int) -> list[int]:
-    """chi_shape(2^j 1^(n-2j)) for j < width, by border-strip removal from
-    the one shape: the columns _column builds at these few cycle types cost
-    6-10 ms per n at n = 18..20, against about 1 ms pointwise."""
-    n, mask = _shape(tuple(shape), False)
-    return [_mn(mask, two_cycle_type(n, j)) for j in range(width)]
+    """chi_shape(2^j 1^(n-2j)) for j < width, by one walk of 2-strip
+    removal from the one shape, read at every level: the columns _column
+    builds at these few cycle types cost 6-10 ms per n at n = 18..20,
+    against about 1 ms pointwise."""
+    mask = _shape(tuple(shape), False)[1]
+    levels = accumulate(repeat(2), _step, initial={mask: 1})
+    return list(map(_read, islice(levels, width)))
 
 
 def alpha(n: int, shape: Sequence[int], i: int) -> int:
@@ -402,9 +406,3 @@ def alpha_table(n: int) -> AlphaTable:
         tuple(successive_differences(
             trinomial_power(i, 1, n - 2 * i, top=n // 2)))
         for i in range(n // 2 + 1)))
-
-
-def two_row_dimension(n: int, k: int) -> int:
-    """dim of the two-row irreducible (n-k, k): its character at the
-    identity, the j = 0 column of two_row_char."""
-    return two_row_char(n, k, 0)

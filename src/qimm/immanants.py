@@ -16,7 +16,7 @@ division by a character degree, so the per-tree checks run on integer
 t-coefficient lists, cleared of (positive) character-degree denominators.
 Every combination of such lists is one _weighted_sum: the character sums
 sum_j chi(2^j 1^(n-2j)) c_j, the a_i of eq. (5) by signed binomial rows,
-the Theorem 2 gap rows and gaps, and the eq. (5) comparison.  Both
+the Theorem 2 gap rows and gaps, and the eq. (5) reconstruction.  Both
 Theorem 1 gaps are one integer form in the hook sums and 1 - t, read from
 the grid values of the c_j (hook_margins).  A tree's c_j vanish above its
 matching number nu and matching_weight_arrays returns c_0..c_nu, so each
@@ -649,16 +649,14 @@ def eq5_reconstruction_ok(tree: Tree) -> bool:
 
 def eq5_holds(n: int, weights: Sequence[Sequence[int]],
               a: Sequence[Sequence[int]]) -> bool:
-    """sum_i a_i 2^i alpha_{n,k,i} / alpha_{n,k,0} reproduces every
-    normalized two-row immanant, checked cross-multiplied on the t-arrays
-    of the matching weights c_j of an n-vertex tree and their a_coeff_arrays:
-    f_k sum_i 2^i alpha_{n,k,i} a_i = alpha_{n,k,0} sum_j chi_{(n-k,k)}(j) c_j.
-    """
+    """eq. (5), sum_i 2^i alpha_{n,k,i} a_i = sum_j chi_{(n-k,k)}(j) c_j
+    for every k <= floor(n/2), on the t-arrays of the matching weights c_j
+    of an n-vertex tree and their a_coeff_arrays: the normalized two-row
+    immanant both ways, times f_k = alpha_{n,k,0} on both sides."""
     table = alpha_table(n)
-    dims = two_row_column(n, 0)
     for k, imm in enumerate(_two_row_sums(n, weights)):
         recon = _weighted_sum(
             a, [(1 << i) * table.get(k, i) for i in range(len(a))])
-        if any(_weighted_sum((recon, imm), (dims[k], -table.get(k, 0)))):
+        if _trim(recon) != _trim(imm):
             return False
     return True

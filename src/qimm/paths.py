@@ -35,7 +35,7 @@ from math import comb
 from operator import ge, le
 from typing import Iterator, Sequence
 
-from .characters import alpha_table, last_value, two_row_dimension
+from .characters import alpha_table, last_value, two_row_column
 
 _STEP = {"U": 1, "D": -1, "H": 0}
 
@@ -383,8 +383,9 @@ def probability_sequences(n: int) -> list[list[tuple[int, Fraction]]]:
     odd-height peaks inside the first floor(n/2)-i intervals.  Each
     NLP(n, n-2k) histogram is counted once; every i reads a prefix of it."""
     hists = [restricted_count_histogram(n, k) for k in range(n // 2 + 1)]
+    dims = two_row_column(n, 0)
     return [
-        [(k, Fraction(allowed_count(h, n, i), two_row_dimension(n, k)))
+        [(k, Fraction(allowed_count(h, n, i), dims[k]))
          for k, h in enumerate(hists)]
         for i in range((n - 1) // 2 + 1)
     ]

@@ -413,13 +413,23 @@ def matching_weights(tree: Tree) -> tuple[RatPoly, ...]:
 
 
 def parse_tree_file(text: str) -> Tree:
-    """Plain-text format: first line n, then one edge "u v" per line."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
+    """Plain-text format: first line n, then one edge "u v" per line;
+    blank lines are skipped, and a malformed line is refused by its
+    number in the file and its text."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError:
+            row = ()
+        if len(row) != (2 if rows else 1):
+            want = 'an edge "u v"' if rows else "the vertex count n"
+            raise ValueError(
+                f"tree file line {number}: {line.strip()!r} is not {want}")
+        rows.append(row)
+    if not rows:
         raise ValueError("empty tree file")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+    (n,), *edges = rows
     return Tree(n, tuple(edges))

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from check_streams import pinned
-from qimm import characters
+from qimm import characters, immanants
 from qimm.characters import (
     COLUMN_MAX_N,
     _column,
@@ -26,10 +26,8 @@ from qimm.characters import (
     syt_count,
     trinomial_coeffs,
     trinomial_power,
-    two_cycle_type,
     two_row_char,
     two_row_column,
-    two_row_dimension,
     two_row_shape,
 )
 from qimm.ratpoly import conv
@@ -165,6 +163,11 @@ def bead_mask(lam):
     return sum(1 << (part + n - 1 - i) for i, part in enumerate(padded))
 
 
+def involution_type(n, j):
+    """Cycle type 2^j 1^(n-2j)."""
+    return (2,) * j + (1,) * (n - 2 * j)
+
+
 def test_column_route_matches_removal_route():
     # every column holds one value per partition of n, in partitions(n)
     # order (the descending order of the n-bead masks), and reading it
@@ -188,7 +191,7 @@ def test_selector_covers_both_routes():
     for n in (COLUMN_MAX_N, COLUMN_MAX_N + 1):
         parts = list(partitions(n))
         hooks = {hook_shape(n, k): (-1) ** (n - k) for k in range(1, n + 1)}
-        for rho in ((1,) * n, two_cycle_type(n, n // 2), (n,)):
+        for rho in ((1,) * n, involution_type(n, n // 2), (n,)):
             before = _mn.cache_info()
             values = [mn_character(lam, rho) for lam in parts]
             asked_mn = _mn.cache_info() != before
@@ -204,7 +207,7 @@ def test_selector_covers_both_routes():
         width = n // 2 + 1
         for lam in parts:
             assert involution_characters(lam, width) == [
-                mn_character(lam, two_cycle_type(n, j))
+                mn_character(lam, involution_type(n, j))
                 for j in range(width)], lam
 
 
@@ -225,10 +228,39 @@ def test_involution_characters_list_no_shapes():
     # the formula the places are looked up with, not from a listing
     characters._shapes.cache_clear()
     assert involution_characters((16, 2), 10) == [
-        _mn(bead_mask((16, 2)), two_cycle_type(18, j)) for j in range(10)]
+        _mn(bead_mask((16, 2)), involution_type(18, j)) for j in range(10)]
     assert characters._shapes.cache_info().currsize == 0
     assert mn_character((16, 2), (1,) * 18) == syt_count((16, 2))
     assert characters._shapes.cache_info().currsize == 19
+
+
+def test_involution_characters_walk_each_shape_once(monkeypatch):
+    # one walk of 2-strip removal gives every j: each mask of each level
+    # is scanned once, and no value passes through _mn's cache
+    calls, strips = [], characters._strips
+
+    def counted(beads, t):
+        calls.append(t)
+        return strips(beads, t)
+
+    monkeypatch.setattr(characters, "_strips", counted)
+    before = _mn.cache_info().currsize
+    values = involution_characters((10, 10, 10, 10), 21)
+    assert len(calls) == 440 and set(calls) == {2}
+    assert _mn.cache_info().currsize == before
+    assert values[0] == syt_count((10, 10, 10, 10))
+
+
+def test_involution_characters_above_column_max_n():
+    # routes that share no code with the strip walk: the two-row closed
+    # form for every (40 - k, k), the hook table for every hook, j <= 20
+    n, width = 40, 21
+    for k in range(n // 2 + 1):
+        assert involution_characters(two_row_shape(n, k), width) == [
+            two_row_char(n, k, j) for j in range(width)], k
+    hooks = immanants._hook_char_data(n, width)
+    for k, row in enumerate(hooks, 1):
+        assert involution_characters(hook_shape(n, k), width) == list(row), k
 
 
 def test_s12_character_table_pinned():
@@ -295,21 +327,21 @@ def box_removal_tables(n_max):
 
 
 def test_two_row_column_matches_young_rule_sum():
-    # two_row_dimension reads the j = 0 column; the binomial form checks it
+    # the j = 0 column is the degree; the binomial form checks it
     for n in range(1, 81):
         for j in range(n // 2 + 1):
             assert two_row_column(n, j) == tuple(
                 fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)
                 for k in range(n // 2 + 1)), (n, j)
         for k in range(n // 2 + 1):
-            assert two_row_dimension(n, k) == binomial_dimension(n, k), (n, k)
+            assert two_row_char(n, k, 0) == binomial_dimension(n, k), (n, k)
     for n in (1000, 1001):
         for k, j in ((0, 0), (1, 1), (3, 250), (250, 3), (499, 500),
                      (500, 499), (500, 500)):
             assert two_row_char(n, k, j) == (
                 fixed_subsets(n, j, k) - fixed_subsets(n, j, k - 1)), (n, k, j)
         for k in range(n // 2 + 1):
-            assert two_row_dimension(n, k) == binomial_dimension(n, k), (n, k)
+            assert two_row_char(n, k, 0) == binomial_dimension(n, k), (n, k)
 
 
 def test_two_row_char_trivial_row():
@@ -327,7 +359,7 @@ def test_two_row_char_matches_murnaghan_nakayama():
         for k in range(n // 2 + 1):
             for j in range(n // 2 + 1):
                 assert two_row_char(n, k, j) == mn_character(
-                    two_row_shape(n, k), two_cycle_type(n, j)
+                    two_row_shape(n, k), involution_type(n, j)
                 )
 
 
@@ -400,7 +432,7 @@ def test_alpha_row_zero_is_dimension():
         table = alpha_table(n)
         for k in range(n // 2 + 1):
             assert table.get(k, 0) == binomial_dimension(n, k)
-            assert table.get(k, 0) == two_row_dimension(n, k)
+            assert table.get(k, 0) == two_row_char(n, k, 0)
 
 
 def test_alpha_out_of_range_convention():

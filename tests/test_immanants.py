@@ -6,11 +6,7 @@ from math import comb
 import pytest
 
 from qimm import immanants
-from qimm.characters import (
-    mn_character,
-    partitions,
-    two_cycle_type,
-)
+from qimm.characters import mn_character, partitions
 from qimm.immanants import (
     LEMMA9_ERRATA,
     a_coeff_arrays,
@@ -338,7 +334,8 @@ def test_hook_char_table_matches_murnaghan_nakayama():
     for n in range(1, 15):
         width = n // 2 + 1
         assert immanants._hook_char_data(n, width) == tuple(
-            tuple(mn_character(hook_shape(n, k), two_cycle_type(n, j))
+            tuple(mn_character(hook_shape(n, k),
+                               (2,) * j + (1,) * (n - 2 * j))
                   for j in range(width))
             for k in range(1, n + 1)), n
 

@@ -8,7 +8,7 @@ from qimm.characters import (
     alpha_table,
     last_value,
     trinomial_coeffs,
-    two_row_dimension,
+    two_row_char,
 )
 from qimm.paths import (
     LatticePath,
@@ -120,7 +120,7 @@ def test_nlp_counts_are_ballot_numbers():
     for n in range(1, 11):
         for k in range(n // 2 + 1):
             assert len(enumerate_paths("NLP", n, n - 2 * k)) == (
-                two_row_dimension(n, k))
+                two_row_char(n, k, 0))
 
 
 def test_uhd_counts_are_trinomial():
@@ -273,7 +273,7 @@ def test_histograms_count_every_object_at_n_60():
     for k in range(31):
         assert (sum(restricted_count_histogram(60, k))
                 == sum(syt_descent_histogram(60, k))
-                == two_row_dimension(60, k)), k
+                == two_row_char(60, k, 0)), k
 
 
 def test_histograms_refuse_a_shape_out_of_range():
@@ -367,7 +367,7 @@ def test_syt_counts():
     for n in range(1, 11):
         for k in range(n // 2 + 1):
             assert sum(1 for _ in enumerate_two_row_syt(n, k)) == (
-                two_row_dimension(n, k))
+                two_row_char(n, k, 0))
 
 
 def test_syt_round_trip_and_descent_peak_match():
@@ -435,7 +435,7 @@ def test_probability_sequences_match_per_i_enumeration():
                 (k, Fraction(
                     sum(1 for p in enumerate_paths("NLP", n, n - 2 * k)
                         if max_odd_peak_interval(p) <= n // 2 - i),
-                    two_row_dimension(n, k)))
+                    two_row_char(n, k, 0)))
                 for k in range(n // 2 + 1)
             ]
             assert seq == direct, (n, i)

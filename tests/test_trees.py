@@ -286,6 +286,13 @@ def test_tree_file_parse():
     assert parse_tree_file(text) == path_tree(4)
     with pytest.raises(ValueError):
         parse_tree_file("")
+    # a malformed line is refused by its number in the file and its text
+    for bad, where in (("4\n1 2\n2 3 4\n", "line 3: '2 3 4'"),
+                       ("4\n1 2\n\n2\n", "line 4: '2'"),
+                       ("4\n 2 a \n", "line 2: '2 a'"),
+                       ("x\n1 2\n", "line 1: 'x'")):
+        with pytest.raises(ValueError, match=f"^tree file {where} is not"):
+            parse_tree_file(bad)
 
 
 def brute_matching_number(tree):
